@@ -528,6 +528,9 @@ def move_boundary_experiment(
         lam11 = float(basis.lams[0])
         lam1s_val = lam11**params.s
         srep = sobolev_constant_dirichlet(basis, params, opts)
+        # release this alpha's basis before the next eigensolve, so
+        # two complete bases never coexist
+        del basis
         bound = vol_pow * lam1s_val
         sufficient = bool(bound < thr)
         if sufficient and np.isnan(onset):

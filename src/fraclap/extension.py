@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from ._weighted1d import graded_grid, weighted_matrices, weighted_slope_limit
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import assemble_operators
+from .spectral import OperatorPair, assemble_operators
 
 __all__ = [
     "CylinderMesh",
@@ -129,7 +129,31 @@ class ExtensionField:
         return replace(self, values=v)
 
 
-# one-slot cache: y-direction eigenpairs plus base-operator factorizations
+def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
+    """Solver of the shifted systems (A + theta_j M) x_j = b_j, by column.
+
+    On face-aligned partitions A and M are diagonal in the Kronecker basis
+    of ``ops.tensor``, so each solve is two per-axis contractions and a
+    division by (lambda_i + theta_j).  Other partitions factor each shifted
+    matrix once.
+    """
+    t = ops.tensor
+    if t is not None:
+        denom = t.values[:, None] + theta[None, :]
+        return lambda B: t.synthesize(t.dual(B) / denom)
+
+    factors = [spla.splu((ops.A + th * ops.M).tocsc()) for th in theta]
+
+    def solve(B: np.ndarray) -> np.ndarray:
+        X = np.empty_like(B)
+        for j, lu in enumerate(factors):
+            X[:, j] = lu.solve(B[:, j])
+        return X
+
+    return solve
+
+
+# one-slot cache: y-direction eigenpairs plus the base shifted solver
 _SOLVER_CACHE: dict = {}
 
 
@@ -146,8 +170,7 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     theta, Z = scipy.linalg.eigh(Aw_II, Mw_II)
     Aw0 = Aw[1:J, 0].toarray().ravel()
     Mw0 = Mw[1:J, 0].toarray().ravel()
-    factors = [spla.splu((ops.A + th * ops.M).tocsc()) for th in theta]
-    value = (ops, theta, Z, Aw0, Mw0, factors)
+    value = (ops, Z, Aw0, Mw0, _shifted_solver(ops, theta))
     _SOLVER_CACHE["key"] = key
     _SOLVER_CACHE["value"] = value
     return value
@@ -161,9 +184,12 @@ def extend(
 ) -> ExtensionField:
     """Solve the weighted extension problem with trace u.
 
-    The discrete system diagonalizes in the y-direction: one sparse solve of
-    (A + theta_j M) per weighted y-eigenvalue theta_j.  No base-operator
-    spectrum is involved.
+    The discrete system diagonalizes in the y-direction into one shifted
+    base system (A + theta_j M) per weighted y-eigenvalue theta_j.  On
+    face-aligned partitions (every face wholly Dirichlet or wholly Neumann)
+    those are solved in the Kronecker basis of 1-D eigenvectors, with no
+    factorization; on other partitions each shifted matrix is factored once
+    per cylinder and partition, and no base-operator spectrum is involved.
 
     Parameters
     ----------
@@ -187,14 +213,10 @@ def extend(
             "first y-cell too coarse for the boundary layer; increase J or gamma",
             RuntimeWarning, stacklevel=2)
 
-    ops, theta, Z, Aw0, Mw0, factors = _interior_solver(partition, cyl, s)
+    ops, Z, Aw0, Mw0, shifted_solve = _interior_solver(partition, cyl, s)
     uf = u.free_values(ops)
     R = -np.outer(ops.A @ uf, Mw0) - np.outer(ops.M @ uf, Aw0)
-    RZ = R @ Z
-    V = np.empty_like(RZ)
-    for j, lu in enumerate(factors):
-        V[:, j] = lu.solve(RZ[:, j])
-    W_int = V @ Z.T
+    W_int = shifted_solve(R @ Z) @ Z.T
 
     full = np.zeros((cyl.base.n_nodes, cyl.J + 1))
     full[ops.free, 0] = uf

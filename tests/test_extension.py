@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import scipy.special
 
 import fraclap as fl
@@ -254,3 +256,33 @@ def test_energy_isometry_and_minimality(interval_cylinder, interval_ops,
     bumped = w.perturbed(delta)
     assert np.array_equal(bumped.trace().values, u.values)
     assert fl.x_norm(cyl, params1, bumped, kap) > cyl_norm
+
+
+@pytest.mark.parametrize("face_aligned", [True, False])
+def test_extend_matches_assembled_cylinder_solve(face_aligned):
+    # the interior cylinder system kron(A, Mw) + kron(M, Aw), with the trace
+    # level moved to the right-hand side, solved directly; face-aligned
+    # partitions take the factorization-free tensor solve, the others LU
+    params = fl.FracParams(s=S, N=2)
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.5)], [8, 6])
+    if face_aligned:
+        part = fl.partition_boundary(mesh, [(0, 0), (1, 1)])
+    else:
+        part = fl.moving_family(mesh, [0.5])[0]
+    ops = fl.assemble_operators(mesh, part)
+    assert (ops.tensor is not None) == face_aligned
+    cyl = fl.build_cylinder(mesh, 4.0, 24, 2.0)
+    u = fl.Field.from_callable(
+        mesh, part, lambda x: np.cos(x[:, 0]) * (1.0 + x[:, 1] ** 2))
+    w = fl.extend(cyl, part, params, u)
+
+    Aw, Mw = weighted_matrices(cyl.y, S)
+    inner = slice(1, cyl.J)
+    K = sp.kron(ops.A, Mw[inner, inner]) + sp.kron(ops.M, Aw[inner, inner])
+    uf = u.free_values(ops)
+    rhs = -(np.outer(ops.A @ uf, Mw[inner, [0]].toarray().ravel())
+            + np.outer(ops.M @ uf, Aw[inner, [0]].toarray().ravel()))
+    want = spla.spsolve(K.tocsc(), rhs.ravel()).reshape(ops.n_free, -1)
+    # both are direct solves of one well-posed system: round-off only
+    err = np.max(np.abs(w.values[ops.free, 1:cyl.J] - want))
+    assert err < 1e-12 * np.max(np.abs(uf))

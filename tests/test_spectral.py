@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fraclap as fl
 from fraclap.spectral import DofCapError, eigendecompose
@@ -95,10 +96,34 @@ def test_truncated_vs_complete_agree(square_ops, square_basis):
     assert square_basis.complete
 
 
+@pytest.mark.parametrize("dim, n, faces", [
+    (1, [32], [(0, 0)]),
+    (2, [12, 12], [(0, 0), (0, 1)]),
+    (3, [6, 6, 6], [(0, 0)]),
+])
+def test_tensor_path_matches_dense_oracle(dim, n, faces):
+    mesh = fl.build_tensor_mesh(dim, [(0.0, 1.0)] * dim, n)
+    ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, faces))
+    assert ops.tensor is not None
+    basis = eigendecompose(ops, m="all")
+    lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
+    np.testing.assert_allclose(basis.lams, lams, rtol=1e-10)
+    # exactly degenerate clusters (y <-> z on the cube) admit any rotation,
+    # so compare the M-orthogonal projector V V^T M of each cluster; outside
+    # them projector round-off scales like 1/relative gap, and the smallest
+    # gap here (3e-5, cube) leaves 1e-8 two orders above it
+    breaks = np.flatnonzero(np.diff(lams) > 1e-8 * lams[1:]) + 1
+    for cluster in np.split(np.arange(len(lams)), breaks):
+        V, W = basis.vecs[:, cluster], U[:, cluster]
+        np.testing.assert_allclose(V @ V.T, W @ W.T, rtol=0, atol=1e-8)
+
+
 def test_iterative_path_matches_dense():
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
-    part = fl.partition_boundary(mesh, [(0, 0)])
+    # partial-facet: face-aligned partitions take the tensor path instead
+    part = fl.moving_family(mesh, [0.5])[0]
     ops = fl.assemble_operators(mesh, part)
+    assert ops.tensor is None
     dense = eigendecompose(ops, m=3)
     sparse = eigendecompose(ops, m=3, dof_cap=10)  # forces shift-invert
     np.testing.assert_allclose(sparse.lams, dense.lams, rtol=1e-9)
@@ -111,8 +136,15 @@ def test_dof_cap_raises_for_complete_basis():
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
     part = fl.partition_boundary(mesh, [(0, 0)])
     ops = fl.assemble_operators(mesh, part)
-    with pytest.raises(DofCapError):
+    with pytest.raises(DofCapError,
+                       match="face-aligned partition serves any m < 600"):
         eigendecompose(ops, m="all", dof_cap=10)
+    # the tensor backend serves any truncated m above the cap
+    assert eigendecompose(ops, m=100, dof_cap=10).m == 100
+    partial = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
+    with pytest.raises(DofCapError,
+                       match="partial-facet partition serves m <= 32"):
+        eigendecompose(partial, m=33, dof_cap=10)
     with pytest.raises(ValueError):
         eigendecompose(ops, m="some")
     with pytest.raises(ValueError):
