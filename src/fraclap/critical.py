@@ -23,7 +23,12 @@ from .fractional import (
     mode_field,
 )
 from .mesh import Mesh
-from .spectral import SpectralBasis, assemble_operators, eigendecompose
+from .spectral import (
+    OperatorPair,
+    SpectralBasis,
+    assemble_operators,
+    eigendecompose,
+)
 
 __all__ = [
     "MinimizeOptions",
@@ -118,6 +123,16 @@ class MinimizerReport:
     ``flag`` is "OK" for a genuine minimization and "NONEXISTENCE-REGIME"
     when the first-eigenfunction witness already makes the quotient
     nonpositive, in which case no iteration happens and ``value`` is NaN.
+
+    ``participation`` is (sum w u^2)^2 / (|Omega| sum w u^4) over the free
+    nodes with the lumped-mass weights w: it lies in (0, 1], equals 1 for a
+    field constant on the whole mesh, is small for a concentrated one, and
+    converges under mesh refinement.  ``grad_residual`` is the norm of the
+    coefficient vector of the quotient numerator's gradient after its
+    projection onto the constraint normal (the nonlinear coefficients b) is
+    removed; it vanishes at a constrained critical point.  ``el_residual``
+    is the relative Euler-Lagrange residual |(L^s - lam) a - value * b| /
+    |L^s a| in coefficient space.
     """
 
     lam: float
@@ -149,7 +164,15 @@ class MinimizerReport:
 def _nonlinear_coeffs(basis: SpectralBasis, uf: np.ndarray, p: float) -> np.ndarray:
     # coefficients of M^{-1}(lumped * u^(p-1)); the discrete dual of the
     # nonlinear term under the lumped critical quadrature
-    return basis.vecs.T @ (basis.ops.lumped * np.abs(uf) ** (p - 1.0))
+    return basis.dual(basis.ops.lumped * np.abs(uf) ** (p - 1.0))
+
+
+def _participation(ops: OperatorPair, uf: np.ndarray) -> float:
+    # (sum w u^2)^2 / (|Omega| sum w u^4) with the lumped weights w
+    w = ops.lumped
+    l2 = float(np.sum(w * uf**2))
+    l4 = float(np.sum(w * uf**4))
+    return l2**2 / (ops.mesh.volume * l4) if l4 > 0 else float("nan")
 
 
 def _el_residual_rel(
@@ -205,7 +228,7 @@ def minimize_quotient(
     p = params.two_star
     lam_s = basis.lams**params.s
 
-    phi1 = basis.vecs[:, 0]
+    phi1 = basis.eigenfunction(1)[ops.free]
     witness = float(
         (lam_s[0] - lam) / critical_norm(ops, params, phi1) ** 2)
     if witness <= 0.0:
@@ -237,7 +260,7 @@ def minimize_quotient(
     converged = False
 
     for _ in range(opts.max_iter):
-        fa = basis.vecs @ (lam_s * a)
+        fa = basis.synthesize(lam_s * a)
         g = 2.0 * (fa - lam * uf)
         gMg = 4.0 * float(
             np.sum(lam_s**2 * a**2) - 2.0 * lam * np.sum(lam_s * a**2)
@@ -281,7 +304,7 @@ def minimize_quotient(
             if el <= opts.polish_tol:
                 break
             a_hat = b / (lam_s - lam)
-            u_hat = np.abs(basis.vecs @ a_hat)
+            u_hat = np.abs(basis.synthesize(a_hat))
             c = critical_norm(ops, params, u_hat)
             if c <= 0:
                 break
@@ -296,19 +319,17 @@ def minimize_quotient(
             b = _nonlinear_coeffs(basis, uf, p)
             el = _el_residual_rel(basis, params, lam, a, Q, b)
 
-    fa = basis.vecs @ (lam_s * a)
-    g = 2.0 * (fa - lam * uf)
-    a_g = basis.coefficients(g)
-    grad_res = float(np.linalg.norm(a_g))
+    # coefficients of the numerator's M-gradient 2 (L^s - lam) u, minus
+    # their component along the constraint normal b
+    a_g = 2.0 * (lam_s - lam) * a
+    grad_res = float(np.linalg.norm(a_g - (a_g @ b) / (b @ b) * b))
 
-    u_star = Field.from_free(ops, uf)
-    l2 = float(np.sum(uf**2))
-    participation = float(np.sum(uf**4) / l2**2) if l2 > 0 else float("nan")
     return MinimizerReport(
         lam=float(lam), flag="OK", witness_quotient=witness, value=Q,
-        minimizer=u_star, converged=converged, iterations=iterations,
-        trace_q=trace_q, trace_step=trace_step,
-        max_abs=float(np.max(np.abs(uf))), participation=participation,
+        minimizer=Field.from_free(ops, uf), converged=converged,
+        iterations=iterations, trace_q=trace_q, trace_step=trace_step,
+        max_abs=float(np.max(np.abs(uf))),
+        participation=_participation(ops, uf),
         grad_residual=grad_res, el_residual=el)
 
 
@@ -386,7 +407,7 @@ def rescale_to_solution(
     b = _nonlinear_coeffs(basis, uf, p)
     lam_s = basis.lams**params.s
     rho = k * (lam_s * a - lam * a - S * b)
-    res_free = basis.vecs @ rho
+    res_free = basis.synthesize(rho)
     denom = k * float(np.linalg.norm(lam_s * a))
     residual_rel = float(np.linalg.norm(rho)) / max(denom, 1e-300)
 

@@ -191,7 +191,7 @@ def frac_apply(
             "basis is truncated; pass allow_truncated=True to accept the "
             "dropped spectral tail")
     a = _coeffs(basis, u)
-    out_free = basis.vecs @ (basis.lams**params.s * a)
+    out_free = basis.synthesize(basis.lams**params.s * a)
     return Field.from_free(basis.ops, out_free)
 
 

@@ -24,6 +24,7 @@ from ._weighted1d import cell_moments
 from .extension import ExtensionField
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
+from .spectral import _trapezoid_weights
 
 __all__ = [
     "NonlinearitySpec",
@@ -134,20 +135,6 @@ class PohozaevReport:
         }
 
 
-def _full_lumped_weights(mesh: Mesh) -> np.ndarray:
-    # trapezoid weights, equal to row sums of the consistent tensor mass
-    parts = []
-    for d in range(mesh.dim):
-        h = mesh.spacing[d]
-        wd = np.full(mesh.n[d] + 1, h)
-        wd[0] = wd[-1] = 0.5 * h
-        parts.append(wd)
-    w = parts[0]
-    for wd in parts[1:]:
-        w = np.multiply.outer(w, wd)
-    return w.ravel()
-
-
 def _element_corner_nodes(mesh: Mesh, cell: tuple) -> np.ndarray:
     # flat node indices of the 2^dim corners of a base-mesh cell, in
     # ascending order
@@ -233,7 +220,7 @@ def pohozaev_terms(
         raise ValueError(f"x0 must have {mesh.dim} components")
 
     vals = u.values
-    weights = _full_lumped_weights(mesh)
+    weights = _trapezoid_weights(mesh)
     vol_uf = float((params.N - 2.0 * params.s)
                    * np.sum(weights * vals * spec.f(vals)))
     vol_F = float(2.0 * params.N * np.sum(weights * spec.F(vals)))

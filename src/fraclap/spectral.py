@@ -9,7 +9,8 @@ When every face of the box is wholly Dirichlet or wholly Neumann, the free
 nodes form a product set, A is a Kronecker sum and M a Kronecker product of
 1-D matrices restricted to it, and the eigenpairs are sums and Kronecker
 products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).  Those partitions
-never need a dense n x n eigensolve.
+never need a dense n x n eigensolve, and their bases apply the eigenvector
+matrix by per-axis contractions instead of storing it.
 """
 from __future__ import annotations
 
@@ -31,14 +32,14 @@ __all__ = [
     "assemble_operators",
     "eigendecompose",
     "first_eigenpair",
-    "save_basis",
-    "load_basis",
     "DofCapError",
 ]
 
 DEFAULT_DOF_CAP = 3000
 # largest eigenpair count served by the Lanczos path on big meshes
 _ITERATIVE_MAX = 32
+# columns multiplied out at a time when a tensor basis needs them explicitly
+_COLUMN_CHUNK = 256
 
 
 class DofCapError(RuntimeError):
@@ -55,6 +56,20 @@ def _line_matrices(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     m_main[0] = m_main[-1] = 2.0
     m = sp.diags([e[:-1], m_main, e[:-1]], [-1, 0, 1]) * (h / 6.0)
     return a.tocsr(), m.tocsr()
+
+
+def _trapezoid_weights(mesh: Mesh) -> np.ndarray:
+    """Trapezoid weights at every mesh node, flat in C order.
+
+    Up to round-off they are the row sums of the consistent tensor mass;
+    the positive quadrature weights of nodal p-norms.
+    """
+    w = np.ones(1)
+    for n, h in zip(mesh.n, mesh.spacing):
+        wd = np.full(n + 1, h)
+        wd[0] = wd[-1] = 0.5 * h
+        w = np.multiply.outer(w, wd)
+    return w.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,21 +104,23 @@ class TensorEigs:
             out = (out[:, None] + lam[None, :]).ravel()
         return out
 
-    def lowest(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k lowest eigenpairs, eigenvalues stably sorted.
+    def order(self, k: int) -> np.ndarray:
+        """C-order indices of the k lowest eigenpairs, stably sorted."""
+        return np.argsort(self.values, kind="stable")[:k]
 
-        Only the selected 1-D columns are multiplied out; the last product
-        is the returned (n, k) array, and no n x n array is built.
+    def columns(self, flat: np.ndarray) -> np.ndarray:
+        """Eigenvectors at the C-order indices ``flat``, one per column.
+
+        Only the selected 1-D columns are multiplied out.  The result is the
+        transpose of a C-order (len(flat), n) array, so each eigenvector is
+        contiguous in memory.
         """
-        order = np.argsort(self.values, kind="stable")[:k]
-        idx = np.unravel_index(order, self.shape)
-        vecs = self.vecs[0][:, idx[0]]
+        idx = np.unravel_index(flat, self.shape)
+        rows = self.vecs[0].T[idx[0]]
         for V, i in zip(self.vecs[1:], idx[1:]):
-            # C-order output, so the reshape below is a view, not a copy
-            out = np.empty((vecs.shape[0], V.shape[0], k))
-            np.multiply(vecs[:, None, :], V[:, i][None, :, :], out=out)
-            vecs = out.reshape(-1, k)
-        return self.values[order], vecs
+            rows = rows[:, :, None] * V.T[i][:, None, :]
+            rows = rows.reshape(len(flat), -1)
+        return rows.T
 
     def _per_axis(self, mats, X: np.ndarray) -> np.ndarray:
         # applies the Kronecker product of the square mats to each column
@@ -132,8 +149,8 @@ class OperatorPair:
     A, M : scipy.sparse.csr_matrix
         Symmetric stiffness and consistent mass over free nodes.
     lumped : numpy.ndarray
-        Full-mass row sums at the free nodes; the positive quadrature
-        weights used for nodal p-norms.
+        Trapezoid weights at the free nodes (the row sums of the full
+        consistent mass); the positive quadrature weights of nodal p-norms.
     free : numpy.ndarray
         Flat node indices kept after Dirichlet elimination.
     mesh : Mesh
@@ -196,7 +213,7 @@ def _assemble_cached(partition: BoundaryPartition) -> OperatorPair:
         A_full = A_full + kron_all(factors)
 
     free = partition.free_nodes
-    lumped = np.asarray(M_full.sum(axis=1)).ravel()[free]
+    lumped = _trapezoid_weights(mesh)[free]
     A = A_full[free][:, free].tocsr()
     M = M_full[free][:, free].tocsr()
     return OperatorPair(A=A, M=M, lumped=lumped, free=free,
@@ -226,63 +243,139 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair
     return _assemble_cached(partition)
 
 
-@dataclass(frozen=True)
 class SpectralBasis:
     """Ascending M-orthonormal eigenpairs of the constrained Laplacian.
 
-    Attributes
+    Consumers reach the eigenvectors V through :meth:`synthesize` (V c),
+    :meth:`dual` (V^T f), :meth:`coefficients` (V^T M u) and
+    :meth:`eigenfunction`.  A basis on a face-aligned partition stores no
+    eigenvector matrix: V is the Kronecker product of the 1-D eigenvectors
+    in ``ops.tensor``, its columns taken at the C-order indices ``order``
+    and scaled by ``signs``, and each map costs per-axis contractions of
+    n * sum(n_d) work instead of a dense n * m product.  Other partitions
+    store V densely and the maps multiply by it.
+
+    Parameters
     ----------
     lams : numpy.ndarray
         Eigenvalues, ascending, all positive.
-    vecs : numpy.ndarray
-        Eigenvectors over free nodes, shape (n_free, m), M-orthonormal.
-        Each column is sign-normalized to be nonnegative at its node of
-        largest magnitude.
+    vecs : numpy.ndarray or None
+        Dense eigenvectors over free nodes, shape (n_free, m); None for a
+        Kronecker basis.
     ops : OperatorPair
     complete : bool
         True when m equals the number of free nodes.
+    order, signs : numpy.ndarray, optional
+        For a Kronecker basis (``ops.tensor`` set, ``vecs`` None): the
+        C-order Kronecker index and the +-1 factor of each mode.
+
+    Attributes
+    ----------
+    vecs : numpy.ndarray
+        Eigenvectors over free nodes, shape (n_free, m), M-orthonormal.
+        Each column is sign-normalized to be nonnegative at its node of
+        largest magnitude.  A Kronecker basis multiplies it out on first
+        access and keeps it; no library code reads it.
     """
 
-    lams: np.ndarray = field(repr=False)
-    vecs: np.ndarray = field(repr=False)
-    ops: OperatorPair
-    complete: bool
-
-    def __post_init__(self) -> None:
-        if self.lams.ndim != 1 or self.vecs.shape != (self.ops.n_free, len(self.lams)):
+    def __init__(self, lams: np.ndarray, vecs: np.ndarray | None,
+                 ops: OperatorPair, complete: bool, *,
+                 order: np.ndarray | None = None,
+                 signs: np.ndarray | None = None) -> None:
+        self.lams = lams
+        self.ops = ops
+        self.complete = complete
+        self._vecs = vecs
+        self._order = order
+        self._signs = signs
+        m = len(lams)
+        if vecs is not None:
+            ok = (order is None and signs is None
+                  and vecs.shape == (ops.n_free, m))
+        else:
+            ok = (ops.tensor is not None and order is not None
+                  and signs is not None and order.shape == signs.shape == (m,))
+        if lams.ndim != 1 or not ok:
             raise ValueError("inconsistent basis shapes")
-        if np.any(np.diff(self.lams) < 0):
+        if np.any(np.diff(lams) < 0):
             raise ValueError("eigenvalues must be ascending")
-        if self.lams[0] <= 0:
+        if lams[0] <= 0:
             raise ValueError("first eigenvalue must be positive; "
                              "is the Dirichlet part empty?")
+
+    def __repr__(self) -> str:
+        return (f"SpectralBasis(m={self.m}, complete={self.complete}, "
+                f"ops={self.ops!r})")
 
     @property
     def m(self) -> int:
         return len(self.lams)
+
+    def _columns(self, modes: slice) -> np.ndarray:
+        # multiplied-out, sign-normalized columns of a Kronecker basis
+        return self.ops.tensor.columns(self._order[modes]) * self._signs[modes]
+
+    @property
+    def vecs(self) -> np.ndarray:
+        if self._vecs is None:
+            # filled row by row, so each eigenvector is contiguous
+            rows = np.empty((self.m, self.ops.n_free))
+            for start in range(0, self.m, _COLUMN_CHUNK):
+                modes = slice(start, start + _COLUMN_CHUNK)
+                rows[modes] = self._columns(modes).T
+            self._vecs = rows.T
+        return self._vecs
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """V c: free-node values from mode coefficients, (m,) or (m, r)."""
+        if self._order is None:
+            return self._vecs @ c
+        c = np.asarray(c, dtype=float)
+        n = self.ops.n_free
+        z = np.zeros((n,) + c.shape[1:])
+        z[self._order] = self._signs.reshape((-1,) + (1,) * (c.ndim - 1)) * c
+        return self.ops.tensor.synthesize(z.reshape(n, -1)).reshape(z.shape)
+
+    def dual(self, f: np.ndarray) -> np.ndarray:
+        """V^T f: Euclidean products with each eigenvector, (n,) or (n, r)."""
+        if self._order is None:
+            return self._vecs.T @ f
+        f = np.asarray(f, dtype=float)
+        out = self.ops.tensor.dual(f.reshape(self.ops.n_free, -1))[self._order]
+        out *= self._signs[:, None]
+        return out.reshape((self.m,) + f.shape[1:])
+
+    def coefficients(self, values_free: np.ndarray) -> np.ndarray:
+        """M-inner products of a free-node vector with each eigenvector."""
+        return self.dual(self.ops.M @ values_free)
 
     def eigenfunction(self, k: int) -> np.ndarray:
         """Eigenvector k scattered to all mesh nodes (zeros on Dirichlet).
 
         Modes are numbered from 1; k = 1 is the principal one.
         """
-        if not 1 <= k <= self.vecs.shape[1]:
-            raise IndexError(f"mode {k} not in 1..{self.vecs.shape[1]}")
+        if not 1 <= k <= self.m:
+            raise IndexError(f"mode {k} not in 1..{self.m}")
+        if self._order is None:
+            column = self._vecs[:, k - 1]
+        else:
+            column = self._columns(slice(k - 1, k))[:, 0]
         full = np.zeros(self.ops.mesh.n_nodes)
-        full[self.ops.free] = self.vecs[:, k - 1]
+        full[self.ops.free] = column
         return full
 
-    def coefficients(self, values_free: np.ndarray) -> np.ndarray:
-        """M-inner products of a free-node vector with each eigenvector."""
-        return self.vecs.T @ (self.ops.M @ values_free)
+
+def _column_signs(vecs: np.ndarray) -> np.ndarray:
+    # +-1 per column: the sign of its largest-magnitude entry (first on ties)
+    idx = np.argmax(np.abs(vecs), axis=0)
+    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
 
 
 def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
     # in place: every caller passes a freshly computed array
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs *= signs
+    vecs *= _column_signs(vecs)
     return vecs
 
 
@@ -296,9 +389,13 @@ def eigendecompose(
     The backend follows from the partition's shape.  On face-aligned
     partitions (every face wholly Dirichlet or wholly Neumann, so
     ``ops.tensor`` is set) the eigenpairs are sums and Kronecker products of
-    the 1-D eigenpairs, for any m.  Other partitions use a dense generalized
-    ``eigh`` up to ``dof_cap`` free nodes, and shift-invert Lanczos above it
-    for at most 32 pairs.
+    the 1-D eigenpairs, for any m.  The basis then holds no eigenvector
+    matrix, only the stably sorted Kronecker indices and one sign per mode;
+    the signs come from a pass over the multiplied-out columns, 256 at a
+    time, so they match the dense convention exactly.  Other partitions use
+    a dense generalized ``eigh`` up to ``dof_cap`` free nodes, and
+    shift-invert Lanczos above it for at most 32 pairs, and keep the dense
+    eigenvectors.
 
     Parameters
     ----------
@@ -344,8 +441,13 @@ def eigendecompose(
                           f"or raise dof_cap")
 
     if tensor is not None:
-        lams, vecs = tensor.lowest(k)
-    elif n <= dof_cap:
+        order = tensor.order(k)
+        signs = np.concatenate([
+            _column_signs(tensor.columns(order[i:i + _COLUMN_CHUNK]))
+            for i in range(0, k, _COLUMN_CHUNK)])
+        return SpectralBasis(lams=tensor.values[order], vecs=None, ops=ops,
+                             complete=(k == n), order=order, signs=signs)
+    if n <= dof_cap:
         if k == n:
             lams, vecs = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
         else:
@@ -388,32 +490,3 @@ def first_eigenpair(ops: OperatorPair) -> tuple[float, np.ndarray]:
             "first eigenvector is not strictly positive on interior nodes",
             RuntimeWarning, stacklevel=2)
     return lam1, phi1
-
-
-def save_basis(path, basis: SpectralBasis) -> None:
-    """Persist a basis keyed by the mesh and partition content hashes."""
-    np.savez_compressed(
-        path,
-        lams=basis.lams,
-        vecs=basis.vecs,
-        free=basis.ops.free,
-        complete=np.array([basis.complete]),
-        mesh_key=np.array([basis.ops.mesh.key()]),
-        partition_key=np.array([basis.ops.partition.key()]),
-    )
-
-
-def load_basis(path, mesh: Mesh, partition: BoundaryPartition) -> SpectralBasis:
-    """Load a persisted basis, verifying it matches mesh and partition."""
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["mesh_key"][0]) != mesh.key():
-            raise ValueError("basis artifact was built on a different mesh")
-        if str(data["partition_key"][0]) != partition.key():
-            raise ValueError("basis artifact was built on a different partition")
-        ops = assemble_operators(mesh, partition)
-        return SpectralBasis(
-            lams=data["lams"],
-            vecs=data["vecs"],
-            ops=ops,
-            complete=bool(data["complete"][0]),
-        )

@@ -1,9 +1,11 @@
 """Constrained quotient minimization, rescaling, sweeps, moving boundary."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 import fraclap as fl
-from fraclap.critical import NONEXISTENCE
+from fraclap.critical import NONEXISTENCE, _participation
+from fraclap.spectral import _sign_normalize
 
 from conftest import m_norm
 
@@ -57,6 +59,62 @@ def test_minimize_basic_descent(minrep, square_basis, params2, lam1s):
     vals = minrep.minimizer.values
     assert np.all(vals >= 0)
     assert minrep.max_abs == pytest.approx(np.max(vals), rel=1e-15)
+
+
+def test_grad_residual_is_tangential(minrep, square_basis, params2):
+    # at a converged minimizer only the constraint-normal component of the
+    # gradient survives
+    basis = square_basis
+    a = basis.coefficients(minrep.minimizer.free_values(basis.ops))
+    full = np.linalg.norm(2.0 * (basis.lams**params2.s - minrep.lam) * a)
+    assert minrep.grad_residual <= 1e-6 * full
+
+
+def test_participation_mesh_independent():
+    values = []
+    for n in (12, 24):
+        mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [n, n])
+        part = fl.partition_boundary(mesh, [(0, 0)])
+        ops = fl.assemble_operators(mesh, part)
+        _, phi1 = fl.first_eigenpair(ops)
+        values.append(_participation(ops, phi1[ops.free]))
+    assert 0 < values[0] <= 1
+    assert values[1] == pytest.approx(values[0], rel=0.02)
+
+
+@pytest.fixture(scope="module")
+def cube6(params3):
+    mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [6, 6, 6])
+    ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
+    basis = fl.eigendecompose(ops, m="all")
+    return ops, basis, 0.5 * fl.lambda1s(basis, params3)
+
+
+def test_matrix_free_minimizer_matches_dense_basis(cube6, params3):
+    ops, basis, lam = cube6
+    lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
+    dense = fl.SpectralBasis(lams=lams, vecs=_sign_normalize(U), ops=ops,
+                             complete=True)
+    got = fl.minimize_quotient(basis, params3, lam)
+    want = fl.minimize_quotient(dense, params3, lam)
+    assert got.value == pytest.approx(want.value, rel=1e-10)
+    assert got.el_residual < 1e-6 and want.el_residual < 1e-6
+
+
+def test_cube_pipeline_never_builds_vecs(cube6, params3, monkeypatch):
+    ops, _, lam = cube6
+
+    def refuse(self):
+        raise AssertionError("dense eigenvectors were requested")
+
+    monkeypatch.setattr(fl.SpectralBasis, "vecs", property(refuse))
+    basis = fl.eigendecompose(ops, m="all")
+    rep = fl.minimize_quotient(basis, params3, lam)
+    sol = fl.rescale_to_solution(rep, basis, params3)
+    out = fl.frac_apply(basis, params3, sol.v)
+    norm = fl.frac_norm(basis, params3, sol.v)
+    assert rep.converged and np.all(np.isfinite(out.values))
+    assert norm > 0
 
 
 def test_minimize_nonexistence_regime(square_basis, params2, lam1s):

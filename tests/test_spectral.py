@@ -1,4 +1,5 @@
 """Operator assembly and the generalized eigensolve against closed forms."""
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import fraclap as fl
-from fraclap.spectral import DofCapError, eigendecompose
+from fraclap.spectral import DofCapError, _sign_normalize, eigendecompose
 
 # interval (0,1), Dirichlet at 0, Neumann at 1: lambda_k = ((k-1/2) pi)^2
 INTERVAL_EIGS = [((k - 0.5) * math.pi) ** 2 for k in range(1, 6)]
@@ -175,11 +176,46 @@ def test_lumped_mass_row_sums(square_ops):
     assert np.all(square_ops.lumped > 0)
 
 
-def test_save_load_roundtrip(tmp_path, square_ops):
-    basis = eigendecompose(square_ops, m=5)
-    path = tmp_path / "basis.npz"
-    fl.save_basis(path, basis)
-    loaded = fl.load_basis(path, square_ops.mesh, square_ops.partition)
-    np.testing.assert_array_equal(loaded.lams, basis.lams)
-    np.testing.assert_array_equal(loaded.vecs, basis.vecs)
-    assert loaded.complete == basis.complete
+@pytest.fixture(scope="module")
+def cube_ops():
+    # 6^3 cube, one Dirichlet face: face-aligned, 294 free nodes
+    mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [6, 6, 6])
+    return fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
+
+
+BASES = [("interval_ops", "all"), ("square_ops", "all"), ("square_ops", 6),
+         ("cube_ops", "all")]
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("ops_name, m", BASES)
+def test_basis_maps_match_dense_vecs(request, ops_name, m):
+    ops = request.getfixturevalue(ops_name)
+    assert ops.tensor is not None
+    basis = eigendecompose(ops, m=m)
+    V = basis.vecs
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((basis.m, 3))
+    f = rng.standard_normal((ops.n_free, 3))
+    for cols in (slice(0, 1), slice(None)):
+        cc, ff = c[:, cols].squeeze(), f[:, cols].squeeze()
+        assert basis.synthesize(cc).shape == (V @ cc).shape
+        assert _rel(basis.synthesize(cc), V @ cc) < 1e-12
+        assert _rel(basis.dual(ff), V.T @ ff) < 1e-12
+        assert _rel(basis.coefficients(ff), V.T @ (ops.M @ ff)) < 1e-12
+
+
+@pytest.mark.parametrize("ops_name, m", BASES)
+def test_tensor_signs_match_sign_normalize(request, ops_name, m):
+    ops = request.getfixturevalue(ops_name)
+    basis = eigendecompose(ops, m=m)
+    # the Kronecker columns multiplied out independently of the basis
+    tensor = ops.tensor
+    unsigned = functools.reduce(np.kron, tensor.vecs)[:, tensor.order(basis.m)]
+    np.testing.assert_array_equal(basis.vecs, _sign_normalize(unsigned))
+    for k in (1, basis.m):
+        np.testing.assert_array_equal(
+            basis.eigenfunction(k)[ops.free], basis.vecs[:, k - 1])
