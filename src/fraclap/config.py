@@ -1,10 +1,11 @@
 """Run configuration: loading, overrides, schema validation, hashing.
 
 One JSON file describes one run.  Validation happens in two layers: the schema
-walk here rejects unknown or mistyped keys with their dotted paths, and
-each subcommand later checks that the keys it needs are present.  The
-fully-resolved config (user file, overrides, then defaults) is what gets
-hashed and echoed, so a run directory name pins down every knob.
+walk here rejects unknown or mistyped keys, then out-of-range values, with
+their dotted paths, before any run directory exists; each subcommand later
+checks that the keys it needs are present.  The fully-resolved config (user
+file, overrides, then defaults) is what gets hashed and echoed, so a run
+directory name pins down every knob.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import hashlib
 import json
 from pathlib import Path
 from typing import Any, Sequence
+
+from .mesh import _AXIS_NAMES, _SIDE_NAMES
 
 __all__ = [
     "ConfigError",
@@ -209,8 +212,62 @@ def _merge_defaults(cfg: dict, defaults: dict) -> dict:
     return out
 
 
+def _face_on_mesh(face, dim: int) -> bool:
+    # [axis, side] with axis an index or one of "xyz", side 0/1 or lo/hi
+    if not (isinstance(face, list) and len(face) == 2):
+        return False
+    axis, side = face
+    if isinstance(axis, str):
+        axis = _AXIS_NAMES.find(axis.lower()) if len(axis) == 1 else -1
+    if isinstance(side, str):
+        side = _SIDE_NAMES.get(side.lower(), -1)
+    return (_is_int(axis) and 0 <= axis < dim
+            and _is_int(side) and side in (0, 1))
+
+
+def _domain_dim(dom: dict) -> int | None:
+    if dom.get("kind") == "cone":
+        return dom.get("dim")
+    for key in ("n", "extents"):
+        if key in dom:
+            return len(dom[key])
+    return None
+
+
+def _check_values(resolved: dict, bad: list[str]) -> None:
+    # value ranges of well-typed keys; numbers the library would reject
+    # later, after the run directory exists
+    if not 0.5 < resolved["s"] < 1.0:
+        bad.append("s (expected a number in (1/2, 1))")
+    if resolved["mode_count"] < 1:
+        bad.append("mode_count (expected an integer >= 1)")
+    for key in ("max_iter", "window", "polish_max"):
+        if resolved["solver"][key] < 1:
+            bad.append(f"solver.{key} (expected an integer >= 1)")
+    dom = resolved.get("domain", {})
+    n = dom.get("n", [2])
+    if not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
+        bad.append("domain.n (expected 1 to 3 integers >= 2)")
+    dim = _domain_dim(dom)
+    if not _is_int(dim) or not 1 <= dim <= 3:
+        return
+    faces = {"faces": resolved.get("faces", [])}
+    if dom.get("kind") != "cone":
+        faces["partition.dirichlet_faces"] = resolved.get(
+            "partition", {}).get("dirichlet_faces", [])
+    for key, entries in faces.items():
+        if not all(_face_on_mesh(f, dim) for f in entries):
+            bad.append(f"{key} (expected [axis, side] faces of a "
+                       f"{dim}-d box)")
+
+
 def validate(cfg: dict) -> dict:
     """Check ``cfg`` against the schema and fill defaults.
+
+    Keys are checked first for name and type, then the resolved values
+    for range: ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at
+    least 2, faces on the box, and ``mode_count`` and the solver's ``max_iter``,
+    ``window`` and ``polish_max`` of at least 1.
 
     Returns
     -------
@@ -220,7 +277,7 @@ def validate(cfg: dict) -> dict:
     Raises
     ------
     ConfigError
-        Listing every unknown or mistyped key by dotted path.
+        Listing every unknown, mistyped or out-of-range key by dotted path.
     """
     bad: list[str] = []
     _walk(cfg, _SCHEMA, "", bad)
@@ -228,7 +285,13 @@ def validate(cfg: dict) -> dict:
         raise ConfigError(
             "invalid configuration keys: " + ", ".join(sorted(bad)),
             keys=sorted(bad))
-    return _merge_defaults(cfg, DEFAULTS)
+    resolved = _merge_defaults(cfg, DEFAULTS)
+    _check_values(resolved, bad)
+    if bad:
+        raise ConfigError(
+            "invalid configuration values: " + ", ".join(sorted(bad)),
+            keys=sorted(bad))
+    return resolved
 
 
 def config_hash(resolved: dict) -> str:

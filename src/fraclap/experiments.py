@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -145,7 +146,9 @@ class RunManifest:
 
     ``timings`` is wall-clock seconds per stage and is excluded from the
     reproducibility contract; everything else is deterministic in the
-    resolved config.
+    resolved config.  ``threads`` records the BLAS/OpenMP thread variables
+    (None when unset) and the CPU count: the artifacts are byte-identical
+    only between runs at the same BLAS thread count.
     """
 
     subcommand: str
@@ -155,6 +158,7 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     overrides: list = field(default_factory=list)
+    threads: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -165,6 +169,7 @@ class RunManifest:
             "versions": self.versions,
             "timings": self.timings,
             "overrides": self.overrides,
+            "threads": self.threads,
         }
 
 
@@ -177,6 +182,15 @@ def _versions() -> dict:
         "scipy": scipy.__version__,
         "fraclap": __version__,
     }
+
+
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _threads() -> dict:
+    out = {name: os.environ.get(name) for name in _THREAD_VARS}
+    out["cpu_count"] = os.cpu_count()
+    return out
 
 
 def _require(resolved: dict, *keys: str) -> None:
@@ -506,7 +520,8 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
     sink = _Sink(run_dir)
     manifest = RunManifest(
         subcommand=subcommand, config_hash=digest, run_dir=str(run_dir),
-        versions=_versions(), overrides=list(overrides or []))
+        versions=_versions(), overrides=list(overrides or []),
+        threads=_threads())
 
     t0 = time.perf_counter()
     sink.write_json("config.json", resolved)

@@ -10,8 +10,13 @@ Every term of the translated-center identity
 is evaluated with the same exact-in-y weighted quadrature used by the
 extension solver; the leftover is reported as a residual against the
 largest term.  The geometric nonexistence test checks the sign pattern of
-<x-x0, nu> facet by facet together with the growth defect
-g(t) = (N-2s) t f(t) - 2N F(t).
+<x-x0, nu> on the Dirichlet and Neumann facets together with the growth
+defect g(t) = (N-2s) t f(t) - 2N F(t).
+
+Both work one whole box face at a time (2 * dim faces), never one facet
+at a time: <x-x0, nu> is constant on a face, its facets are the transverse
+cells in C order, and ``partition.dirichlet`` lists them in that order, so
+a face's lateral strips, Neumann F-means and labels are array slices.
 """
 from __future__ import annotations
 
@@ -135,46 +140,64 @@ class PohozaevReport:
         }
 
 
-def _element_corner_nodes(mesh: Mesh, cell: tuple) -> np.ndarray:
-    # flat node indices of the 2^dim corners of a base-mesh cell, in
-    # ascending order
-    shape = mesh.shape
-    idx = []
-    for offsets in np.ndindex(*(2,) * mesh.dim):
-        multi = tuple(c + o for c, o in zip(cell, offsets))
-        idx.append(np.ravel_multi_index(multi, shape))
-    return np.array(sorted(idx), dtype=np.intp)
+def _faces(mesh: Mesh, x0: tuple):
+    """Yield (axis, side, facet slice, facet measure, pairing) per box face.
 
-
-def _lateral_facet_integral(
-    w_corners: np.ndarray,
-    mesh: Mesh,
-    y: np.ndarray,
-    y_moment0: np.ndarray,
-) -> np.ndarray:
-    """Per-y-cell integral of y^(1-2s) |grad w|^2 on one lateral strip.
-
-    ``w_corners`` has shape (2^dim, J+1): extension values at the corners
-    of the base element adjacent to the facet, all y-levels.  Gradients
-    are one-sided element-centroid values of the multilinear interpolant.
+    Faces come in the canonical facet order of ``mesh.facets``, so the
+    slice picks that face's facets, C-ordered over the transverse cells.
+    ``pairing`` is <x - x0, nu>, the same at every point of the face.
     """
-    dim = mesh.dim
-    n_corners = w_corners.shape[0]
-    grads = []
+    start = 0
+    for axis in range(mesh.dim):
+        t_axes = [d for d in range(mesh.dim) if d != axis]
+        count = int(np.prod([mesh.n[d] for d in t_axes], dtype=np.int64))
+        measure = (float(np.prod([mesh.spacing[d] for d in t_axes]))
+                   if t_axes else 1.0)
+        for side in (0, 1):
+            pairing = ((1.0 if side == 1 else -1.0)
+                       * (mesh.extents[axis][side] - x0[axis]))
+            yield axis, side, slice(start, start + count), measure, pairing
+            start += count
+
+
+def _cell_corners(x: np.ndarray, dim: int) -> np.ndarray:
+    """Values at the 2^dim corners of every cell, corners first.
+
+    ``x`` holds node values on its first ``dim`` axes.  Corners come in C
+    order of their offsets, which is ascending flat node order.
+    """
+    out = []
+    for offsets in np.ndindex(*(2,) * dim):
+        out.append(x[tuple(slice(o, x.shape[d] - 1 + o)
+                           for d, o in enumerate(offsets))])
+    return np.stack(out)
+
+
+def _lateral_strips(slab: np.ndarray, spacing, y: np.ndarray,
+                    y_moment0: np.ndarray) -> np.ndarray:
+    """Integral of y^(1-2s) |grad w|^2 over each lateral strip of one face.
+
+    ``slab`` holds the extension values on the layer of base cells next to
+    the face, shape (*node shape, J+1), two nodes thick along the face's
+    axis.  Gradients are one-sided element-centroid values of the
+    multilinear interpolant: node differences along each axis averaged
+    over the transverse node pairs, then averaged over adjacent y-levels
+    and weighted by the exact moments ``y_moment0`` of each y-cell.
+    Returns one value per facet, C-ordered over the transverse cells.
+    """
+    dim = slab.ndim - 1
+    corners = _cell_corners(slab, dim)
+    by_offset = corners.reshape((2,) * dim + corners.shape[1:])
+    per_cell = 0.0
     for d in range(dim):
-        stride = 1 << (dim - 1 - d)
-        hi = [i for i in range(n_corners) if (i // stride) % 2 == 1]
-        lo = [i - stride for i in hi]
-        g = (w_corners[hi, :] - w_corners[lo, :]).mean(axis=0) / mesh.spacing[d]
-        grads.append(g)
-    dy = np.diff(y)
-    per_cell = np.zeros(len(dy))
-    for g in grads:
-        g_cell = 0.5 * (g[:-1] + g[1:])
-        per_cell += g_cell**2
-    g_y = (w_corners.mean(axis=0)[1:] - w_corners.mean(axis=0)[:-1]) / dy
-    per_cell += g_y**2
-    return per_cell * y_moment0
+        hi = np.take(by_offset, 1, axis=d).reshape((-1,) + corners.shape[1:])
+        lo = np.take(by_offset, 0, axis=d).reshape(hi.shape)
+        g = (hi - lo).mean(axis=0) / spacing[d]
+        per_cell = per_cell + (0.5 * (g[..., :-1] + g[..., 1:])) ** 2
+    mean = corners.mean(axis=0)
+    g_y = (mean[..., 1:] - mean[..., :-1]) / np.diff(y)
+    per_cell = per_cell + g_y ** 2
+    return (per_cell * y_moment0).sum(axis=-1).ravel()
 
 
 def pohozaev_terms(
@@ -228,27 +251,28 @@ def pohozaev_terms(
     y = w.cyl.y
     y_m0 = cell_moments(y, params.s)[0]
 
+    dirichlet = np.asarray(u.partition.dirichlet)
+    W = w.values.reshape(*mesh.shape, len(y))
+    U = vals.reshape(mesh.shape)
     lat_neu = 0.0
     lat_dir = 0.0
     bdry_neu = 0.0
-    coords = mesh.node_coords
-    for facet, is_dir in zip(mesh.facets, u.partition.dirichlet):
-        a = facet.axis
-        sign = 1.0 if facet.side == 1 else -1.0
-        pairing = sign * (facet.centroid[a] - x0[a])
-        cell_along = mesh.n[a] - 1 if facet.side == 1 else 0
-        cell = facet.index[:a] + (cell_along,) + facet.index[a:]
-        corners = _element_corner_nodes(mesh, cell)
-        w_corners = w.values[corners, :]
-        strip = float(np.sum(_lateral_facet_integral(w_corners, mesh, y, y_m0)))
-        contrib = strip * facet.measure * pairing
-        if is_dir:
-            lat_dir += contrib
-        else:
-            lat_neu += contrib
-            fnodes = mesh.facet_nodes(facet)
-            f_mean = float(np.mean(spec.F(vals[fnodes])))
-            bdry_neu += f_mean * facet.measure * pairing
+    for a, side, facets, measure, pairing in _faces(mesh, x0):
+        layer = [slice(None)] * mesh.dim
+        layer[a] = slice(0, 2) if side == 0 else slice(-2, None)
+        strips = _lateral_strips(W[tuple(layer)], mesh.spacing, y, y_m0)
+        contrib = strips * measure * pairing
+        is_dir = dirichlet[facets]
+        # summed one facet after another, so batching by face changes no bit
+        lat_dir = np.cumsum(np.r_[lat_dir, contrib[is_dir]])[-1]
+        lat_neu = np.cumsum(np.r_[lat_neu, contrib[~is_dir]])[-1]
+        if not is_dir.all():
+            layer[a] = slice(0, 1) if side == 0 else slice(-1, None)
+            face_F = np.moveaxis(spec.F(U[tuple(layer)]), a, -1)
+            f_mean = _cell_corners(face_F, mesh.dim - 1).mean(axis=0).ravel()
+            bdry = f_mean[~is_dir] * measure * pairing
+            bdry_neu = np.cumsum(np.r_[bdry_neu, bdry])[-1]
+    lat_neu, lat_dir, bdry_neu = float(lat_neu), float(lat_dir), float(bdry_neu)
     lat_neu *= kappa
     lat_dir *= kappa
     bdry_neu *= 2.0
@@ -323,27 +347,34 @@ def nonexistence_check(
     x0 = tuple(float(c) for c in x0)
     if len(x0) != mesh.dim:
         raise ValueError(f"x0 must have {mesh.dim} components")
-    side = max(hi - lo for lo, hi in mesh.extents)
-    geo_tol = tol * side
+    geo_tol = tol * max(hi - lo for lo, hi in mesh.extents)
 
+    # <x-x0, nu> is constant on each face, so a face contributes its one
+    # pairing value to each list it has facets in
+    dirichlet = np.asarray(partition.dirichlet)
     neu_pair = []
     dir_pair = []
     exempt = 0
-    for facet, is_dir in zip(mesh.facets, partition.dirichlet):
-        a = facet.axis
-        sign = 1.0 if facet.side == 1 else -1.0
-        pairing = sign * (facet.centroid[a] - x0[a])
-        if is_dir:
+    for a, side, facets, _, pairing in _faces(mesh, x0):
+        is_dir = dirichlet[facets]
+        if is_dir.any():
             dir_pair.append(pairing)
-        else:
-            dist = float(np.linalg.norm(np.subtract(facet.centroid, x0)))
-            if rho > 0 and dist <= rho:
-                exempt += 1
-                continue
+        kept = ~is_dir
+        if rho > 0:
+            # |centroid - x0| per facet, squares summed in axis order
+            sq = 0.0
+            for d in range(mesh.dim):
+                c = (mesh.extents[a][side] if d == a else mesh.extents[d][0]
+                     + (np.arange(mesh.n[d]) + 0.5) * mesh.spacing[d])
+                sq = np.add.outer(sq, (c - x0[d]) ** 2)
+            near = kept & (np.sqrt(np.ravel(sq)) <= rho)
+            exempt += int(np.count_nonzero(near))
+            kept &= ~near
+        if kept.any():
             neu_pair.append(pairing)
 
-    neu_pair = np.asarray(neu_pair) if neu_pair else np.zeros(0)
-    dir_pair = np.asarray(dir_pair) if dir_pair else np.zeros(0)
+    neu_pair = np.asarray(neu_pair)
+    dir_pair = np.asarray(dir_pair)
     pos = bool(np.any(neu_pair > geo_tol))
     neg = bool(np.any(neu_pair < -geo_tol))
     mixed = pos and neg

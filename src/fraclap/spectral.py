@@ -9,8 +9,9 @@ When every face of the box is wholly Dirichlet or wholly Neumann, the free
 nodes form a product set, A is a Kronecker sum and M a Kronecker product of
 1-D matrices restricted to it, and the eigenpairs are sums and Kronecker
 products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).  Those partitions
-never need a dense n x n eigensolve, and their bases apply the eigenvector
-matrix by per-axis contractions instead of storing it.
+never need a dense n x n eigensolve, their bases apply the eigenvector
+matrix by per-axis contractions instead of storing it, and the sign of
+each eigenvector follows from per-axis tables without multiplying it out.
 """
 from __future__ import annotations
 
@@ -121,6 +122,54 @@ class TensorEigs:
             rows = rows[:, :, None] * V.T[i][:, None, :]
             rows = rows.reshape(len(flat), -1)
         return rows.T
+
+    @cached_property
+    def _peak_candidates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        # per axis: (starts, rows) in CSR layout; column j of vecs[d] may
+        # take its largest magnitude only at the ascending rows
+        # rows[starts[j]:starts[j + 1]]
+        out = []
+        for V in self.vecs:
+            mag = np.abs(V)
+            near = mag >= mag.max(axis=0) * (1.0 - 4.0 * np.finfo(float).eps)
+            cols, rows = np.nonzero(near.T)
+            starts = np.searchsorted(cols, np.arange(V.shape[1] + 1))
+            out.append((starts, rows))
+        return tuple(out)
+
+    def signs(self, flat: np.ndarray) -> np.ndarray:
+        """Sign of the largest-magnitude entry of each column ``flat``.
+
+        Equal, bit for bit, to the sign of the first largest entry of the
+        multiplied-out ``columns(flat)`` in C order, at a cost of the few
+        candidate entries per column instead of n.  A column entry is the float product ((a_p b_q) c_r) of one entry per
+        axis.  Rounding is monotone and sign-symmetric, so the largest
+        magnitude is reached at the per-axis maxima, and an entry can tie it
+        only if each factor lies within 4 eps of its axis maximum.  Those
+        few candidate entries are formed with the same products and compared
+        in C order, so ties resolve as ``np.argmax`` resolves them.
+        """
+        flat = np.asarray(flat)
+        idx = np.unravel_index(flat, self.shape)
+        owner = np.arange(len(flat))
+        value = np.ones(len(flat))
+        for V, i, (starts, rows) in zip(self.vecs, idx, self._peak_candidates):
+            # expand each partial product by the candidates of this axis
+            col = i[owner]
+            count = starts[col + 1] - starts[col]
+            parent = np.repeat(np.arange(len(owner)), count)
+            within = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count,
+                                                        count)
+            entry = V[rows[starts[col][parent] + within], col[parent]]
+            value = value[parent] * entry
+            owner = owner[parent]
+        mag = np.abs(value)
+        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        hit = np.flatnonzero(mag == np.maximum.reduceat(mag, first)[owner])
+        winner = hit[np.r_[True, owner[hit][1:] != owner[hit][:-1]]]
+        signs = np.sign(value[winner])
+        signs[signs == 0] = 1.0
+        return signs
 
     def _per_axis(self, mats, X: np.ndarray) -> np.ndarray:
         # applies the Kronecker product of the square mats to each column
@@ -252,8 +301,9 @@ class SpectralBasis:
     eigenvector matrix: V is the Kronecker product of the 1-D eigenvectors
     in ``ops.tensor``, its columns taken at the C-order indices ``order``
     and scaled by ``signs``, and each map costs per-axis contractions of
-    n * sum(n_d) work instead of a dense n * m product.  Other partitions
-    store V densely and the maps multiply by it.
+    n * sum(n_d) work instead of a dense n * m product.  Such a basis may
+    be complete at any size.  Other partitions store V densely and the maps
+    multiply by it.
 
     Parameters
     ----------
@@ -274,8 +324,10 @@ class SpectralBasis:
     vecs : numpy.ndarray
         Eigenvectors over free nodes, shape (n_free, m), M-orthonormal.
         Each column is sign-normalized to be nonnegative at its node of
-        largest magnitude.  A Kronecker basis multiplies it out on first
-        access and keeps it; no library code reads it.
+        largest magnitude (the first such node in C order on ties).  A
+        Kronecker basis multiplies it out on first access and keeps it,
+        n_free x m floats, which a complete basis on a large mesh may not
+        fit in memory; no library code reads it.
     """
 
     def __init__(self, lams: np.ndarray, vecs: np.ndarray | None,
@@ -389,11 +441,13 @@ def eigendecompose(
     The backend follows from the partition's shape.  On face-aligned
     partitions (every face wholly Dirichlet or wholly Neumann, so
     ``ops.tensor`` is set) the eigenpairs are sums and Kronecker products of
-    the 1-D eigenpairs, for any m.  The basis then holds no eigenvector
-    matrix, only the stably sorted Kronecker indices and one sign per mode;
-    the signs come from a pass over the multiplied-out columns, 256 at a
-    time, so they match the dense convention exactly.  Other partitions use
-    a dense generalized ``eigh`` up to ``dof_cap`` free nodes, and
+    the 1-D eigenpairs, for any m at any size, complete bases included.
+    The basis then holds no eigenvector matrix, only the stably sorted
+    Kronecker indices and one sign per mode.  The signs come from the
+    per-axis rule of :meth:`TensorEigs.signs`, which never multiplies a
+    column out, yet matches the dense convention exactly; the whole call
+    costs the sort plus O(n) past the 1-D tables.  Other partitions use a
+    dense generalized ``eigh`` up to ``dof_cap`` free nodes, and
     shift-invert Lanczos above it for at most 32 pairs, and keep the dense
     eigenvectors.
 
@@ -403,19 +457,20 @@ def eigendecompose(
     m : int or "all"
         Number of eigenpairs.  "all" yields a complete basis.
     dof_cap : int
-        Upper bound on the free-node count for a complete basis, and for
-        any dense solve on a partial-facet partition.
+        Upper bound on the free-node count for a dense solve on a
+        partial-facet partition.  Face-aligned partitions ignore it.
 
     Returns
     -------
     SpectralBasis
+        Reading ``vecs`` of a face-aligned basis multiplies out the n x m
+        eigenvector matrix; the basis maps never do.
 
     Raises
     ------
     DofCapError
-        If the request exceeds ``dof_cap``.  Face-aligned partitions serve
-        any m short of a complete basis; partial-facet partitions serve
-        m <= 32.  Otherwise raise the cap.
+        If a partial-facet partition has more than ``dof_cap`` free nodes
+        and the request is a complete basis or more than 32 pairs.
     """
     n = ops.n_free
     want_all = isinstance(m, str)
@@ -429,24 +484,18 @@ def eigendecompose(
             raise ValueError(f"m must be in [1, {n}], got {k}")
 
     tensor = ops.tensor
-    if n > dof_cap and (k == n or tensor is None and k > _ITERATIVE_MAX):
-        if tensor is not None:
-            hint = (f"complete bases stop at the cap, but this face-aligned "
-                    f"partition serves any m < {n}")
-        else:
-            hint = (f"above the cap this partial-facet partition serves "
-                    f"m <= {_ITERATIVE_MAX}; face-aligned partitions (every "
-                    f"face wholly Dirichlet or Neumann) serve any m < n_free")
-        raise DofCapError(f"{n} free nodes exceed dof_cap={dof_cap}; {hint}; "
-                          f"or raise dof_cap")
+    if tensor is None and n > dof_cap and (k == n or k > _ITERATIVE_MAX):
+        raise DofCapError(
+            f"{n} free nodes exceed dof_cap={dof_cap}; above the cap this "
+            f"partial-facet partition serves m <= {_ITERATIVE_MAX}; "
+            f"face-aligned partitions (every face wholly Dirichlet or "
+            f"Neumann) serve any m at any size; or raise dof_cap")
 
     if tensor is not None:
         order = tensor.order(k)
-        signs = np.concatenate([
-            _column_signs(tensor.columns(order[i:i + _COLUMN_CHUNK]))
-            for i in range(0, k, _COLUMN_CHUNK)])
         return SpectralBasis(lams=tensor.values[order], vecs=None, ops=ops,
-                             complete=(k == n), order=order, signs=signs)
+                             complete=(k == n), order=order,
+                             signs=tensor.signs(order))
     if n <= dof_cap:
         if k == n:
             lams, vecs = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())

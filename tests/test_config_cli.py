@@ -189,6 +189,50 @@ def test_cli_unknown_key_exits_2(tmp_path, capsys):
     assert err["error"]["keys"] == ["bogus"]
 
 
+@pytest.mark.parametrize("override, key", [
+    ("s=1.5", "s"),
+    ("s=0.5", "s"),
+    ("domain.n=[0,4,4]", "domain.n"),
+    ("domain.n=[1]", "domain.n"),
+    ("domain.n=[4,4,4,4]", "domain.n"),
+    ("partition.dirichlet_faces=[[5,0]]", "partition.dirichlet_faces"),
+    ("partition.dirichlet_faces=[[0,2]]", "partition.dirichlet_faces"),
+    ('faces=[["y","lo"]]', "faces"),
+    ("mode_count=-3", "mode_count"),
+    ("solver.window=0", "solver.window"),
+    ("solver.max_iter=0", "solver.max_iter"),
+    ("solver.polish_max=0", "solver.polish_max"),
+])
+def test_cli_bad_value_exits_2_before_writing(tmp_path, capsys, override,
+                                              key):
+    from fraclap.cli import main
+
+    rc = main(["minimize", "--config", str(_write_cfg(tmp_path)),
+               "--set", "lambda=1.0", "--set", override])
+    out = capsys.readouterr()
+    assert rc == 2
+    err = json.loads(out.err)["error"]
+    assert err["stage"] == "config"
+    assert [k.split(" ")[0] for k in err["keys"]] == [key]
+    outdir = tmp_path / "runs"
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def test_validate_lists_every_bad_value():
+    with pytest.raises(fl.ConfigError, match="invalid configuration values"):
+        fl.validate({"s": 1.0})
+    with pytest.raises(fl.ConfigError) as exc:
+        fl.validate({"s": 0.4, "mode_count": 0,
+                     "domain": {"kind": "box", "n": [4, 1]},
+                     "partition": {"dirichlet_faces": [["z", 0]]}})
+    assert [k.split(" ")[0] for k in exc.value.keys] == [
+        "domain.n", "mode_count", "partition.dirichlet_faces", "s"]
+    ok = fl.validate({"domain": {"kind": "box", "n": [4, 4]},
+                      "partition": {"dirichlet_faces": [["y", "hi"], [0, 0]]},
+                      "faces": [[1, 1]]})
+    assert ok["partition"]["dirichlet_faces"] == [["y", "hi"], [0, 0]]
+
+
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     from fraclap.cli import main
 
@@ -224,6 +268,10 @@ def test_run_manifest_round_trip(tmp_path):
     assert on_disk["overrides"] == ["mode_count=3"]
     assert set(on_disk["timings"]) == {"setup", "compute", "write"}
     assert "numpy" in on_disk["versions"]
+    assert set(on_disk["threads"]) == {
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        "cpu_count"}
+    assert on_disk["threads"]["cpu_count"] >= 1
     assert on_disk["artifacts"] == manifest.artifacts
 
 

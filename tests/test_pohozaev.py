@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fraclap as fl
+from fraclap._weighted1d import cell_moments
 from fraclap.pohozaev import (
     NonlinearitySpec,
     critical_power,
@@ -188,3 +189,104 @@ def test_nonexistence_mismatched_partition_rejected(params2):
     with pytest.raises(ValueError, match="components"):
         nonexistence_check(other, part, critical_power(params2), params2,
                            (0.0,))
+
+
+def _per_facet_terms(u, w, spec, params, kappa, x0):
+    """The boundary terms by a loop over facets, one base cell each.
+
+    Gradients are one-sided element-centroid values of the multilinear
+    interpolant on the cell next to the facet, from its 2^dim corners.
+    """
+    mesh = u.mesh
+    y = w.cyl.y
+    y_m0 = cell_moments(y, params.s)[0]
+    lat = {True: 0.0, False: 0.0}
+    bdry = 0.0
+    for facet, is_dir in zip(mesh.facets, u.partition.dirichlet):
+        a = facet.axis
+        pairing = (1.0 if facet.side == 1 else -1.0) * (
+            facet.centroid[a] - x0[a])
+        cell = list(facet.index)
+        cell.insert(a, mesh.n[a] - 1 if facet.side == 1 else 0)
+        corners = [np.ravel_multi_index([c + o for c, o in zip(cell, offs)],
+                                        mesh.shape)
+                   for offs in np.ndindex(*(2,) * mesh.dim)]
+        wc = w.values[corners, :].reshape(*(2,) * mesh.dim, len(y))
+        per_cell = 0.0
+        for d in range(mesh.dim):
+            g = np.diff(wc, axis=d).reshape(-1, len(y)).mean(axis=0)
+            g = g / mesh.spacing[d]
+            per_cell = per_cell + (0.5 * (g[:-1] + g[1:])) ** 2
+        mean = wc.reshape(-1, len(y)).mean(axis=0)
+        per_cell = per_cell + (np.diff(mean) / np.diff(y)) ** 2
+        lat[bool(is_dir)] += float(np.sum(per_cell * y_m0)) * facet.measure \
+            * pairing
+        if not is_dir:
+            f_mean = float(np.mean(spec.F(u.values[mesh.facet_nodes(facet)])))
+            bdry += f_mean * facet.measure * pairing
+    return kappa * lat[False], kappa * lat[True], 2.0 * bdry
+
+
+@pytest.mark.parametrize("dim, n, partial", [
+    (1, 32, False), (2, 8, False), (2, 8, True), (3, 4, False), (3, 4, True),
+])
+@pytest.mark.parametrize("centred", [True, False])
+def test_per_face_terms_match_per_facet_loop(dim, n, partial, centred):
+    mesh = fl.build_tensor_mesh(dim, [(0.0, 1.0)] * dim, [n] * dim)
+    part = (fl.moving_family(mesh, [0.4])[0] if partial
+            else fl.partition_boundary(mesh, [(0, 0)]))
+    ops = fl.assemble_operators(mesh, part)
+    assert (ops.tensor is None) == partial
+    basis = fl.eigendecompose(ops, m=3)
+    u = fl.mode_field(basis, 1) + 0.4 * fl.mode_field(basis, 3)
+    params = fl.FracParams(s=0.75, N=dim)
+    cyl = fl.build_cylinder(mesh, 2.0, 16, 2.0)
+    w = fl.extend(cyl, part, params, u)
+    # a non-critical pair, so the 1-d case needs no critical exponent
+    spec = NonlinearitySpec(f=lambda t: t**3 + t, F=lambda t: t**4 / 4 + t**2 / 2)
+    x0 = (0.5,) * dim if centred else (0.2, 0.7, 0.4)[:dim]
+    rep = pohozaev_terms(u, w, spec, params, 0.478, x0)
+    got = (rep.lateral_neumann, rep.lateral_dirichlet, rep.boundary_neumann)
+    want = _per_facet_terms(u, w, spec, params, 0.478, x0)
+    for g, ref in zip(got, want):
+        assert ref != 0.0
+        assert abs(g - ref) <= 1e-12 * abs(ref)
+
+
+def _per_facet_geometry(mesh, part, x0, rho):
+    # Neumann and Dirichlet pairings and the exemption count, facet by facet
+    neu, dirichlet, exempt = [], [], 0
+    for facet, is_dir in zip(mesh.facets, part.dirichlet):
+        pairing = float(np.dot(np.subtract(facet.centroid, x0), facet.normal))
+        if is_dir:
+            dirichlet.append(pairing)
+        elif rho > 0 and np.linalg.norm(np.subtract(facet.centroid, x0)) <= rho:
+            exempt += 1
+        else:
+            neu.append(pairing)
+    return neu, dirichlet, exempt
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nonexistence_geometry_matches_per_facet_loop(dim):
+    mesh = fl.build_tensor_mesh(dim, [(0.0, 1.0), (-0.5, 1.5), (0.0, 2.0)][:dim],
+                                [4 + d for d in range(dim)])
+    params = fl.FracParams(s=0.75, N=3)
+    spec = critical_power(params)
+    parts = [fl.partition_boundary(mesh, [(0, 1)])]
+    if dim > 1:
+        parts.append(fl.moving_family(mesh, [0.9])[0])
+    for part in parts:
+        for x0 in [(0.0, -0.5, 0.0)[:dim], (0.3, 1.2, 1.7)[:dim],
+                   (1.4, 0.1, -0.2)[:dim]]:
+            for rho in (0.0, 0.7, 1.3):
+                rep = nonexistence_check(mesh, part, spec, params, x0, rho=rho)
+                neu, dirichlet, exempt = _per_facet_geometry(mesh, part, x0, rho)
+                assert rep.exempted_facets == exempt
+                assert rep.max_neumann_pairing == pytest.approx(
+                    max(map(abs, neu), default=0.0), abs=1e-15)
+                assert rep.min_dirichlet_pairing == pytest.approx(
+                    min(dirichlet), abs=1e-15)
+                tol = 1e-10 * max(hi - lo for lo, hi in mesh.extents)
+                assert rep.mixed_sign == (max(neu, default=0.0) > tol
+                                          and min(neu, default=0.0) < -tol)

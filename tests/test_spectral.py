@@ -7,7 +7,13 @@ import pytest
 import scipy.linalg
 
 import fraclap as fl
-from fraclap.spectral import DofCapError, _sign_normalize, eigendecompose
+from fraclap.spectral import (
+    DofCapError,
+    TensorEigs,
+    _column_signs,
+    _sign_normalize,
+    eigendecompose,
+)
 
 # interval (0,1), Dirichlet at 0, Neumann at 1: lambda_k = ((k-1/2) pi)^2
 INTERVAL_EIGS = [((k - 0.5) * math.pi) ** 2 for k in range(1, 6)]
@@ -137,15 +143,16 @@ def test_dof_cap_raises_for_complete_basis():
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
     part = fl.partition_boundary(mesh, [(0, 0)])
     ops = fl.assemble_operators(mesh, part)
-    with pytest.raises(DofCapError,
-                       match="face-aligned partition serves any m < 600"):
-        eigendecompose(ops, m="all", dof_cap=10)
-    # the tensor backend serves any truncated m above the cap
+    # the tensor backend serves complete and truncated bases above the cap
+    complete = eigendecompose(ops, m="all", dof_cap=10)
+    assert complete.complete and complete.m == 600
     assert eigendecompose(ops, m=100, dof_cap=10).m == 100
     partial = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
-    with pytest.raises(DofCapError,
-                       match="partial-facet partition serves m <= 32"):
-        eigendecompose(partial, m=33, dof_cap=10)
+    for m in (33, "all"):
+        with pytest.raises(DofCapError,
+                           match="partial-facet partition serves m <= 32; "
+                                 "face-aligned partitions .* serve any m"):
+            eigendecompose(partial, m=m, dof_cap=10)
     with pytest.raises(ValueError):
         eigendecompose(ops, m="some")
     with pytest.raises(ValueError):
@@ -219,3 +226,69 @@ def test_tensor_signs_match_sign_normalize(request, ops_name, m):
     for k in (1, basis.m):
         np.testing.assert_array_equal(
             basis.eigenfunction(k)[ops.free], basis.vecs[:, k - 1])
+
+
+def test_complete_basis_above_dof_cap_minimizes_without_vecs(params2,
+                                                             monkeypatch):
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [24, 24])
+    ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
+
+    def refuse(self):
+        raise AssertionError("dense eigenvectors were requested")
+
+    monkeypatch.setattr(fl.SpectralBasis, "vecs", property(refuse))
+    basis = eigendecompose(ops, m="all", dof_cap=10)
+    assert basis.complete and basis.m == ops.n_free
+    lam = 0.5 * float(basis.lams[0] ** params2.s)
+    rep = fl.minimize_quotient(basis, params2, lam)
+    assert rep.converged and rep.el_residual < 1e-6
+
+
+def _naive_signs(tensor, flat):
+    # product of the per-axis signs at each axis's first largest entry
+    out = np.ones(len(flat))
+    for V, i in zip(tensor.vecs, np.unravel_index(flat, tensor.shape)):
+        out *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])])[i]
+    return out
+
+
+# (dim, cells, Dirichlet faces); the 1-d interval has no ties to break
+SIGN_PARTITIONS = [
+    (3, 12, [(0, 0)]),
+    (2, 40, [(0, 0)]),
+    (2, 40, [(0, 0), (0, 1)]),
+    (1, 256, [(0, 0)]),
+    (3, 10, [(0, 0), (1, 0)]),
+]
+
+
+@pytest.mark.parametrize("dim, n, faces", SIGN_PARTITIONS)
+def test_sign_rule_matches_multiplied_out_columns(dim, n, faces):
+    mesh = fl.build_tensor_mesh(dim, [(0.0, 1.0)] * dim, [n] * dim)
+    tensor = fl.assemble_operators(
+        mesh, fl.partition_boundary(mesh, faces)).tensor
+    flat = tensor.order(len(tensor.values))
+    want = _column_signs(functools.reduce(np.kron, tensor.vecs)[:, flat])
+    np.testing.assert_array_equal(tensor.signs(flat), want)
+    if dim > 1:
+        # round-off ties keep the naive rule wrong somewhere, so the tie
+        # handling stays exercised
+        assert np.any(_naive_signs(tensor, flat) != want)
+
+
+def test_sign_rule_breaks_exact_and_one_ulp_ties():
+    # entries from a few magnitudes one ulp apart, with random signs: the
+    # multiplied-out columns tie exactly or by rounding in many places
+    rng = np.random.default_rng(11)
+    one = 1.0 + np.finfo(float).eps
+    levels = np.array([1.0, one, np.nextafter(1.0, 0.0), 1.0 / one, 0.5])
+    vecs = tuple(rng.choice(levels, size=(k, k)) * rng.choice([-1.0, 1.0],
+                                                            size=(k, k))
+                 for k in (4, 3, 5))
+    tensor = TensorEigs(lams=tuple(np.arange(V.shape[1]) for V in vecs),
+                        vecs=vecs)
+    flat = np.arange(60)
+    want = _column_signs(functools.reduce(np.kron, vecs))
+    np.testing.assert_array_equal(tensor.signs(flat), want)
+    np.testing.assert_array_equal(tensor.signs(flat[::-1]), want[::-1])
+    assert np.any(_naive_signs(tensor, flat) != want)
