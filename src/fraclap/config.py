@@ -1,11 +1,11 @@
 """Run configuration: loading, overrides, schema validation, hashing.
 
-One JSON file describes one run.  Validation happens in two layers: the schema
-walk here rejects unknown or mistyped keys, then out-of-range values, with
-their dotted paths, before any run directory exists; each subcommand later
-checks that the keys it needs are present.  The fully-resolved config (user
-file, overrides, then defaults) is what gets hashed and echoed, so a run
-directory name pins down every knob.
+One JSON file describes one run.  Validation happens in two layers, both
+before any run directory exists: the schema walk here rejects unknown or
+mistyped keys, then out-of-range values, with their dotted paths; then each
+subcommand checks that the keys it needs are present.  The fully-resolved
+config (user file, overrides, then defaults) is what gets hashed and echoed,
+so a run directory name pins down every knob.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
-from .mesh import _AXIS_NAMES, _SIDE_NAMES
+from .mesh import _parse_face
 
 __all__ = [
     "ConfigError",
@@ -212,19 +212,6 @@ def _merge_defaults(cfg: dict, defaults: dict) -> dict:
     return out
 
 
-def _face_on_mesh(face, dim: int) -> bool:
-    # [axis, side] with axis an index or one of "xyz", side 0/1 or lo/hi
-    if not (isinstance(face, list) and len(face) == 2):
-        return False
-    axis, side = face
-    if isinstance(axis, str):
-        axis = _AXIS_NAMES.find(axis.lower()) if len(axis) == 1 else -1
-    if isinstance(side, str):
-        side = _SIDE_NAMES.get(side.lower(), -1)
-    return (_is_int(axis) and 0 <= axis < dim
-            and _is_int(side) and side in (0, 1))
-
-
 def _domain_dim(dom: dict) -> int | None:
     if dom.get("kind") == "cone":
         return dom.get("dim")
@@ -244,6 +231,12 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
     for key in ("max_iter", "window", "polish_max"):
         if resolved["solver"][key] < 1:
             bad.append(f"solver.{key} (expected an integer >= 1)")
+    if resolved["solver"]["init"] not in ("principal", "random"):
+        bad.append("solver.init (expected 'principal' or 'random')")
+    if resolved["pohozaev"]["nonlinearity"] not in (
+            "critical", "linear_plus_critical"):
+        bad.append("pohozaev.nonlinearity (expected 'critical' or "
+                   "'linear_plus_critical')")
     dom = resolved.get("domain", {})
     n = dom.get("n", [2])
     if not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
@@ -256,7 +249,10 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
         faces["partition.dirichlet_faces"] = resolved.get(
             "partition", {}).get("dirichlet_faces", [])
     for key, entries in faces.items():
-        if not all(_face_on_mesh(f, dim) for f in entries):
+        try:
+            for face in entries:
+                _parse_face(face, dim)
+        except ValueError:
             bad.append(f"{key} (expected [axis, side] faces of a "
                        f"{dim}-d box)")
 
@@ -266,8 +262,9 @@ def validate(cfg: dict) -> dict:
 
     Keys are checked first for name and type, then the resolved values
     for range: ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at
-    least 2, faces on the box, and ``mode_count`` and the solver's ``max_iter``,
-    ``window`` and ``polish_max`` of at least 1.
+    least 2, faces on the box, ``mode_count`` and the solver's ``max_iter``,
+    ``window`` and ``polish_max`` of at least 1, and ``solver.init`` and
+    ``pohozaev.nonlinearity`` among their choices.
 
     Returns
     -------
@@ -314,6 +311,19 @@ def build_domain(resolved: dict):
     """
     from .mesh import build_tensor_mesh, cone_domain, partition_boundary
 
+    dom = _domain_section(resolved)
+    if dom.get("kind") == "cone":
+        cone = cone_domain(dom["dim"], dom["radius"], int(dom["n"][0]),
+                           rho=dom.get("smoothing", 0.0))
+        return cone.mesh, cone.partition
+    n = [int(v) for v in dom["n"]]
+    mesh = build_tensor_mesh(len(n), dom["extents"], n)
+    faces = resolved["partition"]["dirichlet_faces"]
+    return mesh, partition_boundary(mesh, faces)
+
+
+def _domain_section(resolved: dict) -> dict:
+    """The domain section, once it has every key its kind needs."""
     dom = resolved.get("domain")
     if dom is None:
         raise ConfigError("missing required section: domain", keys=["domain"])
@@ -323,22 +333,16 @@ def build_domain(resolved: dict):
             if need not in dom:
                 raise ConfigError(f"cone domain needs domain.{need}",
                                   keys=[f"domain.{need}"])
-        cone = cone_domain(dom["dim"], dom["radius"], int(dom["n"][0]),
-                           rho=dom.get("smoothing", 0.0))
-        return cone.mesh, cone.partition
+        return dom
     if kind not in ("box", "interval"):
         raise ConfigError(f"unknown domain kind {kind!r}", keys=["domain.kind"])
     if "extents" not in dom or "n" not in dom:
         raise ConfigError("box domain needs domain.extents and domain.n",
                           keys=["domain.extents", "domain.n"])
-    n = [int(v) for v in dom["n"]]
-    mesh = build_tensor_mesh(len(n), dom["extents"], n)
-    part = resolved.get("partition")
-    if part is None or "dirichlet_faces" not in part:
+    if "dirichlet_faces" not in resolved.get("partition", {}):
         raise ConfigError("missing partition.dirichlet_faces",
                           keys=["partition.dirichlet_faces"])
-    faces = [tuple(f) for f in part["dirichlet_faces"]]
-    return mesh, partition_boundary(mesh, faces)
+    return dom
 
 
 def resolve_lambda(spec, lam1s: float) -> float:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 import scipy
 
 from .config import ConfigError, build_domain, config_hash, resolve_lambda
+from .config import _domain_dim, _domain_section
 from .critical import (
     MinimizeOptions,
     minimize_quotient,
@@ -121,7 +123,6 @@ class _Sink:
 
     def _emit(self, name: str, text: str) -> None:
         path = self.run_dir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         self.artifacts[name] = str(path)
 
@@ -133,10 +134,6 @@ class _Sink:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(fmt17(row[h]) for h in header))
-        self._emit(name, "\n".join(lines) + "\n")
-
-    def write_series(self, name: str, xs, ys) -> None:
-        lines = [f"{fmt17(x)} {fmt17(y)}" for x, y in zip(xs, ys)]
         self._emit(name, "\n".join(lines) + "\n")
 
 
@@ -193,25 +190,44 @@ def _threads() -> dict:
     return out
 
 
-def _require(resolved: dict, *keys: str) -> None:
-    missing = [k for k in keys if resolved.get(k) is None]
+# keys each subcommand reads beyond the domain
+_NEEDS = {"frac-apply": ["field"], "minimize": ["lambda"],
+          "sweep-lambda": ["lambda_grid"], "move-boundary": ["alphas"],
+          "pohozaev": ["lambda", "pohozaev.x0"]}
+
+
+def _preflight(subcommand: str, resolved: dict) -> FracParams:
+    # every ConfigError a subcommand can meet, raised before any directory
+    # exists; returns the run's (s, N)
+    if subcommand != "constants":
+        _domain_section(resolved)
+    dim = _domain_dim(resolved.get("domain") or {})
+    if not dim:
+        raise ConfigError("cannot infer dimension from domain",
+                          keys=["domain"])
+    params = FracParams(s=float(resolved["s"]), N=dim)
+    given = dict(resolved, **{"pohozaev.x0": resolved["pohozaev"].get("x0")})
+    missing = [k for k in _NEEDS.get(subcommand, []) if given.get(k) is None]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing),
                           keys=missing)
-
-
-def _params(resolved: dict) -> FracParams:
-    dom = resolved.get("domain")
-    if dom is None:
-        raise ConfigError("missing required section: domain", keys=["domain"])
-    if dom.get("kind") == "cone":
-        dim = int(dom["dim"])
-    else:
-        dim = len(dom.get("n", ())) or len(dom.get("extents", ()))
-        if dim == 0:
-            raise ConfigError("cannot infer dimension from domain",
-                              keys=["domain.n"])
-    return FracParams(s=float(resolved["s"]), N=dim)
+    # all but these need the critical exponent 2N/(N-2s)
+    if (subcommand not in ("eig", "frac-apply", "extend-check")
+            and params.N <= 2 * params.s):
+        raise ConfigError(
+            f"{subcommand} needs the critical exponent, undefined for "
+            f"N={params.N} <= 2s={2 * params.s}", keys=["domain"])
+    if subcommand == "frac-apply":
+        modes = resolved["field"].get("modes", [])
+        if not modes or len(modes) != len(resolved["field"].get("coeffs", [])):
+            raise ConfigError("field.modes and field.coeffs must be nonempty "
+                              "and of equal length",
+                              keys=["field.modes", "field.coeffs"])
+    specs = {"minimize": [resolved["lambda"]], "pohozaev": [resolved["lambda"]],
+             "sweep-lambda": resolved.get("lambda_grid")}
+    for spec in specs.get(subcommand) or []:
+        resolve_lambda(spec, 1.0)
+    return params
 
 
 def _options(resolved: dict) -> MinimizeOptions:
@@ -224,9 +240,6 @@ def _initial_field(resolved: dict, ops) -> Field | None:
     # seeded start so distinct basins are reachable reproducibly
     if resolved["solver"]["init"] == "principal":
         return None
-    if resolved["solver"]["init"] != "random":
-        raise ConfigError("solver.init must be 'principal' or 'random'",
-                          keys=["solver.init"])
     rng = np.random.default_rng(resolved["seed"])
     return Field.from_free(ops, rng.standard_normal(len(ops.free)))
 
@@ -241,8 +254,7 @@ def _cylinder_for(resolved: dict, mesh, lam1: float):
                           gamma=float(cyl_cfg["gamma"]))
 
 
-def _run_constants(resolved: dict, sink: _Sink) -> None:
-    params = _params(resolved)
+def _run_constants(resolved: dict, params: FracParams, sink: _Sink) -> None:
     rep = constants_report(params)
     payload = rep.as_dict()
     payload["two_star"] = params.two_star
@@ -250,8 +262,7 @@ def _run_constants(resolved: dict, sink: _Sink) -> None:
     sink.write_json("constants.json", payload)
 
 
-def _run_eig(resolved: dict, sink: _Sink) -> None:
-    params = _params(resolved)
+def _run_eig(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     m = min(int(resolved["mode_count"]), len(ops.free))
@@ -268,16 +279,9 @@ def _run_eig(resolved: dict, sink: _Sink) -> None:
     })
 
 
-def _run_frac_apply(resolved: dict, sink: _Sink) -> None:
-    _require(resolved, "field")
-    fld = resolved["field"]
-    modes = [int(k) for k in fld.get("modes", [])]
-    coeffs = [float(c) for c in fld.get("coeffs", [])]
-    if not modes or len(modes) != len(coeffs):
-        raise ConfigError("field.modes and field.coeffs must be nonempty "
-                          "and of equal length",
-                          keys=["field.modes", "field.coeffs"])
-    params = _params(resolved)
+def _run_frac_apply(resolved: dict, params: FracParams, sink: _Sink) -> None:
+    modes = [int(k) for k in resolved["field"]["modes"]]
+    coeffs = [float(c) for c in resolved["field"]["coeffs"]]
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     m = min(max(max(modes), int(resolved["mode_count"])), len(ops.free))
@@ -305,8 +309,7 @@ def _run_frac_apply(resolved: dict, sink: _Sink) -> None:
     })
 
 
-def _run_extend_check(resolved: dict, sink: _Sink) -> None:
-    params = _params(resolved)
+def _run_extend_check(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     m = min(int(resolved["mode_count"]), len(ops.free))
@@ -341,10 +344,7 @@ def _run_extend_check(resolved: dict, sink: _Sink) -> None:
     })
 
 
-def _run_minimize(resolved: dict, sink: _Sink) -> None:
-    if resolved.get("lambda") is None:
-        raise ConfigError("minimize needs a lambda", keys=["lambda"])
-    params = _params(resolved)
+def _run_minimize(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     basis = eigendecompose(ops, m="all")
@@ -365,9 +365,7 @@ def _run_minimize(resolved: dict, sink: _Sink) -> None:
         sink.write_json("solution.json", sol.as_dict())
 
 
-def _run_sweep(resolved: dict, sink: _Sink) -> None:
-    _require(resolved, "lambda_grid")
-    params = _params(resolved)
+def _run_sweep(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     basis = eigendecompose(ops, m="all")
@@ -381,14 +379,11 @@ def _run_sweep(resolved: dict, sink: _Sink) -> None:
                     {"lam1s": result.lam1s, "rows": result.rows})
 
 
-def _run_move_boundary(resolved: dict, sink: _Sink) -> None:
-    _require(resolved, "alphas")
-    params = _params(resolved)
+def _run_move_boundary(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, _ = build_domain(resolved)
     result = move_boundary_experiment(
         mesh, params, [float(a) for a in resolved["alphas"]],
-        faces=[tuple(f) for f in resolved["faces"]]
-        if resolved.get("faces") else None,
+        faces=resolved.get("faces") or None,
         opts=_options(resolved))
     header = ["alpha_requested", "alpha", "lam_1_1", "lam_1_s", "S_tilde",
               "bound", "threshold", "sufficient"]
@@ -401,23 +396,13 @@ def _run_move_boundary(resolved: dict, sink: _Sink) -> None:
 
 
 def _nonlinearity(resolved: dict, params: FracParams, lam: float):
-    tag = resolved["pohozaev"]["nonlinearity"]
-    if tag == "critical":
+    if resolved["pohozaev"]["nonlinearity"] == "critical":
         return critical_power(params)
-    if tag == "linear_plus_critical":
-        return linear_plus_critical(params, lam)
-    raise ConfigError("pohozaev.nonlinearity must be 'critical' or "
-                      "'linear_plus_critical'",
-                      keys=["pohozaev.nonlinearity"])
+    return linear_plus_critical(params, lam)
 
 
-def _run_pohozaev(resolved: dict, sink: _Sink) -> None:
-    poh = resolved.get("pohozaev", {})
-    if "x0" not in poh:
-        raise ConfigError("pohozaev needs pohozaev.x0", keys=["pohozaev.x0"])
-    if resolved.get("lambda") is None:
-        raise ConfigError("pohozaev needs a lambda", keys=["lambda"])
-    params = _params(resolved)
+def _run_pohozaev(resolved: dict, params: FracParams, sink: _Sink) -> None:
+    poh = resolved["pohozaev"]
     x0 = [float(c) for c in poh["x0"]]
     kappa = kappa_s(params)
 
@@ -491,7 +476,10 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
 
     Writes the config echo, the subcommand's reports and tables, plot
     series where one is defined, and the manifest, all under
-    ``<outdir>/<config-hash>/``.
+    ``<outdir>/<config-hash>/``.  Everything the subcommand needs from
+    the config is checked before any directory is created, and the files
+    go to a scratch directory that takes that name only when the run
+    succeeds, so a failed run leaves nothing behind.
 
     Parameters
     ----------
@@ -509,43 +497,56 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
     Raises
     ------
     ConfigError
-        On missing or inconsistent keys for this subcommand.
+        On missing or inconsistent keys for this subcommand, found before
+        any directory is created.
     ExperimentError
         On a stage-tagged numerical failure.
     """
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    params = _preflight(subcommand, resolved)
     digest = config_hash(resolved)
     run_dir = Path(resolved["outdir"]) / digest
-    sink = _Sink(run_dir)
+    # one scratch directory per process, named apart from any run directory
+    work = run_dir.with_name(f".{digest}-{os.getpid()}")
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    sink = _Sink(work)
     manifest = RunManifest(
-        subcommand=subcommand, config_hash=digest, run_dir=str(run_dir),
+        subcommand=subcommand, config_hash=digest, run_dir=str(work),
         versions=_versions(), overrides=list(overrides or []),
         threads=_threads())
-
-    t0 = time.perf_counter()
-    sink.write_json("config.json", resolved)
-    manifest.timings["setup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     try:
-        _DISPATCH[subcommand](resolved, sink)
-    except ConfigError:
-        raise
-    except ExperimentError:
+        t0 = time.perf_counter()
+        sink.write_json("config.json", resolved)
+        manifest.timings["setup"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        _DISPATCH[subcommand](resolved, params, sink)
+        manifest.timings["compute"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        manifest.artifacts = dict(sink.artifacts)
+        if any(table in sink.artifacts for table, *_ in _PLOT_RULES):
+            emit_plot_data(manifest)
+        manifest.timings["write"] = time.perf_counter() - t0
+        manifest.run_dir = str(run_dir)
+        manifest.artifacts = {name: str(run_dir / name)
+                              for name in manifest.artifacts}
+        (work / "manifest.json").write_text(
+            json.dumps(_jsonable(manifest.as_dict()), sort_keys=True,
+                       indent=2) + "\n")
+        # another subcommand on the same config shares the run directory
+        if run_dir.exists():
+            shutil.copytree(work, run_dir, dirs_exist_ok=True)
+        else:
+            work.rename(run_dir)
+    except (ConfigError, ExperimentError):
         raise
     except Exception as e:
         raise ExperimentError(subcommand, f"{type(e).__name__}: {e}") from e
-    manifest.timings["compute"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    manifest.artifacts = dict(sink.artifacts)
-    if any(table in sink.artifacts for table, *_ in _PLOT_RULES):
-        emit_plot_data(manifest)
-    manifest.timings["write"] = time.perf_counter() - t0
-    (run_dir / "manifest.json").write_text(
-        json.dumps(_jsonable(manifest.as_dict()), sort_keys=True, indent=2)
-        + "\n")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return manifest
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -251,7 +250,6 @@ def _kappa_closed_form(s: float) -> float:
     return 2.0 ** (2 * s - 1) * math.gamma(s) / math.gamma(1 - s)
 
 
-@lru_cache(maxsize=32)
 def _calibration_grid(s: float) -> tuple[int, float]:
     # The slope fit separates y^(2s) from y^2; as s -> 1 the exponents
     # collide and the grid must grow ahead of the conditioning.
@@ -564,23 +562,22 @@ def test_function_quotient(
 def _require_on_neumann_closure(
     mesh: Mesh, partition: BoundaryPartition, x0: np.ndarray,
 ) -> None:
+    # x0 must lie, within tol, on a closed facet with a Neumann label; per
+    # face the test is an outer AND of one interval test per axis
     tol = 1e-9 * max(b - a for a, b in mesh.extents)
-    hit_neumann = False
-    hit_any = False
-    for f, is_d in zip(mesh.facets, partition.dirichlet):
-        lo = np.array([c - 0.5 * w for c, w in zip(f.centroid, _facet_widths(mesh, f))])
-        hi = np.array([c + 0.5 * w for c, w in zip(f.centroid, _facet_widths(mesh, f))])
-        if np.all(x0 >= lo - tol) and np.all(x0 <= hi + tol):
-            hit_any = True
-            if not is_d:
-                hit_neumann = True
-                break
-    if not hit_any:
+    labels = np.asarray(partition.dirichlet)
+    touched = []  # labels of the facets x0 lies on
+    for axis, side, facets, _, _ in mesh.faces():
+        coord = mesh.extents[axis][side]
+        hit = np.array(coord - tol <= x0[axis] <= coord + tol)
+        for d in (d for d in range(mesh.dim) if d != axis):
+            h = mesh.spacing[d]
+            c = mesh.extents[d][0] + (np.arange(mesh.n[d]) + 0.5) * h
+            inside = (x0[d] >= c - 0.5 * h - tol) & (x0[d] <= c + 0.5 * h + tol)
+            hit = np.multiply.outer(hit, inside)
+        touched.append(labels[facets][hit.ravel()])
+    touched = np.concatenate(touched)
+    if not touched.size:
         raise ValueError(f"x0={x0.tolist()} is not on the boundary")
-    if not hit_neumann:
+    if touched.all():
         raise ValueError(f"x0={x0.tolist()} does not touch the Neumann part")
-
-
-def _facet_widths(mesh: Mesh, f) -> list[float]:
-    h = mesh.spacing
-    return [0.0 if d == f.axis else h[d] for d in range(mesh.dim)]

@@ -3,11 +3,16 @@
 A mesh is an axis-aligned box split into a regular grid of cells.  Boundary
 facets are whole cell faces; Dirichlet/Neumann labels are assigned per facet,
 never per node, so a partition is always a union of facets.
+
+Only this module knows the facet layout and the face-spec format.  Other
+modules read a partition one box face at a time through :meth:`Mesh.faces`,
+and parse ``(axis, side)`` face specs with :func:`_parse_face`.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -24,10 +29,6 @@ __all__ = [
     "moving_family",
     "cone_domain",
 ]
-
-_AXIS_NAMES = "xyz"
-_SIDE_NAMES = {"lo": 0, "hi": 1, "low": 0, "high": 1}
-
 
 @dataclass(frozen=True)
 class Facet:
@@ -127,52 +128,55 @@ class Mesh:
         """All boundary facets in canonical order (axis, side, C-order index)."""
         out: list[Facet] = []
         h = self.spacing
-        for axis in range(self.dim):
+        for axis, side, _, cells, measure in self.faces():
             t_axes = [d for d in range(self.dim) if d != axis]
-            measure = float(np.prod([h[d] for d in t_axes])) if t_axes else 1.0
-            for side in (0, 1):
-                coord = self.extents[axis][side]
-                t_cells = [self.n[d] for d in t_axes]
-                for idx in np.ndindex(*t_cells):
-                    centroid = [0.0] * self.dim
-                    centroid[axis] = coord
-                    for d, j in zip(t_axes, idx):
-                        a_d = self.extents[d][0]
-                        centroid[d] = a_d + (j + 0.5) * h[d]
-                    out.append(
-                        Facet(axis, side, tuple(int(j) for j in idx), measure,
-                              tuple(centroid))
-                    )
+            for idx in np.ndindex(*cells):
+                centroid = [0.0] * self.dim
+                centroid[axis] = self.extents[axis][side]
+                for d, j in zip(t_axes, idx):
+                    centroid[d] = self.extents[d][0] + (j + 0.5) * h[d]
+                out.append(Facet(axis, side, tuple(int(j) for j in idx),
+                                 measure, tuple(centroid)))
         return tuple(out)
+
+    def faces(self):
+        """Yield ``(axis, side, facets, cells, measure)`` for each box face.
+
+        ``facets`` slices the face out of the canonical facet order (and out
+        of ``BoundaryPartition.dirichlet``), C-ordered over the transverse
+        cell shape ``cells``; ``measure`` is that of each of its facets.
+        """
+        h = self.spacing
+        start = 0
+        for axis in range(self.dim):
+            cells = self.n[:axis] + self.n[axis + 1:]
+            count = math.prod(cells)
+            measure = float(np.prod(h[:axis] + h[axis + 1:])) if cells else 1.0
+            for side in (0, 1):
+                yield axis, side, slice(start, start + count), cells, measure
+                start += count
+
+    @cached_property
+    def _facet_measures(self) -> np.ndarray:
+        return np.concatenate([np.full(facets.stop - facets.start, measure)
+                               for _, _, facets, _, measure in self.faces()])
 
     @property
     def boundary_measure(self) -> float:
-        return float(sum(f.measure for f in self.facets))
+        # summed one facet after another
+        return float(np.cumsum(self._facet_measures)[-1])
 
-    def _facet_layer(self, facet: Facet, layer: int) -> np.ndarray:
-        # corner nodes of the facet patch shifted `layer` cells inward;
-        # ndindex enumeration is ascending in flat C-order
+    def facet_nodes(self, facet: Facet) -> np.ndarray:
+        """Flat indices of the nodes spanning a facet (2**(dim-1) corners)."""
         t_axes = [d for d in range(self.dim) if d != facet.axis]
-        if facet.side == 0:
-            fixed = layer
-        else:
-            fixed = self.n[facet.axis] - layer
         corners = []
         for offs in np.ndindex(*([2] * len(t_axes))):
             multi = [0] * self.dim
-            multi[facet.axis] = fixed
+            multi[facet.axis] = 0 if facet.side == 0 else self.n[facet.axis]
             for d, j, o in zip(t_axes, facet.index, offs):
                 multi[d] = j + o
             corners.append(np.ravel_multi_index(multi, self.shape))
         return np.array(corners, dtype=np.intp)
-
-    def facet_nodes(self, facet: Facet) -> np.ndarray:
-        """Flat indices of the nodes spanning a facet (2**(dim-1) corners)."""
-        return self._facet_layer(facet, 0)
-
-    def facet_interior_neighbors(self, facet: Facet) -> np.ndarray:
-        """Nodes one cell inward from ``facet_nodes``, in matching order."""
-        return self._facet_layer(facet, 1)
 
     @cached_property
     def interior_node_mask(self) -> np.ndarray:
@@ -225,31 +229,44 @@ def build_tensor_mesh(
     return Mesh(dim=int(dim), extents=exts, n=tuple(int(v) for v in n))
 
 
-def _parse_face(face) -> tuple[int, int]:
-    axis, side = face
-    if isinstance(axis, str):
-        axis = _AXIS_NAMES.index(axis.lower())
-    if isinstance(side, str):
-        side = _SIDE_NAMES[side.lower()]
-    return int(axis), int(side)
+def _parse_face(face, dim: int) -> tuple[int, int]:
+    """``(axis, side)`` of a face ``[axis, side]`` on a ``dim``-d box.
+
+    axis is an index or one of "xyz", side 0/1 or "lo"/"hi"/"low"/"high";
+    anything else, booleans included, raises ValueError naming the face.
+    """
+    if isinstance(face, (list, tuple)) and len(face) == 2:
+        axis, side = face
+        if isinstance(axis, str):
+            axis = "xyz".find(axis.lower()) if len(axis) == 1 else -1
+        if isinstance(side, str):
+            side = {"lo": 0, "hi": 1, "low": 0, "high": 1}.get(side.lower(), -1)
+        if (all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                for v in (axis, side)) and 0 <= axis < dim and side in (0, 1)):
+            return int(axis), int(side)
+    raise ValueError(f"face {face!r} is not an [axis, side] face of a "
+                     f"{dim}-d box")
 
 
 @dataclass(frozen=True)
 class BoundaryPartition:
     """Dirichlet/Neumann split of a mesh boundary into whole facets.
 
+    Derived quantities read the labels one box face at a time.
+
     Attributes
     ----------
     mesh : Mesh
     dirichlet : tuple of bool
-        One flag per facet of ``mesh.facets``; True marks Dirichlet.
+        One flag per facet, in the canonical order of ``mesh.facets``
+        (axis, side, C-order transverse cell); True marks Dirichlet.
     """
 
     mesh: Mesh
     dirichlet: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if len(self.dirichlet) != len(self.mesh.facets):
+        if len(self.dirichlet) != len(self.mesh._facet_measures):
             raise ValueError("label list length must match facet count")
         nd = sum(self.dirichlet)
         if nd == 0:
@@ -259,24 +276,23 @@ class BoundaryPartition:
 
     @property
     def alpha(self) -> float:
-        """Surface measure of the Dirichlet part."""
-        return float(
-            sum(f.measure for f, d in zip(self.mesh.facets, self.dirichlet) if d)
-        )
-
-    def dirichlet_facets(self) -> list[Facet]:
-        return [f for f, d in zip(self.mesh.facets, self.dirichlet) if d]
-
-    def neumann_facets(self) -> list[Facet]:
-        return [f for f, d in zip(self.mesh.facets, self.dirichlet) if not d]
+        """Surface measure of the Dirichlet part, summed facet by facet."""
+        measures = self.mesh._facet_measures[np.asarray(self.dirichlet)]
+        return float(np.cumsum(measures)[-1])
 
     @cached_property
     def dirichlet_node_mask(self) -> np.ndarray:
         """Nodes on the closure of the Dirichlet set (to be eliminated)."""
-        mask = np.zeros(self.mesh.n_nodes, dtype=bool)
-        for f in self.dirichlet_facets():
-            mask[self.mesh.facet_nodes(f)] = True
-        return mask
+        labels = np.asarray(self.dirichlet)
+        mask = np.zeros(self.mesh.shape, dtype=bool)
+        # a face's cell labels, ORed into its node layer at each corner offset
+        for axis, side, facets, cells, _ in self.mesh.faces():
+            on = labels[facets].reshape(cells[:axis] + (1,) + cells[axis:])
+            for offs in np.ndindex(*(2,) * len(cells)):
+                at = [slice(o, o + c) for o, c in zip(offs, cells)]
+                at.insert(axis, slice(0, 1) if side == 0 else slice(-1, None))
+                mask[tuple(at)] |= on
+        return mask.ravel()
 
     @cached_property
     def free_nodes(self) -> np.ndarray:
@@ -312,14 +328,13 @@ def partition_boundary(
         If the Dirichlet or the Neumann part would be empty.
     """
     if callable(dirichlet):
-        labels = tuple(bool(dirichlet(f)) for f in mesh.facets)
-    else:
-        faces = {_parse_face(f) for f in dirichlet}
-        for axis, side in faces:
-            if not (0 <= axis < mesh.dim and side in (0, 1)):
-                raise ValueError(f"face ({axis}, {side}) not on this mesh")
-        labels = tuple((f.axis, f.side) in faces for f in mesh.facets)
-    return BoundaryPartition(mesh=mesh, dirichlet=labels)
+        return BoundaryPartition(
+            mesh=mesh, dirichlet=tuple(bool(dirichlet(f)) for f in mesh.facets))
+    faces = {_parse_face(f, mesh.dim) for f in dirichlet}
+    labels = np.zeros(len(mesh._facet_measures), dtype=bool)
+    for axis, side, facets, _, _ in mesh.faces():
+        labels[facets] = (axis, side) in faces
+    return BoundaryPartition(mesh=mesh, dirichlet=tuple(labels.tolist()))
 
 
 def moving_family(
@@ -341,7 +356,7 @@ def moving_family(
     alphas : sequence of float
         Strictly decreasing target Dirichlet measures.
     faces : sequence of (axis, side), optional
-        Restrict and order the fill; default is all faces in canonical order.
+        Restrict and order the fill; None or empty means all faces in order.
 
     Returns
     -------
@@ -358,17 +373,13 @@ def moving_family(
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly decreasing")
 
-    if faces is None:
-        pool = list(range(len(mesh.facets)))
-    else:
-        order = [_parse_face(f) for f in faces]
-        pool = []
-        for axis, side in order:
-            pool.extend(
-                i for i, f in enumerate(mesh.facets)
-                if f.axis == axis and f.side == side
-            )
-    measures = np.array([mesh.facets[i].measure for i in pool])
+    n_facets = len(mesh._facet_measures)
+    spans = {(axis, side): np.arange(facets.start, facets.stop)
+             for axis, side, facets, _, _ in mesh.faces()}
+    # the given faces in order, or all of them in canonical order
+    pool = np.concatenate([spans[_parse_face(f, mesh.dim)]
+                           for f in faces or spans])
+    measures = mesh._facet_measures[pool]
     cum = np.cumsum(measures)
     total_boundary = mesh.boundary_measure
     # absolute slack so 4 * 0.25 == 1.0 snaps to all four facets
@@ -384,12 +395,12 @@ def moving_family(
             raise ValueError(
                 f"alpha={alpha} smaller than the first facet "
                 f"(measure {measures[0]}); refine the mesh or raise alpha")
-        if k == len(mesh.facets):
+        if k == n_facets:
             raise ValueError(
                 f"alpha={alpha} would label the whole boundary Dirichlet")
-        chosen = set(pool[:k])
-        labels = tuple(i in chosen for i in range(len(mesh.facets)))
-        out.append(BoundaryPartition(mesh=mesh, dirichlet=labels))
+        labels = np.zeros(n_facets, dtype=bool)
+        labels[pool[:k]] = True
+        out.append(BoundaryPartition(mesh, tuple(labels.tolist())))
     return out
 
 

@@ -14,9 +14,9 @@ largest term.  The geometric nonexistence test checks the sign pattern of
 defect g(t) = (N-2s) t f(t) - 2N F(t).
 
 Both work one whole box face at a time (2 * dim faces), never one facet
-at a time: <x-x0, nu> is constant on a face, its facets are the transverse
-cells in C order, and ``partition.dirichlet`` lists them in that order, so
-a face's lateral strips, Neumann F-means and labels are array slices.
+at a time: <x-x0, nu> is constant on a face, and :meth:`Mesh.faces` gives
+the slice of ``partition.dirichlet`` labelling its cells in C order, so a
+face's lateral strips, Neumann F-means and labels are arrays.
 """
 from __future__ import annotations
 
@@ -140,24 +140,9 @@ class PohozaevReport:
         }
 
 
-def _faces(mesh: Mesh, x0: tuple):
-    """Yield (axis, side, facet slice, facet measure, pairing) per box face.
-
-    Faces come in the canonical facet order of ``mesh.facets``, so the
-    slice picks that face's facets, C-ordered over the transverse cells.
-    ``pairing`` is <x - x0, nu>, the same at every point of the face.
-    """
-    start = 0
-    for axis in range(mesh.dim):
-        t_axes = [d for d in range(mesh.dim) if d != axis]
-        count = int(np.prod([mesh.n[d] for d in t_axes], dtype=np.int64))
-        measure = (float(np.prod([mesh.spacing[d] for d in t_axes]))
-                   if t_axes else 1.0)
-        for side in (0, 1):
-            pairing = ((1.0 if side == 1 else -1.0)
-                       * (mesh.extents[axis][side] - x0[axis]))
-            yield axis, side, slice(start, start + count), measure, pairing
-            start += count
+def _pairing(mesh: Mesh, axis: int, side: int, x0: tuple) -> float:
+    """<x - x0, nu> on the face (axis, side), the same at each of its points."""
+    return (1.0 if side == 1 else -1.0) * (mesh.extents[axis][side] - x0[axis])
 
 
 def _cell_corners(x: np.ndarray, dim: int) -> np.ndarray:
@@ -257,7 +242,8 @@ def pohozaev_terms(
     lat_neu = 0.0
     lat_dir = 0.0
     bdry_neu = 0.0
-    for a, side, facets, measure, pairing in _faces(mesh, x0):
+    for a, side, facets, _, measure in mesh.faces():
+        pairing = _pairing(mesh, a, side, x0)
         layer = [slice(None)] * mesh.dim
         layer[a] = slice(0, 2) if side == 0 else slice(-2, None)
         strips = _lateral_strips(W[tuple(layer)], mesh.spacing, y, y_m0)
@@ -355,7 +341,8 @@ def nonexistence_check(
     neu_pair = []
     dir_pair = []
     exempt = 0
-    for a, side, facets, _, pairing in _faces(mesh, x0):
+    for a, side, facets, _, _ in mesh.faces():
+        pairing = _pairing(mesh, a, side, x0)
         is_dir = dirichlet[facets]
         if is_dir.any():
             dir_pair.append(pairing)

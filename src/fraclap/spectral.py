@@ -225,16 +225,15 @@ class OperatorPair:
 def _tensor_eigs(partition: BoundaryPartition, mats_a,
                  mats_m) -> TensorEigs | None:
     """1-D eigenpairs per axis, or None unless every face has one label."""
-    faces: dict[tuple[int, int], set[bool]] = {}
-    for f, d in zip(partition.mesh.facets, partition.dirichlet):
-        faces.setdefault((f.axis, f.side), set()).add(d)
-    if any(len(labels) > 1 for labels in faces.values()):
-        return None
+    labels = np.asarray(partition.dirichlet)
+    free = [np.ones(a.shape[0], dtype=bool) for a in mats_a]
+    for axis, side, facets, _, _ in partition.mesh.faces():
+        on = labels[facets]
+        if on.any() != on.all():
+            return None
+        free[axis][0 if side == 0 else -1] = not on[0]
     lams, vecs = [], []
-    for axis, (a, m) in enumerate(zip(mats_a, mats_m)):
-        keep = np.ones(a.shape[0], dtype=bool)
-        keep[0] = faces[(axis, 0)] != {True}
-        keep[-1] = faces[(axis, 1)] != {True}
+    for a, m, keep in zip(mats_a, mats_m, free):
         lam, vec = scipy.linalg.eigh(a[keep][:, keep].toarray(),
                                      m[keep][:, keep].toarray())
         lams.append(lam)

@@ -189,7 +189,7 @@ def test_cli_unknown_key_exits_2(tmp_path, capsys):
     assert err["error"]["keys"] == ["bogus"]
 
 
-@pytest.mark.parametrize("override, key", [
+_BAD_VALUES = [
     ("s=1.5", "s"),
     ("s=0.5", "s"),
     ("domain.n=[0,4,4]", "domain.n"),
@@ -202,13 +202,48 @@ def test_cli_unknown_key_exits_2(tmp_path, capsys):
     ("solver.window=0", "solver.window"),
     ("solver.max_iter=0", "solver.max_iter"),
     ("solver.polish_max=0", "solver.polish_max"),
+]
+# a 2-d square, so that each subcommand's own requirements are what fails
+_SQUARE = ["domain.extents=[[0,1],[0,1]]", "domain.n=[4,4]"]
+_X0 = "pohozaev.x0=[1.0,0.5]"
+_LAM = "lambda=1.0"
+_BAD_RUNS = [
+    ("minimize", _SQUARE, "lambda"),
+    ("pohozaev", [*_SQUARE, _X0], "lambda"),
+    ("pohozaev", [*_SQUARE, _LAM], "pohozaev.x0"),
+    ("frac-apply", _SQUARE, "field"),
+    ("sweep-lambda", _SQUARE, "lambda_grid"),
+    ("move-boundary", _SQUARE, "alphas"),
+    ("minimize", [*_SQUARE, _LAM, "solver.init=best"], "solver.init"),
+    ("pohozaev", [*_SQUARE, _LAM, _X0, "pohozaev.nonlinearity=cubic"],
+     "pohozaev.nonlinearity"),
+    ("minimize", [*_SQUARE, 'lambda={"fraction":0.5}'], "lambda"),
+    ("sweep-lambda", [*_SQUARE, 'lambda_grid=[0.5,"half"]'], "lambda"),
+    ("eig", ["partition={}"], "partition.dirichlet_faces"),
+    # N = 1 <= 2s: no critical exponent on the interval
+    ("minimize", [_LAM], "domain"),
+    ("sweep-lambda", ["lambda_grid=[0.5]"], "domain"),
+    ("move-boundary", ["alphas=[1.0]"], "domain"),
+    ("constants", [], "domain"),
+    ("pohozaev", [_LAM, "pohozaev.x0=[1.0]"], "domain"),
+]
+
+
+@pytest.mark.parametrize("subcommand, overrides, key", [
+    pytest.param("minimize", [_LAM, override], key, id=f"{override}-{key}")
+    for override, key in _BAD_VALUES
+] + [
+    pytest.param(sub, overrides, key, id=f"{sub}-{key}-{i}")
+    for i, (sub, overrides, key) in enumerate(_BAD_RUNS)
 ])
-def test_cli_bad_value_exits_2_before_writing(tmp_path, capsys, override,
-                                              key):
+def test_cli_bad_value_exits_2_before_writing(tmp_path, capsys, subcommand,
+                                              overrides, key):
     from fraclap.cli import main
 
-    rc = main(["minimize", "--config", str(_write_cfg(tmp_path)),
-               "--set", "lambda=1.0", "--set", override])
+    argv = [subcommand, "--config", str(_write_cfg(tmp_path))]
+    for override in overrides:
+        argv += ["--set", override]
+    rc = main(argv)
     out = capsys.readouterr()
     assert rc == 2
     err = json.loads(out.err)["error"]
@@ -245,12 +280,33 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
 def test_cli_numerical_failure_exits_3(tmp_path, capsys):
     from fraclap.cli import main
 
-    # a 1-D domain has no critical exponent for s > 1/2
-    rc = main(["constants", "--config", str(_write_cfg(tmp_path))])
-    out = capsys.readouterr()
-    assert rc == 3
-    err = json.loads(out.err)
-    assert err["error"]["stage"] == "constants"
+    # above lambda_1^s the quotient has no minimizer, so the audit fails in
+    # compute and leaves no directory, alone or next to an earlier eig run
+    # on the same config
+    cfg = _write_cfg(tmp_path, {
+        "domain": {"kind": "box", "extents": [[0.0, 1.0], [0.0, 1.0]],
+                   "n": [6, 6]},
+        "lambda": {"fraction_of_lambda1s": 1.5},
+        "pohozaev": {"x0": [1.0, 0.5]},
+    })
+    runs = tmp_path / "runs"
+    listing = []
+
+    def now():
+        return sorted(runs.iterdir()) if runs.exists() else []
+
+    for first in (True, False):
+        if not first:
+            assert main(["eig", "--config", str(cfg)]) == 0
+            run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+            before = {p: p.read_bytes() for p in run_dir.rglob("*")}
+            listing = now()
+        rc = main(["pohozaev", "--config", str(cfg)])
+        out = capsys.readouterr()
+        assert rc == 3
+        assert json.loads(out.err)["error"]["stage"] == "minimize"
+        assert now() == listing
+    assert {p: p.read_bytes() for p in run_dir.rglob("*")} == before
 
 
 def test_run_unknown_subcommand():
