@@ -319,7 +319,12 @@ def build_domain(resolved: dict):
     n = [int(v) for v in dom["n"]]
     mesh = build_tensor_mesh(len(n), dom["extents"], n)
     faces = resolved["partition"]["dirichlet_faces"]
-    return mesh, partition_boundary(mesh, faces)
+    try:
+        return mesh, partition_boundary(mesh, faces)
+    except ValueError as e:
+        # e.g. every face Dirichlet, so no Neumann part is left
+        raise ConfigError(f"invalid partition.dirichlet_faces: {e}",
+                          keys=["partition.dirichlet_faces"]) from e
 
 
 def _domain_section(resolved: dict) -> dict:

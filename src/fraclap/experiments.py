@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from .config import ConfigError, build_domain, config_hash, resolve_lambda
-from .config import _domain_dim, _domain_section
+from .config import _domain_dim, _num
 from .critical import (
     MinimizeOptions,
     minimize_quotient,
@@ -200,7 +200,12 @@ def _preflight(subcommand: str, resolved: dict) -> FracParams:
     # every ConfigError a subcommand can meet, raised before any directory
     # exists; returns the run's (s, N)
     if subcommand != "constants":
-        _domain_section(resolved)
+        try:
+            _, part = build_domain(resolved)
+        except ConfigError:
+            raise
+        except ValueError as e:
+            raise ConfigError(f"invalid domain: {e}", keys=["domain"]) from e
     dim = _domain_dim(resolved.get("domain") or {})
     if not dim:
         raise ConfigError("cannot infer dimension from domain",
@@ -223,6 +228,15 @@ def _preflight(subcommand: str, resolved: dict) -> FracParams:
             raise ConfigError("field.modes and field.coeffs must be nonempty "
                               "and of equal length",
                               keys=["field.modes", "field.coeffs"])
+        limit = min(int(resolved["mode_count"]), len(part.free_nodes))
+        if not all(_num(k) and float(k).is_integer() and 1 <= k <= limit
+                   for k in modes):
+            raise ConfigError(f"field.modes entries must be mode numbers in "
+                              f"1..{limit} (mode_count or free nodes)",
+                              keys=["field.modes"])
+    if subcommand == "pohozaev" and len(resolved["pohozaev"]["x0"]) != dim:
+        raise ConfigError(f"pohozaev.x0 needs {dim} components, one per "
+                          f"axis", keys=["pohozaev.x0"])
     specs = {"minimize": [resolved["lambda"]], "pohozaev": [resolved["lambda"]],
              "sweep-lambda": resolved.get("lambda_grid")}
     for spec in specs.get(subcommand) or []:
@@ -284,7 +298,7 @@ def _run_frac_apply(resolved: dict, params: FracParams, sink: _Sink) -> None:
     coeffs = [float(c) for c in resolved["field"]["coeffs"]]
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
-    m = min(max(max(modes), int(resolved["mode_count"])), len(ops.free))
+    m = min(int(resolved["mode_count"]), len(ops.free))
     basis = eigendecompose(ops, m=m)
     u = Field.from_free(ops, np.zeros(len(ops.free)))
     for k, c in zip(modes, coeffs):

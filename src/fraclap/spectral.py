@@ -5,13 +5,23 @@ Stiffness and mass are Kronecker products of 1-D matrices, restricted to
 free nodes (Dirichlet nodes eliminated).  Eigenpairs of A phi = lambda M phi
 are M-orthonormal and define everything spectral downstream.
 
-When every face of the box is wholly Dirichlet or wholly Neumann, the free
-nodes form a product set, A is a Kronecker sum and M a Kronecker product of
-1-D matrices restricted to it, and the eigenpairs are sums and Kronecker
-products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).  Those partitions
-never need a dense n x n eigensolve, their bases apply the eigenvector
-matrix by per-axis contractions instead of storing it, and the sign of
-each eigenvector follows from per-axis tables without multiplying it out.
+Every partition has a face-aligned relaxation R: the same box with each
+partly Dirichlet face made Neumann.  R's free nodes form a product set
+containing the partition's, R's A is a Kronecker sum and M a Kronecker
+product of restricted 1-D matrices, and R's eigenpairs are sums and
+Kronecker products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).
+Assembly builds R once, and A and M are R's matrices sliced to the free
+nodes.
+
+When every face is wholly Dirichlet or wholly Neumann, the partition is
+its own relaxation.  It never needs a dense n x n eigensolve, its bases
+apply the eigenvector matrix by per-axis contractions instead of storing
+it, and the sign of each eigenvector follows from per-axis tables without
+multiplying it out.  A partial-facet partition is R constrained to vanish
+on the r nodes R frees and it does not; in R's eigen-coordinates that is
+a standard eigenproblem of a diagonal plus a rank-2r term, the
+constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
+George & Golub 1971), solved densely up to ``dof_cap`` free nodes.
 """
 from __future__ import annotations
 
@@ -73,6 +83,15 @@ def _trapezoid_weights(mesh: Mesh) -> np.ndarray:
     return w.ravel()
 
 
+def _kron_rows(mats, flat: np.ndarray) -> np.ndarray:
+    # rows of the Kronecker product of the square mats at C-order indices
+    idx = np.unravel_index(flat, tuple(len(a) for a in mats))
+    rows = mats[0][idx[0]]
+    for a, i in zip(mats[1:], idx[1:]):
+        rows = (rows[:, :, None] * a[i][:, None, :]).reshape(len(flat), -1)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class TensorEigs:
     """1-D generalized eigenpairs of a face-aligned partition, one per axis.
@@ -116,12 +135,14 @@ class TensorEigs:
         transpose of a C-order (len(flat), n) array, so each eigenvector is
         contiguous in memory.
         """
-        idx = np.unravel_index(flat, self.shape)
-        rows = self.vecs[0].T[idx[0]]
-        for V, i in zip(self.vecs[1:], idx[1:]):
-            rows = rows[:, :, None] * V.T[i][:, None, :]
-            rows = rows.reshape(len(flat), -1)
-        return rows.T
+        return _kron_rows([V.T for V in self.vecs], flat).T
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Rows of the eigenvector matrix at the C-order nodes ``nodes``.
+
+        Only the selected 1-D rows are multiplied out; (len(nodes), n).
+        """
+        return _kron_rows(self.vecs, nodes)
 
     @cached_property
     def _peak_candidates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -193,6 +214,14 @@ class TensorEigs:
 class OperatorPair:
     """Stiffness/mass pair restricted to free nodes.
 
+    Assembly also builds the face-aligned relaxation R of the partition:
+    the same box with every partly Dirichlet face made Neumann.  Its free
+    nodes form a product set that contains the free nodes here, and its
+    eigenpairs are Kronecker products of 1-D eigenpairs.  A partition that
+    is its own relaxation (every face wholly Dirichlet or wholly Neumann)
+    exposes them as ``tensor``; on a partial-facet partition they serve the
+    dense eigensolve of :func:`eigendecompose` instead.
+
     Attributes
     ----------
     A, M : scipy.sparse.csr_matrix
@@ -216,37 +245,37 @@ class OperatorPair:
     mesh: Mesh
     partition: BoundaryPartition
     tensor: TensorEigs | None = field(default=None, repr=False, compare=False)
+    # partial-facet partitions only: the relaxation's 1-D eigenpairs and the
+    # positions of the free nodes among the relaxation's free nodes
+    _relaxation: tuple[TensorEigs, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n_free(self) -> int:
         return len(self.free)
 
 
-def _tensor_eigs(partition: BoundaryPartition, mats_a,
-                 mats_m) -> TensorEigs | None:
-    """1-D eigenpairs per axis, or None unless every face has one label."""
-    labels = np.asarray(partition.dirichlet)
-    free = [np.ones(a.shape[0], dtype=bool) for a in mats_a]
-    for axis, side, facets, _, _ in partition.mesh.faces():
-        on = labels[facets]
-        if on.any() != on.all():
-            return None
-        free[axis][0 if side == 0 else -1] = not on[0]
-    lams, vecs = [], []
-    for a, m, keep in zip(mats_a, mats_m, free):
-        lam, vec = scipy.linalg.eigh(a[keep][:, keep].toarray(),
-                                     m[keep][:, keep].toarray())
-        lams.append(lam)
-        vecs.append(vec)
-    return TensorEigs(lams=tuple(lams), vecs=tuple(vecs))
-
-
 @lru_cache(maxsize=64)
 def _assemble_cached(partition: BoundaryPartition) -> OperatorPair:
     mesh = partition.mesh
-    ones = [_line_matrices(nd, hd) for nd, hd in zip(mesh.n, mesh.spacing)]
-    mats_a = [a for a, _ in ones]
-    mats_m = [m for _, m in ones]
+    # per axis, the end nodes the relaxation keeps: a face stays Dirichlet
+    # only if it is wholly Dirichlet
+    labels = np.asarray(partition.dirichlet)
+    keep = [np.ones(nd + 1, dtype=bool) for nd in mesh.n]
+    for axis, side, facets, _, _ in mesh.faces():
+        if labels[facets].all():
+            keep[axis][0 if side == 0 else -1] = False
+
+    mats_a, mats_m, lams, vecs = [], [], [], []
+    for nd, hd, k in zip(mesh.n, mesh.spacing, keep):
+        a, m = _line_matrices(nd, hd)
+        a, m = a[k][:, k], m[k][:, k]
+        lam, vec = scipy.linalg.eigh(a.toarray(), m.toarray())
+        mats_a.append(a)
+        mats_m.append(m)
+        lams.append(lam)
+        vecs.append(vec)
+    relaxed = TensorEigs(lams=tuple(lams), vecs=tuple(vecs))
 
     def kron_all(mats):
         out = mats[0]
@@ -254,19 +283,25 @@ def _assemble_cached(partition: BoundaryPartition) -> OperatorPair:
             out = sp.kron(out, m, format="csr")
         return out
 
-    M_full = kron_all(mats_m)
-    A_full = sp.csr_matrix(M_full.shape)
+    M = kron_all(mats_m)
+    A = sp.csr_matrix(M.shape)
     for d in range(mesh.dim):
         factors = [mats_a[d] if k == d else mats_m[k] for k in range(mesh.dim)]
-        A_full = A_full + kron_all(factors)
+        A = A + kron_all(factors)
 
     free = partition.free_nodes
     lumped = _trapezoid_weights(mesh)[free]
-    A = A_full[free][:, free].tocsr()
-    M = M_full[free][:, free].tocsr()
-    return OperatorPair(A=A, M=M, lumped=lumped, free=free,
-                        mesh=mesh, partition=partition,
-                        tensor=_tensor_eigs(partition, mats_a, mats_m))
+    # the free nodes here, as positions in the relaxation's C-order free set
+    pos = np.flatnonzero(
+        ~partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)])
+    if len(pos) == M.shape[0]:
+        # a sparse sum keeps a buffer sized for both operands; the copy is
+        # compact, as the sliced matrices below are
+        return OperatorPair(A=A.copy(), M=M, lumped=lumped, free=free,
+                            mesh=mesh, partition=partition, tensor=relaxed)
+    return OperatorPair(A=A[pos][:, pos].tocsr(), M=M[pos][:, pos].tocsr(),
+                        lumped=lumped, free=free, mesh=mesh,
+                        partition=partition, _relaxation=(relaxed, pos))
 
 
 def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair:
@@ -430,6 +465,59 @@ def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _constrained_eigh(relaxed: TensorEigs, pos: np.ndarray,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a partial-facet partition, via its relaxation.
+
+    In the eigen-coordinates c of the relaxation R (x = V_R c), stiffness
+    and mass are diag(Lambda_R) and I.  The partition's space is the
+    subspace where x vanishes on the r nodes D that R frees and the
+    partition does not: B c = 0 with B = V_R[D, :], of full row rank since
+    V_R is invertible.  The Householder QR of B^T, Q = I - W T W^T in
+    compact-WY form, spans null(B) by the last n columns of Q, so the
+    problem is the standard one for K = (Q^T Lambda_R Q)[r:, r:], a
+    diagonal plus a symmetric rank-2r term, and c = Q [0; Y] for the
+    eigenvectors Y of K.  Only Lambda_R enters, so a singular R (every
+    face Neumann) is harmless.  Returns eigenvalues and eigenvectors over
+    the partition's free nodes, M-orthonormal.
+    """
+    lam = relaxed.values
+    n_r = len(lam)
+    r = n_r - len(pos)
+    cut = np.ones(n_r, dtype=bool)
+    cut[pos] = False
+    # B^T is the Fortran-ordered transpose of the C-ordered rows
+    W, T, info = scipy.linalg.lapack.dgeqrt(
+        r, relaxed.rows(np.flatnonzero(cut)).T, overwrite_a=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
+    W = np.tril(W, -1)
+    W[np.arange(r), np.arange(r)] = 1.0
+    W2 = W[r:]
+    # K = diag(lam[r:]) - U X^T - X U^T, with U = W2 T^T and
+    # X = diag(lam[r:]) W2 - U (W^T diag(lam) W) / 2; lower triangle only
+    U = W2 @ T.T
+    X = lam[r:, None] * W2 - U @ (0.5 * (W.T @ (lam[:, None] * W)))
+    K = np.zeros((n_r - r, n_r - r), order="F")
+    np.fill_diagonal(K, lam[r:])
+    K = scipy.linalg.blas.dsyr2k(-1.0, U, X, beta=1.0, c=K, lower=1,
+                                 overwrite_c=1)
+    if k == n_r - r:
+        mu, Y = scipy.linalg.eigh(K, overwrite_a=True, check_finite=False,
+                                  driver="evd")
+    else:
+        mu, Y = scipy.linalg.eigh(K, overwrite_a=True, check_finite=False,
+                                  subset_by_index=[0, k - 1], driver="evr")
+    # K and Y are n x n for a complete basis; drop each once consumed
+    del K
+    Z = T @ (W2.T @ Y)
+    C = np.zeros((n_r, k))
+    C[r:] = Y
+    del Y
+    C -= W @ Z
+    return mu, relaxed.synthesize(C)[pos]
+
+
 def eigendecompose(
     ops: OperatorPair,
     m: int | str = "all",
@@ -445,10 +533,12 @@ def eigendecompose(
     Kronecker indices and one sign per mode.  The signs come from the
     per-axis rule of :meth:`TensorEigs.signs`, which never multiplies a
     column out, yet matches the dense convention exactly; the whole call
-    costs the sort plus O(n) past the 1-D tables.  Other partitions use a
-    dense generalized ``eigh`` up to ``dof_cap`` free nodes, and
-    shift-invert Lanczos above it for at most 32 pairs, and keep the dense
-    eigenvectors.
+    costs the sort plus O(n) past the 1-D tables.  Partial-facet
+    partitions (some face partly Dirichlet) take one standard dense
+    ``eigh`` in the eigen-coordinates of their face-aligned relaxation,
+    O(n^3) and bounded by ``dof_cap`` free nodes, for any m up to n; above
+    the cap shift-invert Lanczos serves at most 32 pairs.  Their bases keep
+    the dense eigenvectors.
 
     Parameters
     ----------
@@ -496,12 +586,7 @@ def eigendecompose(
                              complete=(k == n), order=order,
                              signs=tensor.signs(order))
     if n <= dof_cap:
-        if k == n:
-            lams, vecs = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
-        else:
-            lams, vecs = scipy.linalg.eigh(
-                ops.A.toarray(), ops.M.toarray(),
-                subset_by_index=[0, k - 1], driver="gvx")
+        lams, vecs = _constrained_eigh(*ops._relaxation, k)
     else:
         # deterministic start vector; shift-invert targets the low end
         v0 = np.full(n, 1.0 / np.sqrt(n))

@@ -226,6 +226,15 @@ _BAD_RUNS = [
     ("move-boundary", ["alphas=[1.0]"], "domain"),
     ("constants", [], "domain"),
     ("pohozaev", [_LAM, "pohozaev.x0=[1.0]"], "domain"),
+    # checked against the built domain, before any compute
+    ("pohozaev", [*_SQUARE, _LAM, "pohozaev.x0=[1.0]"], "pohozaev.x0"),
+    ("frac-apply", [*_SQUARE, "field.modes=[0]", "field.coeffs=[1.0]"],
+     "field.modes"),
+    ("frac-apply", [*_SQUARE, "field.modes=[1,4]", "field.coeffs=[1.0,0.5]"],
+     "field.modes"),
+    ("eig", [*_SQUARE, "partition.dirichlet_faces=[[0,0],[0,1],[1,0],[1,1]]"],
+     "partition.dirichlet_faces"),
+    ("eig", ["domain.extents=[[1.0,0.0]]"], "domain"),
 ]
 
 

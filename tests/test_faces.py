@@ -6,6 +6,7 @@ reproduce it bit for bit.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ import fraclap as fl
 from fraclap.config import validate
 from fraclap.fractional import _require_on_neumann_closure
 from fraclap.mesh import _parse_face
+from fraclap.spectral import _line_matrices, _trapezoid_weights
 
 MESHES = [
     fl.build_tensor_mesh(1, [(0.0, 1.5)], [5]),
@@ -110,6 +112,40 @@ def test_partition_readers_match_per_facet_oracles(mesh):
         assert np.array_equal(part.free_nodes, np.flatnonzero(~mask))
         ops = fl.assemble_operators(part.mesh, part)
         assert (ops.tensor is not None) == _oracle_face_aligned(part)
+
+
+def _oracle_full_kronecker_then_slice(part):
+    # the full-mesh Kronecker build, sliced to the free nodes afterwards
+    mesh = part.mesh
+    lines = [_line_matrices(nd, hd) for nd, hd in zip(mesh.n, mesh.spacing)]
+
+    def kron_all(mats):
+        out = mats[0]
+        for m in mats[1:]:
+            out = sp.kron(out, m, format="csr")
+        return out
+
+    M_full = kron_all([m for _, m in lines])
+    A_full = sp.csr_matrix(M_full.shape)
+    for d in range(mesh.dim):
+        A_full = A_full + kron_all([lines[k][0] if k == d else lines[k][1]
+                                    for k in range(mesh.dim)])
+    free = part.free_nodes
+    return (A_full[free][:, free].tocsr(), M_full[free][:, free].tocsr(),
+            _trapezoid_weights(mesh)[free])
+
+
+@pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"{m.dim}d")
+def test_relaxed_assembly_matches_full_kronecker_slice(mesh):
+    for part in _partitions(mesh):
+        ops = fl.assemble_operators(part.mesh, part)
+        A, M, lumped = _oracle_full_kronecker_then_slice(part)
+        for got, want in ((ops.A, A), (ops.M, M)):
+            assert got.format == "csr" and got.shape == want.shape
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr),
+                                              getattr(want, attr))
+        np.testing.assert_array_equal(ops.lumped, lumped)
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"{m.dim}d")

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import fraclap as fl
 from fraclap.spectral import (
@@ -137,6 +139,85 @@ def test_iterative_path_matches_dense():
     for k in range(3):
         dot = sparse.vecs[:, k] @ (ops.M @ dense.vecs[:, k])
         assert abs(abs(dot) - 1.0) < 1e-8
+
+
+def _mixed_partition(n, labels_by_face):
+    # labels_by_face maps (axis, side) to a label list; other faces Neumann
+    mesh = fl.build_tensor_mesh(len(n), [(0.0, 1.0)] * len(n), n)
+    labels = np.zeros(len(mesh.facets), dtype=bool)
+    for axis, side, facets, _, _ in mesh.faces():
+        labels[facets] = labels_by_face.get((axis, side), False)
+    return fl.BoundaryPartition(mesh, tuple(labels.tolist()))
+
+
+@st.composite
+def _facet_labelings(draw):
+    # each face wholly Dirichlet, wholly Neumann or labelled facet by facet,
+    # so wholly Dirichlet faces often meet partly Dirichlet ones
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.lists(st.integers(3, 8 if dim == 2 else 5),
+                      min_size=dim, max_size=dim))
+    mesh = fl.build_tensor_mesh(dim, [(0.0, 1.0)] * dim, n)
+    labels = []
+    for _, _, facets, _, _ in mesh.faces():
+        count = facets.stop - facets.start
+        kind = draw(st.sampled_from(["D", "N", "mixed"]))
+        labels += (draw(st.lists(st.booleans(), min_size=count,
+                                 max_size=count))
+                   if kind == "mixed" else [kind == "D"] * count)
+    assume(any(labels) and not all(labels))
+    return fl.BoundaryPartition(mesh, tuple(labels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_facet_labelings())
+# x = 0 wholly Dirichlet next to a partly Dirichlet y = 0
+@example(_mixed_partition((6, 5), {(0, 0): True,
+                                   (1, 0): [True, True, False, False, True,
+                                            False]}))
+# only part of x = 0 is Dirichlet, so the relaxation is all Neumann
+@example(_mixed_partition((7, 4), {(0, 0): [False, True, True, False]}))
+@example(_mixed_partition((4, 3, 5), {(2, 1): [True] * 5 + [False] * 7}))
+def test_constrained_path_matches_dense_oracle(part):
+    ops = fl.assemble_operators(part.mesh, part)
+    lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
+    # clusters split where the gap exceeds 1e-6 of the largest eigenvalue:
+    # projector round-off is about eps * lams[-1] / gap, far below 1e-8
+    breaks = np.flatnonzero(np.diff(lams) > 1e-6 * lams[-1]) + 1
+    for m in ("all", 3):
+        basis = eigendecompose(ops, m=m)
+        V = basis.vecs
+        np.testing.assert_allclose(basis.lams, lams[:basis.m], rtol=1e-10)
+        np.testing.assert_allclose(V.T @ (ops.M @ V), np.eye(basis.m),
+                                   rtol=0, atol=1e-12)
+        assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(basis.m)]
+                      >= 0)
+        for cluster in np.split(np.arange(len(lams)), breaks):
+            if cluster[-1] >= basis.m:
+                break  # a cluster the truncation cuts has no projector
+            Vc, Wc = V[:, cluster], U[:, cluster]
+            np.testing.assert_allclose(Vc @ Vc.T, Wc @ Wc.T, rtol=0,
+                                       atol=1e-8)
+
+
+def test_partial_facet_solve_takes_no_mass_matrix(monkeypatch):
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
+    ops = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.75])[0])
+    assert ops.tensor is None
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def spy(a, b=None, *args, **kwargs):
+        calls.append((np.shape(a), None if b is None else np.shape(b)))
+        return eigh(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    basis = eigendecompose(ops, m="all")
+    n = ops.n_free
+    assert basis.complete and basis.m == n
+    # one standard eigensolve of the reduced matrix, no generalized one
+    assert ((n, n), None) in calls
+    assert all(b is None or n not in b for _, b in calls)
 
 
 def test_dof_cap_raises_for_complete_basis():
