@@ -51,7 +51,6 @@ def _is_int(x) -> bool:
 _NUM = (_num, "number")
 _INT = (_is_int, "integer")
 _STR = (lambda x: isinstance(x, str), "string")
-_BOOL = (lambda x: isinstance(x, bool), "boolean")
 _LIST = (lambda x: isinstance(x, list), "list")
 _LAM = (
     lambda x: x is None or _num(x) or isinstance(x, dict),
@@ -93,11 +92,6 @@ _SCHEMA: dict[str, Any] = {
         "geometry_tol": _NUM,
     },
     "solver": {
-        "max_iter": _INT,
-        "window": _INT,
-        "q_rel_tol": _NUM,
-        "armijo": _NUM,
-        "polish": _BOOL,
         "polish_tol": _NUM,
         "polish_max": _INT,
         "init": _STR,               # "principal" or "random"
@@ -117,11 +111,6 @@ DEFAULTS: dict[str, Any] = {
         "geometry_tol": 1e-10,
     },
     "solver": {
-        "max_iter": 20000,
-        "window": 25,
-        "q_rel_tol": 1e-10,
-        "armijo": 1e-4,
-        "polish": True,
         "polish_tol": 1e-8,
         "polish_max": 500,
         "init": "principal",
@@ -160,7 +149,7 @@ def load_config(path) -> dict:
 def apply_overrides(cfg: dict, assignments: Sequence[str]) -> dict:
     """Apply ``key=value`` overrides to a copy of ``cfg``.
 
-    Keys are dotted paths (``solver.max_iter``); values parse as JSON
+    Keys are dotted paths (``solver.polish_max``); values parse as JSON
     literals, falling back to a bare string so ``--set domain.kind=box``
     works without quoting gymnastics.
     """
@@ -228,9 +217,8 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
         bad.append("s (expected a number in (1/2, 1))")
     if resolved["mode_count"] < 1:
         bad.append("mode_count (expected an integer >= 1)")
-    for key in ("max_iter", "window", "polish_max"):
-        if resolved["solver"][key] < 1:
-            bad.append(f"solver.{key} (expected an integer >= 1)")
+    if resolved["solver"]["polish_max"] < 1:
+        bad.append("solver.polish_max (expected an integer >= 1)")
     if resolved["solver"]["init"] not in ("principal", "random"):
         bad.append("solver.init (expected 'principal' or 'random')")
     if resolved["pohozaev"]["nonlinearity"] not in (
@@ -262,9 +250,9 @@ def validate(cfg: dict) -> dict:
 
     Keys are checked first for name and type, then the resolved values
     for range: ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at
-    least 2, faces on the box, ``mode_count`` and the solver's ``max_iter``,
-    ``window`` and ``polish_max`` of at least 1, and ``solver.init`` and
-    ``pohozaev.nonlinearity`` among their choices.
+    least 2, faces on the box, ``mode_count`` and ``solver.polish_max`` of
+    at least 1, and ``solver.init`` and ``pohozaev.nonlinearity`` among
+    their choices.
 
     Returns
     -------

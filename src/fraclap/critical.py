@@ -1,11 +1,12 @@
 """Constrained quotient minimization at the critical exponent.
 
 Minimizes (energy - lam * L2) / critical-norm**2 over the constrained space
-by projected gradient descent on the critical-norm unit sphere, with a
-nodewise absolute value enforcing nonnegativity after every step, followed
-by an optional monotone fixed-point polish that drives the discrete
-Euler-Lagrange residual to solver precision.  Rescaling the minimizer by
-S**(1/(2*-2)) turns it into a candidate solution of the critical equation.
+by the monotone fixed point u <- |(L^s - lam)^-1 N(u)| on the critical-norm
+unit sphere, where N(u) is the nonlinear term u^(2*-1); every accepted step
+lowers the quotient and the iteration stops once the discrete
+Euler-Lagrange residual reaches solver precision.  Rescaling the minimizer
+by S**(1/(2*-2)) turns it into a candidate solution of the critical
+equation.
 """
 from __future__ import annotations
 
@@ -86,32 +87,16 @@ def quotient(
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Knobs of the projected-gradient minimization.
+    """Stopping rule of the fixed-point minimization.
 
     Attributes
     ----------
-    max_iter : int
-        Gradient-iteration cap.
-    window : int
-        Flat-landing window length for the stopping rule.
-    q_rel_tol : float
-        Stop once the relative quotient decrease over ``window`` iterations
-        falls below this.
-    armijo : float
-        Sufficient-decrease parameter of the backtracking line search.
-    polish : bool
-        Run the monotone fixed-point polish after the gradient phase.
     polish_tol : float
-        Target relative Euler-Lagrange residual for the polish.
+        Stop once the relative Euler-Lagrange residual is at most this.
     polish_max : int
-        Polish-iteration cap.
+        Fixed-point step cap.
     """
 
-    max_iter: int = 20000
-    window: int = 25
-    q_rel_tol: float = 1e-10
-    armijo: float = 1e-4
-    polish: bool = True
     polish_tol: float = 1e-8
     polish_max: int = 500
 
@@ -143,7 +128,6 @@ class MinimizerReport:
     converged: bool
     iterations: int
     trace_q: list[float] = field(repr=False)
-    trace_step: list[float] = field(repr=False)
     max_abs: float
     participation: float
     grad_residual: float
@@ -157,7 +141,7 @@ class MinimizerReport:
             "max_abs": self.max_abs, "participation": self.participation,
             "grad_residual": self.grad_residual,
             "el_residual": self.el_residual,
-            "trace_q": self.trace_q, "trace_step": self.trace_step,
+            "trace_q": self.trace_q,
         }
 
 
@@ -193,12 +177,17 @@ def minimize_quotient(
 ) -> MinimizerReport:
     """Minimize the quotient at weight lam over the constrained space.
 
-    Projected gradient descent on the critical-norm unit sphere: step along
-    the numerator's M-gradient, take nodewise absolute value, renormalize;
-    backtracking line search with halving; stop when the quotient decrease
-    over ``opts.window`` accepted steps is below ``opts.q_rel_tol``
-    relatively, then polish.  The quotient trace is nonincreasing by
-    construction.
+    Monotone fixed point on the critical-norm unit sphere: from the
+    nonlinear coefficients b of the current u, solve (L^s - lam) a = b
+    coefficientwise, take the nodewise absolute value of the synthesized
+    field and renormalize.  A step is accepted only if it does not raise
+    the quotient, so the trace is nonincreasing; ``iterations`` counts the
+    accepted steps, ``len(trace_q) - 1``.  The loop stops once the relative
+    Euler-Lagrange residual is at most ``opts.polish_tol``, at the first
+    step that would raise the quotient, or after ``opts.polish_max`` steps.
+    ``converged`` is True when the residual is at most ``opts.polish_tol``,
+    or when the refused rise is round-off, at most 1e-12 |Q|: the quotient
+    resolves the residual only down to about 1e-8.
 
     If the first-eigenfunction witness quotient is already nonpositive
     (lam at or above the fractional principal eigenvalue), returns
@@ -235,7 +224,7 @@ def minimize_quotient(
         return MinimizerReport(
             lam=float(lam), flag=NONEXISTENCE, witness_quotient=witness,
             value=float("nan"), minimizer=None, converged=False, iterations=0,
-            trace_q=[], trace_step=[], max_abs=float("nan"),
+            trace_q=[], max_abs=float("nan"),
             participation=float("nan"), grad_residual=float("nan"),
             el_residual=float("nan"))
 
@@ -255,69 +244,27 @@ def minimize_quotient(
 
     Q = q_of(a)
     trace_q = [Q]
-    trace_step = [0.0]
-    t = 1.0
-    converged = False
-
-    for _ in range(opts.max_iter):
-        fa = basis.synthesize(lam_s * a)
-        g = 2.0 * (fa - lam * uf)
-        gMg = 4.0 * float(
-            np.sum(lam_s**2 * a**2) - 2.0 * lam * np.sum(lam_s * a**2)
-            + lam**2 * np.sum(a**2))
-        if gMg <= 0:
-            converged = True
-            break
-        t = min(t * 2.0, 1e6)
-        accepted = False
-        while t > 1e-20:
-            trial = np.abs(uf - t * g)
-            c = critical_norm(ops, params, trial)
-            if c > 0:
-                trial = trial / c
-                a_t = basis.coefficients(trial)
-                Q_t = q_of(a_t)
-                if Q_t <= Q - opts.armijo * t * gMg:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            # the line search cannot make progress; a flat landscape at
-            # this scale counts as converged
-            converged = True
-            break
-        uf, a, Q = trial, a_t, Q_t
-        trace_q.append(Q)
-        trace_step.append(t)
-        if len(trace_q) > opts.window:
-            drop = trace_q[-opts.window - 1] - Q
-            if drop < opts.q_rel_tol * max(abs(Q), 1e-300):
-                converged = True
-                break
-
-    iterations = len(trace_q) - 1
-
     b = _nonlinear_coeffs(basis, uf, p)
     el = _el_residual_rel(basis, params, lam, a, Q, b)
-    if opts.polish:
-        for _ in range(opts.polish_max):
-            if el <= opts.polish_tol:
-                break
-            a_hat = b / (lam_s - lam)
-            u_hat = np.abs(basis.synthesize(a_hat))
-            c = critical_norm(ops, params, u_hat)
-            if c <= 0:
-                break
-            u_hat = u_hat / c
-            a_hat = basis.coefficients(u_hat)
-            Q_hat = q_of(a_hat)
-            if Q_hat > Q:
-                break
-            uf, a, Q = u_hat, a_hat, Q_hat
-            trace_q.append(Q)
-            trace_step.append(0.0)
-            b = _nonlinear_coeffs(basis, uf, p)
-            el = _el_residual_rel(basis, params, lam, a, Q, b)
+    rise = float("inf")
+    for _ in range(opts.polish_max):
+        if el <= opts.polish_tol:
+            break
+        # b != 0 and lam < lam_1^s, so u_hat is nonzero
+        u_hat = np.abs(basis.synthesize(b / (lam_s - lam)))
+        u_hat = u_hat / critical_norm(ops, params, u_hat)
+        a_hat = basis.coefficients(u_hat)
+        Q_hat = q_of(a_hat)
+        if Q_hat > Q:
+            rise = Q_hat - Q
+            break
+        uf, a, Q = u_hat, a_hat, Q_hat
+        trace_q.append(Q)
+        b = _nonlinear_coeffs(basis, uf, p)
+        el = _el_residual_rel(basis, params, lam, a, Q, b)
+    # Q resolves el only down to about 1e-8, so a step that raises Q by
+    # round-off alone also marks a stationary point
+    converged = el <= opts.polish_tol or rise <= 1e-12 * abs(Q)
 
     # coefficients of the numerator's M-gradient 2 (L^s - lam) u, minus
     # their component along the constraint normal b
@@ -327,7 +274,7 @@ def minimize_quotient(
     return MinimizerReport(
         lam=float(lam), flag="OK", witness_quotient=witness, value=Q,
         minimizer=Field.from_free(ops, uf), converged=converged,
-        iterations=iterations, trace_q=trace_q, trace_step=trace_step,
+        iterations=len(trace_q) - 1, trace_q=trace_q,
         max_abs=float(np.max(np.abs(uf))),
         participation=_participation(ops, uf),
         grad_residual=grad_res, el_residual=el)

@@ -370,9 +370,8 @@ def _run_minimize(resolved: dict, params: FracParams, sink: _Sink) -> None:
     payload = rep.as_dict()
     payload["lam1s"] = lam1s
     sink.write_json("minimize.json", payload)
-    sink.write_csv("trace.csv", ["iteration", "quotient", "step"], [
-        {"iteration": i, "quotient": q, "step": st}
-        for i, (q, st) in enumerate(zip(rep.trace_q, rep.trace_step))
+    sink.write_csv("trace.csv", ["iteration", "quotient"], [
+        {"iteration": i, "quotient": q} for i, q in enumerate(rep.trace_q)
     ])
     if rep.flag == "OK" and rep.value > 0:
         sol = rescale_to_solution(rep, basis, params)

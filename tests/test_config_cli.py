@@ -1,6 +1,7 @@
 """Config schema, overrides, hashing, and the command-line wrapper."""
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -11,26 +12,54 @@ from fraclap.experiments import RunManifest, emit_plot_data, fmt17, run
 
 
 def test_validate_fills_defaults_without_mutating():
-    cfg = {"solver": {"max_iter": 10}}
+    cfg = {"solver": {"polish_max": 10}}
     resolved = fl.validate(cfg)
     assert resolved["s"] == 0.75
-    assert resolved["solver"]["max_iter"] == 10
-    assert resolved["solver"]["window"] == DEFAULTS["solver"]["window"]
+    assert resolved["solver"]["polish_max"] == 10
+    assert resolved["solver"]["polish_tol"] == DEFAULTS["solver"]["polish_tol"]
     assert resolved["cylinder"] == {"Y": None, "J": 32, "gamma": 3.0}
-    assert cfg == {"solver": {"max_iter": 10}}
+    assert cfg == {"solver": {"polish_max": 10}}
 
 
 def test_validate_lists_every_bad_key():
     cfg = {"bogus": 1, "s": "big",
-           "solver": {"steps": 3, "max_iter": "many"}}
+           "solver": {"steps": 3, "polish_max": "many"}}
     with pytest.raises(fl.ConfigError) as exc:
         fl.validate(cfg)
     keys = exc.value.keys
     assert "bogus" in keys
     assert "s (expected number)" in keys
     assert "solver.steps" in keys
-    assert "solver.max_iter (expected integer)" in keys
+    assert "solver.polish_max (expected integer)" in keys
     assert keys == sorted(keys)
+
+
+def _readme_config_keys() -> set[str]:
+    # dotted names in README code spans and fenced blocks whose first
+    # segment is a top-level config key
+    from fraclap.config import _SCHEMA
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fences = re.findall(r"```.*?```", text, flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text,
+                                              flags=re.S))
+    names = set()
+    for code in fences + spans:
+        names.update(re.findall(r"(?<![\w./])[A-Za-z_]\w*(?:\.\w+)+", code))
+    return {n for n in names if n.split(".")[0] in _SCHEMA}
+
+
+def test_readme_config_keys_resolve_in_schema():
+    from fraclap.config import _SCHEMA
+
+    keys = _readme_config_keys()
+    assert "solver.polish_max" in keys
+    for key in sorted(keys):
+        node = _SCHEMA
+        for part in key.split("."):
+            assert isinstance(node, dict) and part in node, (
+                f"README names {key!r}, which the config schema lacks")
+            node = node[part]
 
 
 def test_validate_rejects_boolean_numbers():
@@ -46,13 +75,13 @@ def test_apply_overrides_parses_json_with_string_fallback():
     cfg = {"s": 0.6}
     out = fl.apply_overrides(cfg, [
         "s=0.8", "domain.kind=box", "cylinder.J=64", "alphas=[1.0,0.5]",
-        "solver.polish=false", "lambda=null",
+        "solver.polish_tol=1e-9", "lambda=null",
     ])
     assert out["s"] == 0.8
     assert out["domain"] == {"kind": "box"}
     assert out["cylinder"]["J"] == 64
     assert out["alphas"] == [1.0, 0.5]
-    assert out["solver"]["polish"] is False
+    assert out["solver"]["polish_tol"] == 1e-9
     assert out["lambda"] is None
     assert cfg == {"s": 0.6}
 
@@ -199,8 +228,8 @@ _BAD_VALUES = [
     ("partition.dirichlet_faces=[[0,2]]", "partition.dirichlet_faces"),
     ('faces=[["y","lo"]]', "faces"),
     ("mode_count=-3", "mode_count"),
-    ("solver.window=0", "solver.window"),
-    ("solver.max_iter=0", "solver.max_iter"),
+    # a deleted solver key is unknown, not out of range
+    ("solver.max_iter=10", "solver.max_iter"),
     ("solver.polish_max=0", "solver.polish_max"),
 ]
 # a 2-d square, so that each subcommand's own requirements are what fails

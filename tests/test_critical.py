@@ -54,6 +54,7 @@ def test_minimize_basic_descent(minrep, square_basis, params2, lam1s):
     assert minrep.converged
     assert 0 < minrep.value < minrep.witness_quotient * (1 + 1e-12)
     assert np.all(np.diff(minrep.trace_q) <= 0)
+    assert minrep.iterations == len(minrep.trace_q) - 1
     assert minrep.el_residual < 1e-6
     assert 0 < minrep.participation <= 1
     vals = minrep.minimizer.values
@@ -115,6 +116,35 @@ def test_cube_pipeline_never_builds_vecs(cube6, params3, monkeypatch):
     norm = fl.frac_norm(basis, params3, sol.v)
     assert rep.converged and np.all(np.isfinite(out.values))
     assert norm > 0
+
+
+@pytest.fixture(scope="module")
+def cube12(params3):
+    mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [12, 12, 12])
+    ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
+    basis = fl.eigendecompose(ops, m="all")
+    return basis, fl.lambda1s(basis, params3)
+
+
+def test_converged_means_stationary(cube12, params3):
+    basis, lam1s = cube12
+    # at 0.55 the residual stalls at about 1.03e-8, just above polish_tol:
+    # the quotient cannot resolve it further, so the refused step raises Q
+    # by round-off only and still counts as converged
+    for fraction in (0.45, 0.5, 0.55):
+        rep = fl.minimize_quotient(basis, params3, fraction * lam1s)
+        assert rep.converged
+        assert rep.el_residual < 1e-6
+    # a bump at the all-Neumann corner (1, 1, 1) runs into a one-node spike
+    # where the next step raises Q by far more than round-off
+    ops = basis.ops
+    corner = fl.Field.from_callable(
+        ops.mesh, ops.partition,
+        lambda x: np.exp(-30.0 * np.sum((x - 1.0) ** 2, axis=1)))
+    rep = fl.minimize_quotient(basis, params3, 0.5 * lam1s, init=corner)
+    assert rep.flag == "OK"
+    assert not rep.converged
+    assert rep.el_residual > 1e-6
 
 
 def test_minimize_nonexistence_regime(square_basis, params2, lam1s):
