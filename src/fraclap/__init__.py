@@ -22,6 +22,7 @@ from .spectral import (
     assemble_operators,
     eigendecompose,
     first_eigenpair,
+    quotient_operator,
     DEFAULT_DOF_CAP,
 )
 from .fractional import (
@@ -101,7 +102,8 @@ __all__ = [
     "build_tensor_mesh", "partition_boundary", "moving_family",
     "cone_domain",
     "OperatorPair", "SpectralBasis", "DofCapError", "assemble_operators",
-    "eigendecompose", "first_eigenpair", "DEFAULT_DOF_CAP",
+    "eigendecompose", "first_eigenpair", "quotient_operator",
+    "DEFAULT_DOF_CAP",
     "FracParams", "Field", "ConstantsReport", "QuotientReport",
     "TruncatedBasisError", "CalibrationError", "mode_field", "frac_apply",
     "frac_norm", "spectral_tail_bound", "lambda1s", "critical_exponent",

@@ -7,6 +7,14 @@ lowers the quotient and the iteration stops once the discrete
 Euler-Lagrange residual reaches solver precision.  Rescaling the minimizer
 by S**(1/(2*-2)) turns it into a candidate solution of the critical
 equation.
+
+The operator enters only through lambda_1, phi_1, the coordinate maps, L^s
+and (L^s - lam)^-1.  A complete :class:`~fraclap.spectral.SpectralBasis`
+gives them coefficientwise from its eigenvalues; on a partial-facet
+partition a :class:`~fraclap.spectral.ConstrainedOperator` gives them with
+no spectrum beyond lambda_1, from Gauss-Jacobi sums of capacitance-corrected
+shifted solves.  :func:`~fraclap.spectral.quotient_operator` picks one by
+the partition's shape.
 """
 from __future__ import annotations
 
@@ -25,11 +33,16 @@ from .fractional import (
 )
 from .mesh import Mesh
 from .spectral import (
+    ConstrainedOperator,
     OperatorPair,
     SpectralBasis,
     assemble_operators,
-    eigendecompose,
+    quotient_operator,
 )
+
+# what the minimizer runs on: a complete basis, or a partial-facet
+# partition's operator without its spectrum (see quotient_operator)
+Operator = SpectralBasis | ConstrainedOperator
 
 __all__ = [
     "MinimizeOptions",
@@ -49,7 +62,7 @@ NONEXISTENCE = "NONEXISTENCE-REGIME"
 
 
 def quotient(
-    basis: SpectralBasis,
+    basis: Operator,
     params: FracParams,
     lam: float,
     u: Field,
@@ -58,8 +71,8 @@ def quotient(
 
     Parameters
     ----------
-    basis : SpectralBasis
-        Complete basis on the field's partition.
+    basis : SpectralBasis or ConstrainedOperator
+        Complete basis on the field's partition, or its operator.
     params : FracParams
     lam : float
         Linear-term weight.
@@ -77,7 +90,7 @@ def quotient(
     if not np.any(uf):
         raise ValueError("quotient undefined at the zero field")
     a = basis.coefficients(uf)
-    energy = float(np.sum(basis.lams**params.s * a**2))
+    energy, _ = basis.form(a, params.s)
     l2_sq = float(uf @ (ops.M @ uf))
     crit_sq = critical_norm(ops, params, uf) ** 2
     return QuotientReport(
@@ -145,7 +158,7 @@ class MinimizerReport:
         }
 
 
-def _nonlinear_coeffs(basis: SpectralBasis, uf: np.ndarray, p: float) -> np.ndarray:
+def _nonlinear_coeffs(basis: Operator, uf: np.ndarray, p: float) -> np.ndarray:
     # coefficients of M^{-1}(lumped * u^(p-1)); the discrete dual of the
     # nonlinear term under the lumped critical quadrature
     return basis.dual(basis.ops.lumped * np.abs(uf) ** (p - 1.0))
@@ -160,16 +173,16 @@ def _participation(ops: OperatorPair, uf: np.ndarray) -> float:
 
 
 def _el_residual_rel(
-    basis: SpectralBasis, params: FracParams, lam: float,
-    a: np.ndarray, mult: float, b: np.ndarray,
+    lam: float, a: np.ndarray, la: np.ndarray, mult: float, b: np.ndarray,
 ) -> float:
-    rho = basis.lams**params.s * a - lam * a - mult * b
-    denom = float(np.linalg.norm(basis.lams**params.s * a))
+    # la is L^s a
+    rho = la - lam * a - mult * b
+    denom = float(np.linalg.norm(la))
     return float(np.linalg.norm(rho)) / max(denom, 1e-300)
 
 
 def minimize_quotient(
-    basis: SpectralBasis,
+    basis: Operator,
     params: FracParams,
     lam: float,
     init: Field | None = None,
@@ -178,10 +191,10 @@ def minimize_quotient(
     """Minimize the quotient at weight lam over the constrained space.
 
     Monotone fixed point on the critical-norm unit sphere: from the
-    nonlinear coefficients b of the current u, solve (L^s - lam) a = b
-    coefficientwise, take the nodewise absolute value of the synthesized
-    field and renormalize.  A step is accepted only if it does not raise
-    the quotient, so the trace is nonincreasing; ``iterations`` counts the
+    nonlinear coefficients b of the current u, solve (L^s - lam) a = b,
+    take the nodewise absolute value of the synthesized field and
+    renormalize.  A step is accepted only if it does not raise the
+    quotient, so the trace is nonincreasing; ``iterations`` counts the
     accepted steps, ``len(trace_q) - 1``.  The loop stops once the relative
     Euler-Lagrange residual is at most ``opts.polish_tol``, at the first
     step that would raise the quotient, or after ``opts.polish_max`` steps.
@@ -189,14 +202,20 @@ def minimize_quotient(
     or when the refused rise is round-off, at most 1e-12 |Q|: the quotient
     resolves the residual only down to about 1e-8.
 
+    The operator enters only through lambda_1, phi_1, the coordinate maps,
+    L^s and (L^s - lam)^-1, so a complete basis (coefficientwise, exact)
+    and a :class:`~fraclap.spectral.ConstrainedOperator` (spectrum-free,
+    rational) serve alike.
+
     If the first-eigenfunction witness quotient is already nonpositive
     (lam at or above the fractional principal eigenvalue), returns
     immediately with the NONEXISTENCE-REGIME flag.
 
     Parameters
     ----------
-    basis : SpectralBasis
-        Complete basis on the target partition.
+    basis : SpectralBasis or ConstrainedOperator
+        Complete basis on the target partition, or the partition's
+        operator from :func:`~fraclap.spectral.quotient_operator`.
     params : FracParams
     lam : float
         Nonnegative weight.
@@ -215,11 +234,11 @@ def minimize_quotient(
     opts = opts or MinimizeOptions()
     ops = basis.ops
     p = params.two_star
-    lam_s = basis.lams**params.s
+    s = params.s
 
     phi1 = basis.eigenfunction(1)[ops.free]
     witness = float(
-        (lam_s[0] - lam) / critical_norm(ops, params, phi1) ** 2)
+        (basis.lam1s(s) - lam) / critical_norm(ops, params, phi1) ** 2)
     if witness <= 0.0:
         return MinimizerReport(
             lam=float(lam), flag=NONEXISTENCE, witness_quotient=witness,
@@ -239,36 +258,37 @@ def minimize_quotient(
     uf = uf / critical_norm(ops, params, uf)
     a = basis.coefficients(uf)
 
-    def q_of(coeffs: np.ndarray) -> float:
-        return float(np.sum(lam_s * coeffs**2) - lam * np.sum(coeffs**2))
+    def q_of(coeffs: np.ndarray) -> tuple[float, np.ndarray]:
+        energy, l_coeffs = basis.form(coeffs, s)
+        return float(energy - lam * np.sum(coeffs**2)), l_coeffs
 
-    Q = q_of(a)
+    Q, la = q_of(a)
     trace_q = [Q]
     b = _nonlinear_coeffs(basis, uf, p)
-    el = _el_residual_rel(basis, params, lam, a, Q, b)
+    el = _el_residual_rel(lam, a, la, Q, b)
     rise = float("inf")
     for _ in range(opts.polish_max):
         if el <= opts.polish_tol:
             break
         # b != 0 and lam < lam_1^s, so u_hat is nonzero
-        u_hat = np.abs(basis.synthesize(b / (lam_s - lam)))
+        u_hat = np.abs(basis.synthesize(basis.resolvent(b, s, lam)))
         u_hat = u_hat / critical_norm(ops, params, u_hat)
         a_hat = basis.coefficients(u_hat)
-        Q_hat = q_of(a_hat)
+        Q_hat, la_hat = q_of(a_hat)
         if Q_hat > Q:
             rise = Q_hat - Q
             break
-        uf, a, Q = u_hat, a_hat, Q_hat
+        uf, a, la, Q = u_hat, a_hat, la_hat, Q_hat
         trace_q.append(Q)
         b = _nonlinear_coeffs(basis, uf, p)
-        el = _el_residual_rel(basis, params, lam, a, Q, b)
+        el = _el_residual_rel(lam, a, la, Q, b)
     # Q resolves el only down to about 1e-8, so a step that raises Q by
     # round-off alone also marks a stationary point
     converged = el <= opts.polish_tol or rise <= 1e-12 * abs(Q)
 
     # coefficients of the numerator's M-gradient 2 (L^s - lam) u, minus
     # their component along the constraint normal b
-    a_g = 2.0 * (lam_s - lam) * a
+    a_g = 2.0 * basis.power(a, s, lam)
     grad_res = float(np.linalg.norm(a_g - (a_g @ b) / (b @ b) * b))
 
     return MinimizerReport(
@@ -281,7 +301,7 @@ def minimize_quotient(
 
 
 def sobolev_constant_dirichlet(
-    basis: SpectralBasis,
+    basis: Operator,
     params: FracParams,
     opts: MinimizeOptions | None = None,
 ) -> MinimizerReport:
@@ -292,7 +312,7 @@ def sobolev_constant_dirichlet(
     """
     rep = minimize_quotient(basis, params, lam=0.0, opts=opts)
     vol = basis.ops.mesh.volume
-    bound = vol ** (2.0 * params.s / params.N) * basis.lams[0] ** params.s
+    bound = vol ** (2.0 * params.s / params.N) * basis.lam1 ** params.s
     if not rep.value <= bound * (1.0 + 1e-10):
         raise AssertionError(
             f"constrained constant {rep.value} exceeds its eigenvalue bound "
@@ -323,7 +343,7 @@ class SolutionReport:
 
 def rescale_to_solution(
     minrep: MinimizerReport,
-    basis: SpectralBasis,
+    basis: Operator,
     params: FracParams,
 ) -> SolutionReport:
     """Rescale a minimizer so it solves the critical equation.
@@ -341,6 +361,11 @@ def rescale_to_solution(
     if minrep.flag != "OK" or minrep.minimizer is None:
         raise ValueError("cannot rescale: minimization was in the "
                          "nonexistence regime")
+    if not minrep.converged:
+        raise ValueError(
+            f"cannot rescale: minimization did not converge (Euler-Lagrange "
+            f"residual {minrep.el_residual:.3g}), so the minimizer is no "
+            f"critical point")
     if minrep.value <= 0:
         raise ValueError("cannot rescale a nonpositive quotient value")
     ops = basis.ops
@@ -352,16 +377,16 @@ def rescale_to_solution(
     uf = minrep.minimizer.free_values(ops)
     a = basis.coefficients(uf)
     b = _nonlinear_coeffs(basis, uf, p)
-    lam_s = basis.lams**params.s
-    rho = k * (lam_s * a - lam * a - S * b)
+    energy_a, la = basis.form(a, params.s)
+    rho = k * (la - lam * a - S * b)
     res_free = basis.synthesize(rho)
-    denom = k * float(np.linalg.norm(lam_s * a))
+    denom = k * float(np.linalg.norm(la))
     residual_rel = float(np.linalg.norm(rho)) / max(denom, 1e-300)
 
     v = Field.from_free(ops, k * uf)
     interior = ops.mesh.interior_node_mask
     min_interior = float(np.min(v.values[interior]))
-    energy = (0.5 * k**2 * float(np.sum(lam_s * a**2))
+    energy = (0.5 * k**2 * energy_a
               - 0.5 * lam * k**2 * float(np.sum(a**2))
               - (k**p / p) * 1.0)
     return SolutionReport(
@@ -382,7 +407,7 @@ class SweepResult:
 
 
 def sweep_lambda(
-    basis: SpectralBasis,
+    basis: Operator,
     params: FracParams,
     lam_grid,
     opts: MinimizeOptions | None = None,
@@ -398,7 +423,7 @@ def sweep_lambda(
     -------
     SweepResult
     """
-    lam1s = float(basis.lams[0] ** params.s)
+    lam1s = float(basis.lam1 ** params.s)
     grid = np.sort(np.asarray(list(lam_grid), dtype=float))
     if grid.size == 0:
         raise ValueError("empty lambda grid")
@@ -458,7 +483,12 @@ def move_boundary_experiment(
     constant at lam = 0, and whether |Omega|^(2s/N) lambda_1^s has dropped
     below the attainment threshold; the first alpha where it has is
     ``onset_alpha`` (NaN if none).  Eigenvalue columns are monotone
-    nonincreasing as alpha decreases, which is asserted.
+    nonincreasing as alpha decreases, which is asserted.  Each alpha runs
+    on :func:`~fraclap.spectral.quotient_operator`: a complete Kronecker
+    basis when the partition is face-aligned, otherwise the spectrum-free
+    operator, whose measured rational error is the row's
+    ``frac_rel_error`` (0.0 on face-aligned rows).  No alpha needs a dense
+    eigensolve, so ``dof_cap`` does not apply.
 
     Parameters
     ----------
@@ -492,11 +522,12 @@ def move_boundary_experiment(
     prev = None
     for alpha_req, part in zip(alphas, parts):
         ops = assemble_operators(mesh, part)
-        basis = eigendecompose(ops, m="all")
-        lam11 = float(basis.lams[0])
+        basis = quotient_operator(ops)
+        lam11 = float(basis.lam1)
         lam1s_val = lam11**params.s
         srep = sobolev_constant_dirichlet(basis, params, opts)
-        # release this alpha's basis before the next eigensolve, so
+        frac_err = basis.frac_rel_error(params.s)
+        # release this alpha's operator before the next one is built, so
         # two complete bases never coexist
         del basis
         bound = vol_pow * lam1s_val
@@ -516,5 +547,6 @@ def move_boundary_experiment(
             "bound": bound,
             "threshold": thr,
             "sufficient": sufficient,
+            "frac_rel_error": frac_err,
         })
     return MoveBoundaryResult(rows=rows, threshold=thr, onset_alpha=onset)

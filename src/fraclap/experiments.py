@@ -45,7 +45,7 @@ from .pohozaev import (
     nonexistence_check,
     pohozaev_terms,
 )
-from .spectral import assemble_operators, eigendecompose
+from .spectral import assemble_operators, eigendecompose, quotient_operator
 
 __all__ = [
     "ExperimentError",
@@ -361,8 +361,8 @@ def _run_extend_check(resolved: dict, params: FracParams, sink: _Sink) -> None:
 def _run_minimize(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
-    basis = eigendecompose(ops, m="all")
-    lam1s = float(basis.lams[0] ** params.s)
+    basis = quotient_operator(ops)
+    lam1s = float(basis.lam1 ** params.s)
     lam = resolve_lambda(resolved["lambda"], lam1s)
     rep = minimize_quotient(basis, params, lam,
                             init=_initial_field(resolved, ops),
@@ -373,7 +373,7 @@ def _run_minimize(resolved: dict, params: FracParams, sink: _Sink) -> None:
     sink.write_csv("trace.csv", ["iteration", "quotient"], [
         {"iteration": i, "quotient": q} for i, q in enumerate(rep.trace_q)
     ])
-    if rep.flag == "OK" and rep.value > 0:
+    if rep.flag == "OK" and rep.converged and rep.value > 0:
         sol = rescale_to_solution(rep, basis, params)
         sink.write_json("solution.json", sol.as_dict())
 
@@ -381,8 +381,8 @@ def _run_minimize(resolved: dict, params: FracParams, sink: _Sink) -> None:
 def _run_sweep(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
-    basis = eigendecompose(ops, m="all")
-    lam1s = float(basis.lams[0] ** params.s)
+    basis = quotient_operator(ops)
+    lam1s = float(basis.lam1 ** params.s)
     grid = [resolve_lambda(v, lam1s) for v in resolved["lambda_grid"]]
     result = sweep_lambda(basis, params, grid, opts=_options(resolved))
     header = ["lam", "nonexistence", "witness_quotient", "S_lambda",
@@ -399,7 +399,7 @@ def _run_move_boundary(resolved: dict, params: FracParams, sink: _Sink) -> None:
         faces=resolved.get("faces") or None,
         opts=_options(resolved))
     header = ["alpha_requested", "alpha", "lam_1_1", "lam_1_s", "S_tilde",
-              "bound", "threshold", "sufficient"]
+              "bound", "threshold", "sufficient", "frac_rel_error"]
     sink.write_csv("move_boundary.csv", header, result.rows)
     sink.write_json("move_boundary.json", {
         "threshold": result.threshold,
@@ -434,8 +434,8 @@ def _run_pohozaev(resolved: dict, params: FracParams, sink: _Sink) -> None:
         level_cfg["cylinder"]["J"] = int(J)
         mesh, part = build_domain(level_cfg)
         ops = assemble_operators(mesh, part)
-        basis = eigendecompose(ops, m="all")
-        lam1s = float(basis.lams[0] ** params.s)
+        basis = quotient_operator(ops)
+        lam1s = float(basis.lam1 ** params.s)
         lam = resolve_lambda(resolved["lambda"], lam1s)
         rep = minimize_quotient(basis, params, lam, opts=_options(resolved))
         if rep.flag != "OK":
@@ -443,7 +443,7 @@ def _run_pohozaev(resolved: dict, params: FracParams, sink: _Sink) -> None:
                 "minimize", f"level {idx}: lambda {lam} is in the "
                 f"nonexistence regime (lam1s={lam1s})")
         sol = rescale_to_solution(rep, basis, params)
-        cyl = _cylinder_for(level_cfg, mesh, float(basis.lams[0]))
+        cyl = _cylinder_for(level_cfg, mesh, float(basis.lam1))
         w = extend(cyl, part, params, sol.v)
         nl = _nonlinearity(resolved, params, lam)
         report = pohozaev_terms(sol.v, w, nl, params, kappa, x0)

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from ._weighted1d import graded_grid, weighted_matrices, weighted_slope_limit
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import OperatorPair, assemble_operators
+from .spectral import OperatorPair, _CapacitanceKernel, assemble_operators
 
 __all__ = [
     "CylinderMesh",
@@ -134,23 +133,17 @@ def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
 
     On face-aligned partitions A and M are diagonal in the Kronecker basis
     of ``ops.tensor``, so each solve is two per-axis contractions and a
-    division by (lambda_i + theta_j).  Other partitions factor each shifted
-    matrix once.
+    division by (lambda_i + theta_j).  Partial-facet partitions add the
+    capacitance correction of their relaxation's kernel, one r x r
+    Cholesky factor per shift; no shifted matrix is factored.
     """
     t = ops.tensor
     if t is not None:
         denom = t.values[:, None] + theta[None, :]
         return lambda B: t.synthesize(t.dual(B) / denom)
-
-    factors = [spla.splu((ops.A + th * ops.M).tocsc()) for th in theta]
-
-    def solve(B: np.ndarray) -> np.ndarray:
-        X = np.empty_like(B)
-        for j, lu in enumerate(factors):
-            X[:, j] = lu.solve(B[:, j])
-        return X
-
-    return solve
+    kernel = _CapacitanceKernel(*ops._relaxation)
+    shifts = kernel.shifts(theta)
+    return lambda B: kernel.synthesize(kernel.solve(kernel.dual(B), shifts))
 
 
 # one-slot cache: y-direction eigenpairs plus the base shifted solver
@@ -188,8 +181,10 @@ def extend(
     base system (A + theta_j M) per weighted y-eigenvalue theta_j.  On
     face-aligned partitions (every face wholly Dirichlet or wholly Neumann)
     those are solved in the Kronecker basis of 1-D eigenvectors, with no
-    factorization; on other partitions each shifted matrix is factored once
-    per cylinder and partition, and no base-operator spectrum is involved.
+    factorization; on other partitions the same solves get a capacitance
+    correction at the nodes that the face-aligned relaxation frees, with
+    one small Cholesky factor per theta_j, built once per cylinder and
+    partition.  No base-operator spectrum is involved either way.
 
     Parameters
     ----------

@@ -22,6 +22,16 @@ on the r nodes R frees and it does not; in R's eigen-coordinates that is
 a standard eigenproblem of a diagonal plus a rank-2r term, the
 constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
 George & Golub 1971), solved densely up to ``dof_cap`` free nodes.
+
+The critical quotient needs no such eigensolve.  In the same coordinates
+a shifted solve (A + theta M) x = b of a partial-facet partition is a
+diagonal solve plus a Lagrange correction through an r x r capacitance
+matrix (``_CapacitanceKernel``), which also serves ``extend``.  A
+Gauss-Jacobi rule for the Balakrishnan integral (Aceto & Novati 2017)
+turns L^-a into one kernel call over all its shifts, so
+:class:`ConstrainedOperator` gives L^s and (L^s - lam)^-1 with only
+lambda_1 and phi_1 computed, at any size; :func:`quotient_operator`
+chooses it or a complete basis by the partition's shape.
 """
 from __future__ import annotations
 
@@ -44,6 +54,8 @@ __all__ = [
     "eigendecompose",
     "first_eigenpair",
     "DofCapError",
+    "ConstrainedOperator",
+    "quotient_operator",
 ]
 
 DEFAULT_DOF_CAP = 3000
@@ -374,6 +386,7 @@ class SpectralBasis:
         self._vecs = vecs
         self._order = order
         self._signs = signs
+        self._powers: dict[float, np.ndarray] = {}
         m = len(lams)
         if vecs is not None:
             ok = (order is None and signs is None
@@ -434,6 +447,39 @@ class SpectralBasis:
     def coefficients(self, values_free: np.ndarray) -> np.ndarray:
         """M-inner products of a free-node vector with each eigenvector."""
         return self.dual(self.ops.M @ values_free)
+
+    # the quotient's view of the operator, coefficientwise; shared with
+    # ConstrainedOperator, and exact on the span of the basis
+
+    @property
+    def lam1(self) -> float:
+        return self.lams[0]
+
+    def _lam_s(self, s: float) -> np.ndarray:
+        out = self._powers.get(s)
+        if out is None:
+            out = self._powers[s] = self.lams**s
+        return out
+
+    def lam1s(self, s: float) -> float:
+        return self._lam_s(s)[0]
+
+    def power(self, c: np.ndarray, s: float, lam: float = 0.0) -> np.ndarray:
+        """(L^s - lam) c."""
+        return (self._lam_s(s) - lam) * c
+
+    def form(self, c: np.ndarray, s: float) -> tuple[float, np.ndarray]:
+        """<L^s c, c> and L^s c."""
+        lam_s = self._lam_s(s)
+        return float(np.sum(lam_s * c**2)), lam_s * c
+
+    def resolvent(self, b: np.ndarray, s: float, lam: float) -> np.ndarray:
+        """(L^s - lam)^-1 b."""
+        return b / (self._lam_s(s) - lam)
+
+    def frac_rel_error(self, s: float) -> float:
+        """Error of the power against the basis's own eigenvalues: none."""
+        return 0.0
 
     def eigenfunction(self, k: int) -> np.ndarray:
         """Eigenvector k scattered to all mesh nodes (zeros on Dirichlet).
@@ -518,6 +564,17 @@ def _constrained_eigh(relaxed: TensorEigs, pos: np.ndarray,
     return mu, relaxed.synthesize(C)[pos]
 
 
+def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # lowest k eigenpairs by shift-invert Lanczos, ascending; eigsh returns
+    # M-orthonormal columns for the generalized problem
+    n = ops.n_free
+    # deterministic start vector; shift-invert targets the low end
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    lams, vecs = spla.eigsh(ops.A, k=k, M=ops.M, sigma=0.0, v0=v0)
+    order = np.argsort(lams)
+    return lams[order], vecs[:, order]
+
+
 def eigendecompose(
     ops: OperatorPair,
     m: int | str = "all",
@@ -538,7 +595,8 @@ def eigendecompose(
     ``eigh`` in the eigen-coordinates of their face-aligned relaxation,
     O(n^3) and bounded by ``dof_cap`` free nodes, for any m up to n; above
     the cap shift-invert Lanczos serves at most 32 pairs.  Their bases keep
-    the dense eigenvectors.
+    the dense eigenvectors.  The critical quotient on such a partition
+    needs none of this: see :func:`quotient_operator`.
 
     Parameters
     ----------
@@ -588,12 +646,7 @@ def eigendecompose(
     if n <= dof_cap:
         lams, vecs = _constrained_eigh(*ops._relaxation, k)
     else:
-        # deterministic start vector; shift-invert targets the low end
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        lams, vecs = spla.eigsh(ops.A, k=k, M=ops.M, sigma=0.0, v0=v0)
-        order = np.argsort(lams)
-        lams, vecs = lams[order], vecs[:, order]
-        # eigsh returns M-orthonormal columns for the generalized problem
+        lams, vecs = _lanczos(ops, k)
 
     return SpectralBasis(
         lams=np.ascontiguousarray(lams),
@@ -623,3 +676,308 @@ def first_eigenpair(ops: OperatorPair) -> tuple[float, np.ndarray]:
             "first eigenvector is not strictly positive on interior nodes",
             RuntimeWarning, stacklevel=2)
     return lam1, phi1
+
+
+# a Gauss-Jacobi rule for L^-a gains nodes until the measured sup of
+# |f(lam) lam^a - 1| over [lam_1, lam_max(R)] is at most this
+_RULE_TOL = 1e-12
+_RULE_MAX_NODES = 400
+# sample points of that sup per node of the rule
+_RULE_SAMPLES = 50
+# CG on (I - lam L^-s) stops at this residual relative to its right side
+_CG_TOL = 1e-13
+_CG_MAX_ITER = 2000
+# entries of one block of row-pair products of B when every C_theta of a
+# shift set is formed
+_CHUNK_ENTRIES = 1 << 22
+
+
+@dataclass(frozen=True, eq=False)
+class _Shifts:
+    """Shifts theta_j with 1 / (Lambda_R + theta_j) and inverse factors.
+
+    ``H[:, j]`` is 1 / (Lambda_R + theta_j); ``Linv[j]`` is the inverse of
+    the lower Cholesky factor of C_theta_j, so applying all r x r inverses
+    is two batched products.
+    """
+
+    theta: np.ndarray
+    H: np.ndarray = field(repr=False)
+    Linv: np.ndarray = field(repr=False)
+
+    def solve(self, V: np.ndarray) -> np.ndarray:
+        """C_theta_j^-1 v_j for each column v_j of V, (r, k)."""
+        W = np.matmul(self.Linv, V.T[:, :, None])
+        return np.matmul(self.Linv.transpose(0, 2, 1), W)[:, :, 0].T
+
+
+class _CapacitanceKernel:
+    """Shifted solves of a partial-facet partition, with no factorization of A.
+
+    In the eigen-coordinates c of the face-aligned relaxation R (x = V_R c)
+    the partition's space is null(B), B = V_R[D, :] for the r nodes D that
+    R frees and the partition does not; there the mass is I and the
+    stiffness is Pi Lambda_R Pi, with Pi the orthogonal projector onto
+    null(B).  The solution in null(B) of (Pi Lambda_R Pi + theta) c = Pi g
+    is the diagonal solve with a Lagrange correction (Buzbee, Dorr, George
+    & Golub 1971):
+
+        c = (g - B^T z) / (Lambda_R + theta),  C_theta z = B (g / (Lambda_R + theta)),
+
+    where the capacitance matrix C_theta = B (Lambda_R + theta)^-1 B^T is
+    r x r and positive definite for theta > 0, singular R included.  B is
+    held densely, r x n_R.
+    """
+
+    def __init__(self, relaxed: TensorEigs, pos: np.ndarray) -> None:
+        self.relaxed = relaxed
+        self.pos = pos
+        self.lam = relaxed.values
+        cut = np.ones(len(self.lam), dtype=bool)
+        cut[pos] = False
+        self.B = relaxed.rows(np.flatnonzero(cut))
+        self._gram = scipy.linalg.cho_factor(self.B @ self.B.T, lower=True)
+
+    def project(self, c: np.ndarray) -> np.ndarray:
+        """Pi c, the orthogonal projection onto null(B)."""
+        return c - self.B.T @ scipy.linalg.cho_solve(self._gram, self.B @ c)
+
+    def dual(self, f: np.ndarray) -> np.ndarray:
+        """Pi V_R^T f, f given at the partition's free nodes, (n,) or (n, k)."""
+        x = np.zeros((len(self.lam),) + f.shape[1:])
+        x[self.pos] = f
+        g = self.relaxed.dual(x.reshape(len(self.lam), -1)).reshape(x.shape)
+        return self.project(g)
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """(V_R c) at the partition's free nodes, (n_R,) or (n_R, k)."""
+        x = self.relaxed.synthesize(c.reshape(len(self.lam), -1))
+        return x[self.pos].reshape((len(self.pos),) + c.shape[1:])
+
+    def shifts(self, theta: np.ndarray) -> _Shifts:
+        """Factor C_theta for every shift in ``theta`` (all positive)."""
+        theta = np.asarray(theta, dtype=float)
+        H = 1.0 / (self.lam[:, None] + theta[None, :])
+        B = self.B
+        r, n_r = B.shape
+        # every C_theta at once: entry (a, b) of all of them is the row
+        # B[a] * B[b] times H, one product per block of pairs a <= b
+        rows, cols = np.triu_indices(r)
+        C = np.empty((len(theta), r, r))
+        step = max(1, _CHUNK_ENTRIES // n_r)
+        for i in range(0, len(rows), step):
+            a, b = rows[i:i + step], cols[i:i + step]
+            C[:, a, b] = C[:, b, a] = ((B[a] * B[b]) @ H).T
+        Linv = np.linalg.cholesky(C)
+        for L in Linv:
+            L[:], info = scipy.linalg.lapack.dtrtri(L, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtrtri failed with info={info}")
+        return _Shifts(theta=theta, H=H, Linv=Linv)
+
+    def solve(self, G: np.ndarray, sh: _Shifts) -> np.ndarray:
+        """Column j of the result solves (Pi Lambda_R Pi + theta_j) c = Pi g_j."""
+        Z = sh.solve(self.B @ (G * sh.H))
+        return (G - self.B.T @ Z) * sh.H
+
+    def weighted(self, g: np.ndarray, sh: _Shifts,
+                 w: np.ndarray) -> np.ndarray:
+        """sum_j w_j (Pi Lambda_R Pi + theta_j)^-1 Pi g for one vector g."""
+        Z = sh.solve((self.B * g) @ sh.H)
+        return g * (sh.H @ w) - np.einsum("ij,ij->i", self.B.T @ Z, sh.H * w)
+
+
+def _gauss_jacobi(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1 - x)^-a (1 + x)^(a-1) on (-1, 1).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic Jacobi recurrence with alpha = -a, beta = a - 1 (alpha + beta =
+    -1, where the textbook coefficients for k = 0 and 1 are 0/0 and are
+    taken in the limit), the weights mu_0 times the squared first
+    eigenvector components, mu_0 = Gamma(1 - a) Gamma(a) = pi / sin(pi a).
+    """
+    k = np.arange(1, n, dtype=float)
+    diag = np.empty(n)
+    diag[0] = 2.0 * a - 1.0
+    diag[1:] = (1.0 - 2.0 * a) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))
+    off_sq = (k - a) * (k + a - 1.0) / (2.0 * k - 1.0) ** 2
+    if n > 1:
+        off_sq[0] = 2.0 * a * (1.0 - a)
+    x, V = scipy.linalg.eigh_tridiagonal(diag, np.sqrt(off_sq))
+    return x, (math.pi / math.sin(math.pi * a)) * V[0] ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class _PowerRule:
+    """L^-a ~ sum_j w_j (L + theta_j)^-1 with its measured relative error."""
+
+    weights: np.ndarray = field(repr=False)
+    shifts: _Shifts
+    error: float
+
+
+def _power_rule(kernel: _CapacitanceKernel, a: float, lam1: float) -> _PowerRule:
+    """Gauss-Jacobi quadrature of the Balakrishnan integral for L^-a.
+
+    L^-a = sin(pi a)/pi int_0^inf t^-a (L + t)^-1 dt.  With t = tau (1 - x)
+    / (1 + x) and tau = sqrt(lam_1 lam_max), the integrand is the Jacobi
+    weight (1 - x)^-a (1 + x)^(a-1) times a function smooth on [-1, 1]
+    (Aceto & Novati 2017), so Gauss-Jacobi nodes x_j give the shifts
+    theta_j = tau (1 - x_j) / (1 + x_j).  Nodes are added until the sup of
+    |f(lam) lam^a - 1| over [lam_1, lam_max], sampled densely on a
+    logarithmic grid, is at most ``_RULE_TOL``; lam_max is the relaxation's
+    largest eigenvalue, which bounds the partition's.  The error falls
+    like rho^(-2n), rho = x* + sqrt(x*^2 - 1) for the integrand's nearest
+    pole x* = (tau + lam_1) / (tau - lam_1), which sizes each increase of n.
+    """
+    lam_max = float(kernel.lam.max())
+    tau = math.sqrt(lam1 * lam_max)
+    pole = (tau + lam1) / (tau - lam1)
+    log_rho = math.log(pole + math.sqrt(pole * pole - 1.0))
+    n = 16
+    while True:
+        x, omega = _gauss_jacobi(a, n)
+        theta = tau * (1.0 - x) / (1.0 + x)
+        weights = (2.0 * math.sin(math.pi * a) / math.pi
+                   * tau ** (1.0 - a) * omega / (1.0 + x))
+        grid = np.geomspace(lam1, lam_max, _RULE_SAMPLES * n)
+        f = (weights / (grid[:, None] + theta[None, :])).sum(axis=1)
+        error = float(np.max(np.abs(f * grid**a - 1.0)))
+        if error <= _RULE_TOL:
+            return _PowerRule(weights=weights,
+                              shifts=kernel.shifts(theta), error=error)
+        if n >= _RULE_MAX_NODES:
+            raise RuntimeError(
+                f"L^-{a} rule reached {error:.1e} > {_RULE_TOL:.0e} with "
+                f"{n} shifts")
+        gain = math.ceil(math.log(error / _RULE_TOL) / (2.0 * log_rho))
+        n = min(n + max(4, gain), _RULE_MAX_NODES)
+
+
+class ConstrainedOperator:
+    """The operator of a partial-facet partition without its spectrum.
+
+    Serves the critical quotient where a complete basis would need a dense
+    eigensolve.  Coordinates are those of the face-aligned relaxation R's
+    Kronecker eigenbasis, restricted to the partition's subspace null(B)
+    (see :class:`_CapacitanceKernel`): Euclidean products of coordinates are
+    M-products of fields, as with a complete :class:`SpectralBasis`, but a
+    coordinate vector has R's n_R entries.  Only lambda_1 and phi_1 are
+    computed, by shift-invert Lanczos.  L^-a (0 < a < 1) is a Gauss-Jacobi
+    sum of shifted solves, each apply one capacitance-corrected kernel
+    call for all shifts; L^s c = Pi (Lambda_R L^-(1-s) c); (L^s - lam)^-1
+    is L^-s at lam = 0 and CG on (I - lam L^-s) otherwise, whose condition
+    number is at most 1 / (1 - lam / lambda_1^s).  Rules are built on
+    first use, one per power.
+
+    Parameters
+    ----------
+    ops : OperatorPair
+        A partial-facet partition's pair (``ops.tensor`` is None).
+    """
+
+    complete = True
+
+    def __init__(self, ops: OperatorPair) -> None:
+        if ops._relaxation is None:
+            raise ValueError("face-aligned partition: use eigendecompose")
+        self.ops = ops
+        self._kernel = _CapacitanceKernel(*ops._relaxation)
+        lams, vecs = _lanczos(ops, 1)
+        self.lam1 = float(lams[0])
+        self._phi1 = _sign_normalize(vecs)[:, 0]
+        self._rules: dict[float, _PowerRule] = {}
+
+    def __repr__(self) -> str:
+        return f"ConstrainedOperator(lam1={self.lam1!r}, ops={self.ops!r})"
+
+    def eigenfunction(self, k: int) -> np.ndarray:
+        """phi_1 scattered to all mesh nodes; only k = 1 is available."""
+        if k != 1:
+            raise IndexError(f"mode {k} not available; only the first is "
+                             f"computed")
+        full = np.zeros(self.ops.mesh.n_nodes)
+        full[self.ops.free] = self._phi1
+        return full
+
+    def dual(self, f: np.ndarray) -> np.ndarray:
+        """Coordinates of M^-1 f for a free-node vector f."""
+        return self._kernel.dual(np.asarray(f, dtype=float))
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """Free-node values of the field with coordinates c."""
+        return self._kernel.synthesize(np.asarray(c, dtype=float))
+
+    def coefficients(self, values_free: np.ndarray) -> np.ndarray:
+        """Coordinates of a free-node field."""
+        return self.dual(self.ops.M @ values_free)
+
+    def _rule(self, a: float) -> _PowerRule:
+        rule = self._rules.get(a)
+        if rule is None:
+            rule = self._rules[a] = _power_rule(self._kernel, a, self.lam1)
+        return rule
+
+    def inverse_power(self, c: np.ndarray, a: float) -> np.ndarray:
+        """L^-a c for 0 < a < 1, one kernel call."""
+        rule = self._rule(a)
+        return self._kernel.weighted(c, rule.shifts, rule.weights)
+
+    def lam1s(self, s: float) -> float:
+        return self.lam1 ** s
+
+    def power(self, c: np.ndarray, s: float, lam: float = 0.0) -> np.ndarray:
+        """(L^s - lam) c."""
+        out = self._kernel.project(self._kernel.lam
+                                   * self.inverse_power(c, 1.0 - s))
+        return out - lam * c if lam else out
+
+    def form(self, c: np.ndarray, s: float) -> tuple[float, np.ndarray]:
+        """<L^s c, c> and L^s c."""
+        out = self.power(c, s)
+        return float(c @ out), out
+
+    def resolvent(self, b: np.ndarray, s: float, lam: float) -> np.ndarray:
+        """(L^s - lam)^-1 b for 0 <= lam < lambda_1^s."""
+        if not 0.0 <= lam < self.lam1s(s):
+            raise ValueError(f"lam={lam} outside [0, lambda_1^s): "
+                             f"L^s - lam is not positive definite")
+        y = self.inverse_power(b, s)
+        if lam == 0.0:
+            return y
+        # CG on (I - lam L^-s) x = L^-s b, symmetric positive definite
+        x = np.zeros_like(y)
+        r = y.copy()
+        p = r.copy()
+        rr = float(r @ r)
+        stop = (_CG_TOL * math.sqrt(rr)) ** 2
+        for _ in range(_CG_MAX_ITER):
+            if rr <= stop:
+                return x
+            q = p - lam * self.inverse_power(p, s)
+            step = rr / float(p @ q)
+            x += step * p
+            r -= step * q
+            rr_next = float(r @ r)
+            p = r + (rr_next / rr) * p
+            rr = rr_next
+        raise RuntimeError(f"CG for (L^s - {lam})^-1 did not reach "
+                           f"{_CG_TOL:.0e} in {_CG_MAX_ITER} steps")
+
+    def frac_rel_error(self, s: float) -> float:
+        """Measured sup relative error of the L^-s and L^-(1-s) rules."""
+        return max(self._rule(s).error, self._rule(1.0 - s).error)
+
+
+def quotient_operator(ops: OperatorPair) -> SpectralBasis | ConstrainedOperator:
+    """What the critical quotient runs on, chosen by the partition's shape.
+
+    A face-aligned partition (``ops.tensor`` set) gets its complete
+    Kronecker basis from :func:`eigendecompose`; a partial-facet one gets a
+    :class:`ConstrainedOperator`, which needs no spectrum beyond lambda_1
+    and has no ``dof_cap``.  Both give lambda_1, phi_1, the coordinate maps,
+    L^s and (L^s - lam)^-1 to :mod:`fraclap.critical`.
+    """
+    if ops.tensor is not None:
+        return eigendecompose(ops, m="all")
+    return ConstrainedOperator(ops)

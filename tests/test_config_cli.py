@@ -407,3 +407,22 @@ def test_runs_are_byte_reproducible(tmp_path):
         os.chdir(cwd)
     assert payload["first"]["hash"] == payload["second"]["hash"]
     assert payload["first"] == payload["second"]
+
+
+@pytest.mark.parametrize("polish_max, converged", [(1, False), (500, True)])
+def test_cli_minimize_writes_solution_only_when_converged(
+        tmp_path, capsys, polish_max, converged):
+    # one fixed-point step from the principal start is no critical point,
+    # so there is no candidate solution to rescale
+    from fraclap.cli import main
+
+    rc = main(["minimize", "--config", str(_write_cfg(tmp_path)),
+               "--set", "domain.extents=[[0,1],[0,1]]",
+               "--set", "domain.n=[8,8]",
+               "--set", 'lambda={"fraction_of_lambda1s":0.5}',
+               "--set", f"solver.polish_max={polish_max}"])
+    assert rc == 0
+    run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+    report = json.loads((run_dir / "minimize.json").read_text())
+    assert report["converged"] is converged
+    assert (run_dir / "solution.json").exists() == converged

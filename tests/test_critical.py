@@ -147,6 +147,20 @@ def test_converged_means_stationary(cube12, params3):
     assert rep.el_residual > 1e-6
 
 
+def test_rescale_refuses_unconverged_report(cube12, params3):
+    # the corner-bump start stops at a one-node spike with a large residual:
+    # no critical point, so no candidate solution
+    basis, lam1s = cube12
+    ops = basis.ops
+    corner = fl.Field.from_callable(
+        ops.mesh, ops.partition,
+        lambda x: np.exp(-30.0 * np.sum((x - 1.0) ** 2, axis=1)))
+    rep = fl.minimize_quotient(basis, params3, 0.5 * lam1s, init=corner)
+    assert rep.flag == "OK" and rep.value > 0 and not rep.converged
+    with pytest.raises(ValueError, match="did not converge"):
+        fl.rescale_to_solution(rep, basis, params3)
+
+
 def test_minimize_nonexistence_regime(square_basis, params2, lam1s):
     rep = fl.minimize_quotient(square_basis, params2, 1.1 * lam1s)
     assert rep.flag == NONEXISTENCE
@@ -282,3 +296,43 @@ def test_move_boundary_rejects_non_distinct_alphas(params2):
     with pytest.raises(ValueError):
         fl.move_boundary_experiment(mesh, params2, [0.99, 0.98],
                                     kappa=0.478)
+
+
+ALPHAS = [1.0, 0.75, 0.5, 0.25, 0.125]
+
+
+def test_move_boundary_matches_dense_loop(params2):
+    # the same experiment written out with a dense complete basis per alpha
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [16, 16])
+    kap = fl.kappa_s(params2)
+    res = fl.move_boundary_experiment(mesh, params2, ALPHAS, kappa=kap)
+    thr = fl.attainment_threshold(params2, kappa=kap)
+    vol_pow = mesh.volume ** (2 * params2.s / params2.N)
+    onset = float("nan")
+    for row, part in zip(res.rows, fl.moving_family(mesh, ALPHAS)):
+        basis = fl.eigendecompose(fl.assemble_operators(mesh, part), m="all")
+        lam11 = float(basis.lams[0])
+        S_tilde = fl.sobolev_constant_dirichlet(basis, params2).value
+        if vol_pow * lam11**params2.s < thr and np.isnan(onset):
+            onset = part.alpha
+        assert row["lam_1_1"] == pytest.approx(lam11, rel=1e-10)
+        assert row["S_tilde"] == pytest.approx(S_tilde, rel=1e-10)
+        assert row["sufficient"] == (vol_pow * lam11**params2.s < thr)
+    assert res.onset_alpha == onset
+    assert not np.isnan(onset)
+
+
+def test_move_boundary_runs_without_dense_eigensolve(params2, monkeypatch):
+    # above the face-aligned alpha = 1 no alpha takes a dense eigensolve, so
+    # the size limit of that solve no longer applies
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense constrained eigensolve was called")
+
+    monkeypatch.setattr(fl.spectral, "_constrained_eigh", refuse)
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
+    res = fl.move_boundary_experiment(mesh, params2, ALPHAS,
+                                      kappa=fl.kappa_s(params2))
+    assert res.onset_alpha == 0.125
+    errors = res.column("frac_rel_error")
+    assert errors[0] == 0.0
+    assert all(0.0 < e <= 1e-12 for e in errors[1:])
