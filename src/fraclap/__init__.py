@@ -31,7 +31,6 @@ from .fractional import (
     ConstantsReport,
     QuotientReport,
     TruncatedBasisError,
-    CalibrationError,
     mode_field,
     frac_apply,
     frac_norm,
@@ -105,8 +104,8 @@ __all__ = [
     "eigendecompose", "first_eigenpair", "quotient_operator",
     "DEFAULT_DOF_CAP",
     "FracParams", "Field", "ConstantsReport", "QuotientReport",
-    "TruncatedBasisError", "CalibrationError", "mode_field", "frac_apply",
-    "frac_norm", "spectral_tail_bound", "lambda1s", "critical_exponent",
+    "TruncatedBasisError", "mode_field", "frac_apply", "frac_norm",
+    "spectral_tail_bound", "lambda1s", "critical_exponent",
     "sobolev_constant", "kappa_s", "attainment_threshold",
     "constants_report", "critical_norm", "test_function_quotient",
     "extremal_bubble", "cutoff_profile",

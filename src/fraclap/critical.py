@@ -500,7 +500,8 @@ def move_boundary_experiment(
         Fill order restriction passed to :func:`fraclap.mesh.moving_family`.
     opts : MinimizeOptions, optional
     kappa : float, optional
-        Extension coupling constant; calibrated if omitted.
+        Extension coupling constant; the closed form
+        :func:`~fraclap.fractional.kappa_s` if omitted.
 
     Returns
     -------

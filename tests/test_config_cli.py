@@ -291,6 +291,34 @@ def test_cli_bad_value_exits_2_before_writing(tmp_path, capsys, subcommand,
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
+# s near 1, where a one-mode calibration of kappa cannot separate y^(2s)
+# from y^2, so only the closed form serves; a 6^3 box for the partial-facet
+# move-boundary path in 3-d
+_NEAR_ONE = [
+    ("constants", _SQUARE, "constants.json", "kappa"),
+    ("extend-check", [], "extend_check.json", "kappa"),
+    ("move-boundary", ["domain.extents=[[0,1],[0,1],[0,1]]",
+                       "domain.n=[6,6,6]", "alphas=[1.0,0.5]"],
+     "move_boundary.json", "threshold"),
+]
+
+
+@pytest.mark.parametrize("subcommand, overrides, artifact, key", [
+    pytest.param(*case, id=case[0]) for case in _NEAR_ONE])
+def test_cli_runs_at_s_near_one(tmp_path, capsys, subcommand, overrides,
+                                artifact, key):
+    from fraclap.cli import main
+
+    argv = [subcommand, "--config", str(_write_cfg(tmp_path)),
+            "--set", "s=0.97"]
+    for override in overrides:
+        argv += ["--set", override]
+    assert main(argv) == 0
+    run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+    report = json.loads((run_dir / artifact).read_text())
+    assert math.isfinite(report[key]) and report[key] > 0
+
+
 def test_validate_lists_every_bad_value():
     with pytest.raises(fl.ConfigError, match="invalid configuration values"):
         fl.validate({"s": 1.0})

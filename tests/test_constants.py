@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import fraclap as fl
-from fraclap.fractional import CalibrationError, FracParams
+from fraclap.fractional import FracParams
 
-# calibrated coupling constant at s = 3/4, frozen from the shipped
-# calibration grid; the closed form it must reproduce is
-# 2^(2s-1) Gamma(s) / Gamma(1-s) = 0.47798879748612510...
-KAPPA_CAL_075 = 0.47798879748597184
+# 2^(2s-1) Gamma(s) / Gamma(1-s) at s = 3/4 from mpmath at 60 digits,
+# 0.47798879748612499536...
+KAPPA_075 = 0.47798879748612500
 
-# 2^(-2s/N) kappa S(s, N) with the calibrated kappa, s = 3/4, N = 3
-THRESHOLD_075_3 = 2.4425286976760363
+# 2^(-2s/N) kappa S(s, N) at s = 3/4, N = 3 from mpmath at 60 digits,
+# 2.44252869767681977...
+THRESHOLD_075_3 = 2.4425286976768198
 
 
 def mp_sobolev(s: float, N: int) -> float:
@@ -42,41 +42,38 @@ def test_sobolev_constant_needs_subcritical_dimension():
         fl.sobolev_constant(FracParams(s=0.75, N=1))
 
 
+def mp_kappa(s: float) -> float:
+    with mpmath.workdps(60):
+        s_ = mpmath.mpf(s)
+        return float(2 ** (2 * s_ - 1) * mpmath.gamma(s_)
+                     / mpmath.gamma(1 - s_))
+
+
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.95, 0.99])
+def test_kappa_matches_high_precision_closed_form(s):
+    assert fl.kappa_s(FracParams(s=s, N=3)) == pytest.approx(mp_kappa(s),
+                                                            rel=1e-14)
+
+
 def test_kappa_calibration_reproduces_closed_form():
-    params = FracParams(s=0.75, N=3)
-    kappa = fl.kappa_s(params)
-    assert kappa == pytest.approx(KAPPA_CAL_075, rel=1e-13)
-    closed = 2.0 ** (2 * 0.75 - 1) * math.gamma(0.75) / math.gamma(0.25)
-    assert kappa == pytest.approx(closed, rel=1e-10)
+    notes = fl.constants_report(FracParams(s=0.75, N=3)).notes
+    assert notes["kappa_closed_form"] == pytest.approx(KAPPA_075, rel=1e-14)
+    assert notes["kappa_closed_form_rel_diff"] <= 1e-10
 
 
 @pytest.mark.parametrize("s,rel", [(0.6, 1e-6), (0.85, 1e-6), (0.95, 5e-5)])
 def test_kappa_calibration_other_powers(s, rel):
-    # default grid follows s; accuracy degrades as the y^(2s) and y^2 fit
-    # exponents approach each other
-    kappa = fl.kappa_s(FracParams(s=s, N=3))
-    closed = 2.0 ** (2 * s - 1) * math.gamma(s) / math.gamma(1 - s)
-    assert kappa == pytest.approx(closed, rel=rel)
-
-
-def test_kappa_calibration_fails_near_one():
-    # no feasible grid separates the fit exponents at s=0.99
-    with pytest.raises(CalibrationError):
-        fl.kappa_s(FracParams(s=0.99, N=3))
+    # the calibration grid follows s; its accuracy degrades as the y^(2s)
+    # and y^2 fit exponents approach each other
+    rep = fl.constants_report(FracParams(s=s, N=3))
+    assert rep.notes["kappa_closed_form_rel_diff"] <= rel
 
 
 def test_kappa_mu_independent_within_tolerance():
-    # the calibration itself enforces the spread; a third mu triple-checks
-    params = FracParams(s=0.75, N=3)
-    base = fl.kappa_s(params)
-    wide = fl.kappa_s(params, mus=(1.0, 2.0, 9.0))
-    assert wide == pytest.approx(base, rel=1e-6)
-
-
-def test_kappa_coarse_grid_rejected():
-    params = FracParams(s=0.75, N=3)
-    with pytest.raises(CalibrationError):
-        fl.kappa_s(params, J=40, rtol=1e-10)
+    # a third mu triple-checks the calibration against itself
+    rep = fl.constants_report(FracParams(s=0.75, N=3), mus=(1.0, 2.0, 9.0))
+    assert len(rep.notes["kappa_calibration_values"]) == 3
+    assert rep.notes["kappa_calibration_spread"] <= 1e-6
 
 
 def test_attainment_threshold_value_and_formula(params3):
@@ -85,7 +82,7 @@ def test_attainment_threshold_value_and_formula(params3):
     manual = (2.0 ** (-2 * 0.75 / 3) * fl.kappa_s(params3)
               * fl.sobolev_constant(params3))
     assert thr == pytest.approx(manual, rel=1e-14)
-    # explicit kappa bypasses calibration
+    # an explicit kappa replaces the closed form
     assert fl.attainment_threshold(params3, kappa=1.0) == pytest.approx(
         2.0 ** (-0.5) * fl.sobolev_constant(params3), rel=1e-14)
 
@@ -93,13 +90,12 @@ def test_attainment_threshold_value_and_formula(params3):
 def test_constants_report_contents(params3):
     rep = fl.constants_report(params3)
     assert rep.s == 0.75 and rep.N == 3
-    assert rep.kappa == pytest.approx(KAPPA_CAL_075, rel=1e-13)
+    assert rep.kappa == pytest.approx(KAPPA_075, rel=1e-14)
     assert rep.threshold == pytest.approx(THRESHOLD_075_3, rel=1e-13)
     notes = rep.notes
     assert notes["kappa_calibration_spread"] < 1e-6
     assert len(notes["kappa_calibration_values"]) == len(
         notes["kappa_calibration_mus"])
-    assert notes["kappa_closed_form_rel_diff"] < 1e-10
     d = rep.as_dict()
     assert d["sobolev"] == rep.sobolev
     with pytest.raises(TypeError):

@@ -180,9 +180,17 @@ def _facet_labelings(draw):
 @example(_mixed_partition((4, 3, 5), {(2, 1): [True] * 5 + [False] * 7}))
 def test_constrained_path_matches_dense_oracle(part):
     ops = fl.assemble_operators(part.mesh, part)
-    lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
-    # clusters split where the gap exceeds 1e-6 of the largest eigenvalue:
-    # projector round-off is about eps * lams[-1] / gap, far below 1e-8
+    M = ops.M.toarray()
+    lams, U = scipy.linalg.eigh(ops.A.toarray(), M)
+    # clusters split where the gap exceeds 1e-6 of the largest eigenvalue.
+    # Each cluster is compared by its M-orthogonal projector V V^T M, of
+    # M-norm 1: round-off moves it by about eps * lams[-1] / gap in that
+    # norm, so by at most sqrt(cond M) times that in any entry.  Per axis
+    # the Q1 mass sums element masses with eigenvalues h/6 and h/2, two per
+    # node, so its spectrum lies in [h/6, h]; M restricts their Kronecker
+    # product to the free nodes, so cond M <= 6^N and an entry moves by at
+    # most sqrt(216) * 2.2e-16 * 1e6, about 3e-9.  (V V^T alone has entries
+    # of size 1/h^N, so no such bound holds for it.)
     breaks = np.flatnonzero(np.diff(lams) > 1e-6 * lams[-1]) + 1
     for m in ("all", 3):
         basis = eigendecompose(ops, m=m)
@@ -196,8 +204,8 @@ def test_constrained_path_matches_dense_oracle(part):
             if cluster[-1] >= basis.m:
                 break  # a cluster the truncation cuts has no projector
             Vc, Wc = V[:, cluster], U[:, cluster]
-            np.testing.assert_allclose(Vc @ Vc.T, Wc @ Wc.T, rtol=0,
-                                       atol=1e-8)
+            np.testing.assert_allclose(Vc @ (Vc.T @ M), Wc @ (Wc.T @ M),
+                                       rtol=0, atol=1e-8)
 
 
 def test_partial_facet_solve_takes_no_mass_matrix(monkeypatch):
