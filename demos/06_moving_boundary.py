@@ -10,7 +10,8 @@ interface runs through the inside of a face).  Those run on the
 spectrum-free operator: lambda_1 by Lanczos, L^s and (L^s - lambda)^-1 by
 Gauss-Jacobi sums of shifted solves, whose measured error is the
 frac_rel_error column.  No dense eigensolve runs, so the 64^2 family below,
-with more free nodes than the dense solve's dof_cap, runs as well.
+with more free nodes than the dense solve's cap DEFAULT_DOF_CAP, runs as
+well.
 """
 import fraclap as fl
 
@@ -25,7 +26,7 @@ for cells in (40, 64):
     res = fl.move_boundary_experiment(mesh, params, alphas, kappa=kap)
 
     print(f"{cells}^2 cells, {min(n_free)}..{max(n_free)} free nodes "
-          f"(dense dof_cap {fl.DEFAULT_DOF_CAP})")
+          f"(dense cap {fl.DEFAULT_DOF_CAP})")
     print("alpha (requested -> snapped), lambda_1, lambda_1^s, sufficient?, "
           "rational error")
     for row in res.rows:

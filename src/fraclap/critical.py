@@ -33,16 +33,11 @@ from .fractional import (
 )
 from .mesh import Mesh
 from .spectral import (
-    ConstrainedOperator,
+    Operator,
     OperatorPair,
-    SpectralBasis,
     assemble_operators,
     quotient_operator,
 )
-
-# what the minimizer runs on: a complete basis, or a partial-facet
-# partition's operator without its spectrum (see quotient_operator)
-Operator = SpectralBasis | ConstrainedOperator
 
 __all__ = [
     "MinimizeOptions",
@@ -488,7 +483,7 @@ def move_boundary_experiment(
     basis when the partition is face-aligned, otherwise the spectrum-free
     operator, whose measured rational error is the row's
     ``frac_rel_error`` (0.0 on face-aligned rows).  No alpha needs a dense
-    eigensolve, so ``dof_cap`` does not apply.
+    eigensolve, so ``DEFAULT_DOF_CAP`` does not apply.
 
     Parameters
     ----------

@@ -15,7 +15,7 @@ import os
 import platform
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -158,16 +158,7 @@ class RunManifest:
     threads: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config_hash": self.config_hash,
-            "run_dir": self.run_dir,
-            "artifacts": self.artifacts,
-            "versions": self.versions,
-            "timings": self.timings,
-            "overrides": self.overrides,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 def _versions() -> dict:

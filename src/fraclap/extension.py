@@ -35,6 +35,10 @@ MIN_Y_CELLS = 16
 class CylinderMesh:
     """Base mesh times a graded grid in the extension variable.
 
+    The cylinder keeps the extension solver of each partition and power s
+    it has served, built by the first :func:`extend` with them and freed
+    with the cylinder.
+
     Attributes
     ----------
     base : Mesh
@@ -53,6 +57,7 @@ class CylinderMesh:
     Y: float
     J: int
     gamma: float
+    _solvers: dict = field(default_factory=dict, init=False, repr=False)
 
     def grid_key(self) -> tuple:
         return (self.base.key(), self.Y, self.J, self.gamma)
@@ -116,9 +121,6 @@ class ExtensionField:
         return Field(values=self.values[:, 0].copy(), mesh=self.cyl.base,
                      partition=self.partition)
 
-    def level(self, j: int) -> np.ndarray:
-        return self.values[:, j]
-
     def perturbed(self, delta: np.ndarray) -> ExtensionField:
         """Same trace, interior levels shifted by delta (test competitor)."""
         d = np.asarray(delta, dtype=float)
@@ -146,14 +148,12 @@ def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
     return lambda B: kernel.synthesize(kernel.solve(kernel.dual(B), shifts))
 
 
-# one-slot cache: y-direction eigenpairs plus the base shifted solver
-_SOLVER_CACHE: dict = {}
-
-
 def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
-    key = (partition.key(), cyl.grid_key(), s)
-    if _SOLVER_CACHE.get("key") == key:
-        return _SOLVER_CACHE["value"]
+    # y-direction eigenpairs plus the base shifted solver, built once per
+    # partition and s and kept on the cylinder
+    solver = cyl._solvers.get((partition, s))
+    if solver is not None:
+        return solver
 
     ops = assemble_operators(cyl.base, partition)
     Aw, Mw = weighted_matrices(cyl.y, s)
@@ -163,10 +163,9 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     theta, Z = scipy.linalg.eigh(Aw_II, Mw_II)
     Aw0 = Aw[1:J, 0].toarray().ravel()
     Mw0 = Mw[1:J, 0].toarray().ravel()
-    value = (ops, Z, Aw0, Mw0, _shifted_solver(ops, theta))
-    _SOLVER_CACHE["key"] = key
-    _SOLVER_CACHE["value"] = value
-    return value
+    solver = (ops, Z, Aw0, Mw0, _shifted_solver(ops, theta))
+    cyl._solvers[partition, s] = solver
+    return solver
 
 
 def extend(
@@ -183,8 +182,10 @@ def extend(
     those are solved in the Kronecker basis of 1-D eigenvectors, with no
     factorization; on other partitions the same solves get a capacitance
     correction at the nodes that the face-aligned relaxation frees, with
-    one small Cholesky factor per theta_j, built once per cylinder and
-    partition.  No base-operator spectrum is involved either way.
+    one small Cholesky factor per theta_j.  The solver is built by the
+    first call with a given partition and s and kept on the cylinder, so
+    repeat calls only solve.  No base-operator spectrum is involved either
+    way.
 
     Parameters
     ----------

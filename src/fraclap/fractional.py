@@ -1,23 +1,25 @@
 """Spectral fractional Laplacian, its norms, and the attached constants.
 
-The operator acts through the eigendecomposition: expand in the constrained
-eigenbasis, scale coefficient j by lambda_j**s, resynthesize.  The power s
-lives strictly between 1/2 and 1.  Constants: the critical Sobolev constant
-and the extension coupling constant from their Gamma-function formulas; a
-one-mode ODE calibration of the coupling constant is kept as the constants
-report's cross-check.
+The operator acts through the basis interface of :mod:`fraclap.spectral`:
+take coordinates, apply ``power``, resynthesize.  On a
+:class:`~fraclap.spectral.SpectralBasis` that scales eigen-coefficient j by
+lambda_j**s; a :class:`~fraclap.spectral.ConstrainedOperator` applies L^s
+with no spectrum beyond lambda_1.  The power s lives strictly between 1/2
+and 1.  Constants: the critical Sobolev constant and the extension coupling
+constant from their Gamma-function formulas; a one-mode ODE calibration of
+the coupling constant is kept as the constants report's cross-check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import _weighted1d
 from .mesh import BoundaryPartition, Mesh
-from .spectral import OperatorPair, SpectralBasis
+from .spectral import Operator, OperatorPair, SpectralBasis
 
 __all__ = [
     "FracParams",
@@ -150,29 +152,32 @@ class Field:
             raise ValueError("fields live on different meshes or partitions")
 
 
-def mode_field(basis: SpectralBasis, k: int) -> Field:
+def mode_field(basis: Operator, k: int) -> Field:
     """Eigenfunction k as a Field; modes are numbered from 1."""
     return Field(values=basis.eigenfunction(k), mesh=basis.ops.mesh,
                  partition=basis.ops.partition)
 
 
-def _coeffs(basis: SpectralBasis, u: Field) -> np.ndarray:
+def _coeffs(basis: Operator, u: Field) -> np.ndarray:
     return basis.coefficients(u.free_values(basis.ops))
 
 
 def frac_apply(
-    basis: SpectralBasis,
+    basis: Operator,
     params: FracParams,
     u: Field,
     allow_truncated: bool = False,
 ) -> Field:
-    """Apply the fractional operator through the eigenbasis.
+    """Apply the fractional operator through the basis interface.
 
     Parameters
     ----------
-    basis : SpectralBasis
+    basis : SpectralBasis or ConstrainedOperator
         Complete unless ``allow_truncated``; a truncated apply drops the
-        unresolved spectral tail (see :func:`spectral_tail_bound`).
+        unresolved spectral tail (see :func:`spectral_tail_bound`).  A
+        :class:`~fraclap.spectral.ConstrainedOperator` (from
+        :func:`~fraclap.spectral.quotient_operator` on a partial-facet
+        partition) applies L^s without an eigenbasis.
     params : FracParams
     u : Field
 
@@ -186,16 +191,15 @@ def frac_apply(
             "basis is truncated; pass allow_truncated=True to accept the "
             "dropped spectral tail")
     a = _coeffs(basis, u)
-    out_free = basis.synthesize(basis.lams**params.s * a)
+    out_free = basis.synthesize(basis.power(a, params.s))
     return Field.from_free(basis.ops, out_free)
 
 
-def frac_norm(basis: SpectralBasis, params: FracParams, u: Field) -> float:
+def frac_norm(basis: Operator, params: FracParams, u: Field) -> float:
     """Fractional energy norm: sqrt(sum_j lambda_j**s <u, phi_j>_M**2)."""
     if not basis.complete:
         raise TruncatedBasisError("fractional norm needs a complete basis")
-    a = _coeffs(basis, u)
-    return float(np.sqrt(np.sum(basis.lams**params.s * a**2)))
+    return float(np.sqrt(basis.form(_coeffs(basis, u), params.s)[0]))
 
 
 def spectral_tail_bound(basis: SpectralBasis, params: FracParams, u: Field) -> float:
@@ -213,9 +217,9 @@ def spectral_tail_bound(basis: SpectralBasis, params: FracParams, u: Field) -> f
     return float(basis.lams[-1] ** params.s * missing)
 
 
-def lambda1s(basis: SpectralBasis, params: FracParams) -> float:
+def lambda1s(basis: Operator, params: FracParams) -> float:
     """First eigenvalue of the fractional operator: lambda_1 ** s."""
-    return float(basis.lams[0] ** params.s)
+    return float(basis.lam1 ** params.s)
 
 
 def critical_exponent(params: FracParams) -> float:
@@ -279,14 +283,7 @@ class ConstantsReport:
     notes: dict
 
     def as_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "N": self.N,
-            "sobolev": self.sobolev,
-            "kappa": self.kappa,
-            "threshold": self.threshold,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _calibration_grid(s: float) -> tuple[int, float]:
@@ -394,11 +391,7 @@ class QuotientReport:
     route: str
 
     def as_dict(self) -> dict:
-        return {
-            "energy": self.energy, "l2_sq": self.l2_sq,
-            "crit_sq": self.crit_sq, "lam": self.lam,
-            "value": self.value, "route": self.route,
-        }
+        return asdict(self)
 
 
 def cutoff_profile(t: np.ndarray) -> np.ndarray:

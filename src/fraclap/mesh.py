@@ -299,6 +299,14 @@ class BoundaryPartition:
         """Flat indices of nodes kept in the constrained function space."""
         return np.flatnonzero(~self.dirichlet_node_mask)
 
+    @cached_property
+    def _operators(self):
+        # the OperatorPair of this partition, assembled on first use through
+        # spectral.assemble_operators and dropped with the partition
+        from .spectral import _assemble  # deferred: spectral imports mesh
+
+        return _assemble(self)
+
     def key(self) -> str:
         payload = self.mesh.key() + "".join("D" if d else "N" for d in self.dirichlet)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -21,7 +21,8 @@ multiplying it out.  A partial-facet partition is R constrained to vanish
 on the r nodes R frees and it does not; in R's eigen-coordinates that is
 a standard eigenproblem of a diagonal plus a rank-2r term, the
 constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
-George & Golub 1971), solved densely up to ``dof_cap`` free nodes.
+George & Golub 1971), solved densely up to ``DEFAULT_DOF_CAP`` free
+nodes.
 
 The critical quotient needs no such eigensolve.  In the same coordinates
 a shifted solve (A + theta M) x = b of a partial-facet partition is a
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -66,7 +67,8 @@ _COLUMN_CHUNK = 256
 
 
 class DofCapError(RuntimeError):
-    """Request refused above ``dof_cap``; the message names what is served."""
+    """Request refused above ``DEFAULT_DOF_CAP``; the message says what is
+    served."""
 
 
 def _line_matrices(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -267,8 +269,7 @@ class OperatorPair:
         return len(self.free)
 
 
-@lru_cache(maxsize=64)
-def _assemble_cached(partition: BoundaryPartition) -> OperatorPair:
+def _assemble(partition: BoundaryPartition) -> OperatorPair:
     mesh = partition.mesh
     # per axis, the end nodes the relaxation keeps: a face stays Dirichlet
     # only if it is wholly Dirichlet
@@ -331,11 +332,14 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair
 
     Notes
     -----
-    Results are cached on the partition, so repeated calls are cheap.
+    Results are cached on the partition, so repeated calls with the same
+    partition object return the same pair.  The pair lives as long as the
+    partition does and is freed with it; an equal partition built anew
+    assembles its own.
     """
     if partition.mesh != mesh:
         raise ValueError("partition does not belong to this mesh")
-    return _assemble_cached(partition)
+    return partition._operators
 
 
 class SpectralBasis:
@@ -575,11 +579,7 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     return lams[order], vecs[:, order]
 
 
-def eigendecompose(
-    ops: OperatorPair,
-    m: int | str = "all",
-    dof_cap: int = DEFAULT_DOF_CAP,
-) -> SpectralBasis:
+def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     """Solve A phi = lambda M phi for the lowest m eigenpairs.
 
     The backend follows from the partition's shape.  On face-aligned
@@ -593,19 +593,17 @@ def eigendecompose(
     costs the sort plus O(n) past the 1-D tables.  Partial-facet
     partitions (some face partly Dirichlet) take one standard dense
     ``eigh`` in the eigen-coordinates of their face-aligned relaxation,
-    O(n^3) and bounded by ``dof_cap`` free nodes, for any m up to n; above
-    the cap shift-invert Lanczos serves at most 32 pairs.  Their bases keep
-    the dense eigenvectors.  The critical quotient on such a partition
-    needs none of this: see :func:`quotient_operator`.
+    O(n^3) and bounded by ``DEFAULT_DOF_CAP`` free nodes (read at call
+    time), for any m up to n; above the cap shift-invert Lanczos serves at
+    most 32 pairs.  Their bases keep the dense eigenvectors.  The critical
+    quotient on such a partition needs none of this: see
+    :func:`quotient_operator`.
 
     Parameters
     ----------
     ops : OperatorPair
     m : int or "all"
         Number of eigenpairs.  "all" yields a complete basis.
-    dof_cap : int
-        Upper bound on the free-node count for a dense solve on a
-        partial-facet partition.  Face-aligned partitions ignore it.
 
     Returns
     -------
@@ -616,8 +614,8 @@ def eigendecompose(
     Raises
     ------
     DofCapError
-        If a partial-facet partition has more than ``dof_cap`` free nodes
-        and the request is a complete basis or more than 32 pairs.
+        If a partial-facet partition has more than ``DEFAULT_DOF_CAP`` free
+        nodes and the request is a complete basis or more than 32 pairs.
     """
     n = ops.n_free
     want_all = isinstance(m, str)
@@ -631,19 +629,20 @@ def eigendecompose(
             raise ValueError(f"m must be in [1, {n}], got {k}")
 
     tensor = ops.tensor
-    if tensor is None and n > dof_cap and (k == n or k > _ITERATIVE_MAX):
+    dense = n <= DEFAULT_DOF_CAP
+    if tensor is None and not dense and (k == n or k > _ITERATIVE_MAX):
         raise DofCapError(
-            f"{n} free nodes exceed dof_cap={dof_cap}; above the cap this "
-            f"partial-facet partition serves m <= {_ITERATIVE_MAX}; "
-            f"face-aligned partitions (every face wholly Dirichlet or "
-            f"Neumann) serve any m at any size; or raise dof_cap")
+            f"{n} free nodes exceed the dense cap of {DEFAULT_DOF_CAP}; above "
+            f"the cap this partial-facet partition serves m <= "
+            f"{_ITERATIVE_MAX}; face-aligned partitions (every face wholly "
+            f"Dirichlet or Neumann) serve any m at any size")
 
     if tensor is not None:
         order = tensor.order(k)
         return SpectralBasis(lams=tensor.values[order], vecs=None, ops=ops,
                              complete=(k == n), order=order,
                              signs=tensor.signs(order))
-    if n <= dof_cap:
+    if dense:
         lams, vecs = _constrained_eigh(*ops._relaxation, k)
     else:
         lams, vecs = _lanczos(ops, k)
@@ -969,14 +968,20 @@ class ConstrainedOperator:
         return max(self._rule(s).error, self._rule(1.0 - s).error)
 
 
-def quotient_operator(ops: OperatorPair) -> SpectralBasis | ConstrainedOperator:
+# what the critical quotient and the fractional functions run on: a complete
+# basis, or a partial-facet partition's operator without its spectrum
+Operator = SpectralBasis | ConstrainedOperator
+
+
+def quotient_operator(ops: OperatorPair) -> Operator:
     """What the critical quotient runs on, chosen by the partition's shape.
 
     A face-aligned partition (``ops.tensor`` set) gets its complete
     Kronecker basis from :func:`eigendecompose`; a partial-facet one gets a
     :class:`ConstrainedOperator`, which needs no spectrum beyond lambda_1
-    and has no ``dof_cap``.  Both give lambda_1, phi_1, the coordinate maps,
-    L^s and (L^s - lam)^-1 to :mod:`fraclap.critical`.
+    and no dense cap.  Both give lambda_1, phi_1, the coordinate maps, L^s
+    and (L^s - lam)^-1 to :mod:`fraclap.critical` and
+    :mod:`fraclap.fractional`.
     """
     if ops.tensor is not None:
         return eigendecompose(ops, m="all")

@@ -153,6 +153,22 @@ def test_constrained_operator_matches_dense_basis(request, ops_name):
     assert op.lam1s(S) == pytest.approx(lams[0] ** S, rel=1e-12)
 
 
+def test_fractional_functions_take_the_constrained_operator(square_partial):
+    # frac_apply, frac_norm and lambda1s through the basis interface match
+    # the dense complete basis on a partial-facet partition
+    ops = square_partial
+    params = fl.FracParams(s=S, N=2)
+    op, dense = quotient_operator(ops), fl.eigendecompose(ops, m="all")
+    u = fl.Field.from_free(
+        ops, np.random.default_rng(4).standard_normal(ops.n_free))
+    got, want = (fl.frac_apply(b, params, u).values for b in (op, dense))
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert fl.frac_norm(op, params, u) == pytest.approx(
+        fl.frac_norm(dense, params, u), rel=1e-10)
+    assert fl.lambda1s(op, params) == pytest.approx(
+        fl.lambda1s(dense, params), rel=1e-12)
+
+
 def test_quotient_operator_picks_by_partition_shape(square_ops, square_partial):
     basis = quotient_operator(square_ops)
     assert isinstance(basis, fl.SpectralBasis) and basis.complete

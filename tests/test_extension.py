@@ -177,6 +177,26 @@ def test_extend_trace_cap_and_clamping(interval_cylinder, interval_ops, params1)
     assert np.array_equal(w.values, again.values)
 
 
+def test_cylinder_keeps_a_solver_per_power(interval_cylinder, interval_ops,
+                                           monkeypatch):
+    # alternating powers on one cylinder reuse the solvers it holds
+    built = []
+    shifted_solver = fl.extension._shifted_solver
+
+    def counting(ops, theta):
+        built.append(theta)
+        return shifted_solver(ops, theta)
+
+    monkeypatch.setattr(fl.extension, "_shifted_solver", counting)
+    ops, old = interval_ops, interval_cylinder
+    cyl = fl.build_cylinder(ops.mesh, old.Y, old.J, old.gamma)
+    u = fl.Field.from_callable(ops.mesh, ops.partition,
+                               lambda x: np.sin(np.pi * x[:, 0] / 2))
+    for s in (0.6, 0.75, 0.6, 0.75):
+        fl.extend(cyl, ops.partition, fl.FracParams(s=s, N=1), u)
+    assert len(built) == 2
+
+
 def test_extend_zero_and_linearity(interval_cylinder, interval_ops, params1):
     cyl, ops = interval_cylinder, interval_ops
     zero = fl.Field(values=np.zeros(ops.mesh.n_nodes), mesh=ops.mesh,

@@ -1,6 +1,8 @@
 """Operator assembly and the generalized eigensolve against closed forms."""
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -127,14 +129,15 @@ def test_tensor_path_matches_dense_oracle(dim, n, faces):
         np.testing.assert_allclose(V @ V.T, W @ W.T, rtol=0, atol=1e-8)
 
 
-def test_iterative_path_matches_dense():
+def test_iterative_path_matches_dense(monkeypatch):
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
     # partial-facet: face-aligned partitions take the tensor path instead
     part = fl.moving_family(mesh, [0.5])[0]
     ops = fl.assemble_operators(mesh, part)
     assert ops.tensor is None
     dense = eigendecompose(ops, m=3)
-    sparse = eigendecompose(ops, m=3, dof_cap=10)  # forces shift-invert
+    monkeypatch.setattr(fl.spectral, "DEFAULT_DOF_CAP", 10)
+    sparse = eigendecompose(ops, m=3)  # forces shift-invert
     np.testing.assert_allclose(sparse.lams, dense.lams, rtol=1e-9)
     for k in range(3):
         dot = sparse.vecs[:, k] @ (ops.M @ dense.vecs[:, k])
@@ -228,20 +231,21 @@ def test_partial_facet_solve_takes_no_mass_matrix(monkeypatch):
     assert all(b is None or n not in b for _, b in calls)
 
 
-def test_dof_cap_raises_for_complete_basis():
+def test_dof_cap_raises_for_complete_basis(monkeypatch):
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
     part = fl.partition_boundary(mesh, [(0, 0)])
     ops = fl.assemble_operators(mesh, part)
+    monkeypatch.setattr(fl.spectral, "DEFAULT_DOF_CAP", 10)
     # the tensor backend serves complete and truncated bases above the cap
-    complete = eigendecompose(ops, m="all", dof_cap=10)
+    complete = eigendecompose(ops, m="all")
     assert complete.complete and complete.m == 600
-    assert eigendecompose(ops, m=100, dof_cap=10).m == 100
+    assert eigendecompose(ops, m=100).m == 100
     partial = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
     for m in (33, "all"):
         with pytest.raises(DofCapError,
                            match="partial-facet partition serves m <= 32; "
                                  "face-aligned partitions .* serve any m"):
-            eigendecompose(partial, m=m, dof_cap=10)
+            eigendecompose(partial, m=m)
     with pytest.raises(ValueError):
         eigendecompose(ops, m="some")
     with pytest.raises(ValueError):
@@ -252,6 +256,26 @@ def test_assembly_cached_identity(square_ops):
     mesh, part = square_ops.mesh, square_ops.partition
     again = fl.assemble_operators(mesh, part)
     assert again is square_ops  # cache hit, not a rebuild
+
+
+def test_assembly_kept_after_many_other_partitions(square_ops):
+    # the pair belongs to its partition, so no other partition evicts it
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [4, 4])
+    for k in range(1, 71):
+        labels = tuple(bool(k >> i & 1) for i in range(16))
+        fl.assemble_operators(mesh, fl.BoundaryPartition(mesh, labels))
+    again = fl.assemble_operators(square_ops.mesh, square_ops.partition)
+    assert again is square_ops
+
+
+def test_dropped_partition_frees_its_operators():
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [5, 7])
+    part = fl.partition_boundary(mesh, [(1, 0)])
+    pair = weakref.ref(fl.assemble_operators(mesh, part))
+    assert pair() is not None
+    del part
+    gc.collect()
+    assert pair() is None
 
 
 def test_operator_symmetry_and_definiteness(square_ops):
@@ -326,7 +350,8 @@ def test_complete_basis_above_dof_cap_minimizes_without_vecs(params2,
         raise AssertionError("dense eigenvectors were requested")
 
     monkeypatch.setattr(fl.SpectralBasis, "vecs", property(refuse))
-    basis = eigendecompose(ops, m="all", dof_cap=10)
+    monkeypatch.setattr(fl.spectral, "DEFAULT_DOF_CAP", 10)
+    basis = eigendecompose(ops, m="all")
     assert basis.complete and basis.m == ops.n_free
     lam = 0.5 * float(basis.lams[0] ** params2.s)
     rep = fl.minimize_quotient(basis, params2, lam)
