@@ -1,8 +1,9 @@
 """Driving experiments through the command line.
 
-Each run takes a JSON config, hashes it, and writes artifacts into a
-directory named by the hash, so identical configs land in identical places
-with identical bytes.  Overrides are applied with --set before hashing.
+Each run takes a JSON config, hashes it, and writes artifacts into
+<hash>/<subcommand>/, so identical configs land in identical places with
+identical bytes and each subcommand keeps its own manifest.  Overrides
+are applied with --set before hashing.
 This script shells out to the command line the same way a batch job would,
 running `python -m fraclap.cli` with this checkout's `src/` on the path, so
 it works without installing the package.
@@ -42,8 +43,8 @@ with tempfile.TemporaryDirectory() as tmp:
         print(out.stderr, file=sys.stderr)
         raise SystemExit(out.returncode)
 
-    run_dir = next((tmp / "runs").iterdir())
-    print(f"\nartifacts in runs/{run_dir.name}:")
+    run_dir = tmp / json.loads(out.stdout)["run_dir"]
+    print(f"\nartifacts in {run_dir.relative_to(tmp)}:")
     for p in sorted(run_dir.iterdir()):
         print(f"  {p.name:<18} {p.stat().st_size:>6} bytes")
 

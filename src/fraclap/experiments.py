@@ -1,10 +1,11 @@
 """Experiment orchestration: run subcommands, persist reports, emit plot data.
 
-Every run lands in ``<outdir>/<config-hash>/`` and is reproducible: the
-same resolved config writes byte-identical JSON and CSV payloads.  Timing
-lives only in the manifest, which is therefore the one file excluded from
-that guarantee.  All file output funnels through a single sink per run, so
-a future fan-out over grid cells keeps one serialized writer.
+Every run lands in ``<outdir>/<config-hash>/<subcommand>/`` and is
+reproducible: the same resolved config writes byte-identical JSON and CSV
+payloads.  Timing lives only in the manifest, which is therefore the one
+file excluded from that guarantee.  All file output funnels through a
+single sink per run, so a future fan-out over grid cells keeps one
+serialized writer.
 """
 
 from __future__ import annotations
@@ -480,10 +481,12 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
 
     Writes the config echo, the subcommand's reports and tables, plot
     series where one is defined, and the manifest, all under
-    ``<outdir>/<config-hash>/``.  Everything the subcommand needs from
-    the config is checked before any directory is created, and the files
-    go to a scratch directory that takes that name only when the run
-    succeeds, so a failed run leaves nothing behind.
+    ``<outdir>/<config-hash>/<subcommand>/``, so the subcommands run on
+    one config keep their artifacts and manifests apart.  Everything the
+    subcommand needs from the config is checked before any directory is
+    created, and the files go to a scratch directory that is renamed to
+    that name only when the run succeeds, so a failed run leaves nothing
+    behind.
 
     Parameters
     ----------
@@ -510,9 +513,11 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     params = _preflight(subcommand, resolved)
     digest = config_hash(resolved)
-    run_dir = Path(resolved["outdir"]) / digest
+    outdir = Path(resolved["outdir"])
+    run_dir = outdir / digest / subcommand
     # one scratch directory per process, named apart from any run directory
-    work = run_dir.with_name(f".{digest}-{os.getpid()}")
+    work = outdir / f".{digest}-{subcommand}-{os.getpid()}"
+    stale = work.with_name(work.name + "-stale")
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     sink = _Sink(work)
@@ -540,17 +545,19 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
         (work / "manifest.json").write_text(
             json.dumps(_jsonable(manifest.as_dict()), sort_keys=True,
                        indent=2) + "\n")
-        # another subcommand on the same config shares the run directory
+        # a rerun of this subcommand on this config replaces the earlier
+        # run as a whole, so the manifest lists exactly the directory
+        run_dir.parent.mkdir(exist_ok=True)
         if run_dir.exists():
-            shutil.copytree(work, run_dir, dirs_exist_ok=True)
-        else:
-            work.rename(run_dir)
+            run_dir.rename(stale)
+        work.rename(run_dir)
     except (ConfigError, ExperimentError):
         raise
     except Exception as e:
         raise ExperimentError(subcommand, f"{type(e).__name__}: {e}") from e
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(stale, ignore_errors=True)
     return manifest
 
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from ._weighted1d import graded_grid, weighted_matrices, weighted_slope_limit
+from ._weighted1d import (
+    graded_grid,
+    harmonic_conductances,
+    weighted_matrices,
+    weighted_slope_limit,
+)
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
 from .spectral import OperatorPair, _CapacitanceKernel, assemble_operators
@@ -131,7 +136,13 @@ class ExtensionField:
 
 
 def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
-    """Solver of the shifted systems (A + theta_j M) x_j = b_j, by column.
+    """Coordinates and shifted solves of (A + theta_j M) x_j = b_j.
+
+    Returns ``(dual, solve)``.  ``dual(B)`` takes right sides b to the
+    base coordinates, one column per right side; ``solve(G)`` takes a
+    coordinate array with one column per shift to the solutions x_j.  So
+    ``solve(dual(B))`` solves column by column, and a right side of low
+    rank in the shift direction needs ``dual`` on its few factors only.
 
     On face-aligned partitions A and M are diagonal in the Kronecker basis
     of ``ops.tensor``, so each solve is two per-axis contractions and a
@@ -142,10 +153,10 @@ def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
     t = ops.tensor
     if t is not None:
         denom = t.values[:, None] + theta[None, :]
-        return lambda B: t.synthesize(t.dual(B) / denom)
+        return t.dual, lambda G: t.synthesize(G / denom)
     kernel = _CapacitanceKernel(*ops._relaxation)
     shifts = kernel.shifts(theta)
-    return lambda B: kernel.synthesize(kernel.solve(kernel.dual(B), shifts))
+    return kernel.dual, lambda G: kernel.synthesize(kernel.solve(G, shifts))
 
 
 def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
@@ -161,9 +172,11 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     Aw_II = Aw[1:J, 1:J].toarray()
     Mw_II = Mw[1:J, 1:J].toarray()
     theta, Z = scipy.linalg.eigh(Aw_II, Mw_II)
-    Aw0 = Aw[1:J, 0].toarray().ravel()
-    Mw0 = Mw[1:J, 0].toarray().ravel()
-    solver = (ops, Z, Aw0, Mw0, _shifted_solver(ops, theta))
+    # the trace couples to the interior through column 0 of Mw and Aw; in
+    # the y-eigenbasis those are the rows Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0]
+    zMA = -np.stack([Mw[1:J, 0].toarray().ravel() @ Z,
+                     Aw[1:J, 0].toarray().ravel() @ Z])
+    solver = (ops, Z, zMA, *_shifted_solver(ops, theta))
     cyl._solvers[partition, s] = solver
     return solver
 
@@ -177,15 +190,19 @@ def extend(
     """Solve the weighted extension problem with trace u.
 
     The discrete system diagonalizes in the y-direction into one shifted
-    base system (A + theta_j M) per weighted y-eigenvalue theta_j.  On
-    face-aligned partitions (every face wholly Dirichlet or wholly Neumann)
-    those are solved in the Kronecker basis of 1-D eigenvectors, with no
-    factorization; on other partitions the same solves get a capacitance
-    correction at the nodes that the face-aligned relaxation frees, with
-    one small Cholesky factor per theta_j.  The solver is built by the
-    first call with a given partition and s and kept on the cylinder, so
-    repeat calls only solve.  No base-operator spectrum is involved either
-    way.
+    base system (A + theta_j M) per weighted y-eigenvalue theta_j.  The
+    trace enters through the right side -(A u) Mw[1:J, 0]^T - (M u)
+    Aw[1:J, 0]^T, which has rank 2: only A u and M u are taken to the base
+    coordinates, and the y-eigenvectors Z turn the two coupling columns
+    into the rows Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0] kept with the solver.
+    On face-aligned partitions (every face wholly Dirichlet or wholly
+    Neumann) the shifted systems are solved in the Kronecker basis of 1-D
+    eigenvectors, with no factorization; on other partitions the same
+    solves get a capacitance correction at the nodes that the face-aligned
+    relaxation frees, with one small Cholesky factor per theta_j.  The
+    solver is built by the first call with a given partition and s and
+    kept on the cylinder, so repeat calls only solve.  No base-operator
+    spectrum is involved either way.
 
     Parameters
     ----------
@@ -209,10 +226,10 @@ def extend(
             "first y-cell too coarse for the boundary layer; increase J or gamma",
             RuntimeWarning, stacklevel=2)
 
-    ops, Z, Aw0, Mw0, shifted_solve = _interior_solver(partition, cyl, s)
+    ops, Z, zMA, dual, solve = _interior_solver(partition, cyl, s)
     uf = u.free_values(ops)
-    R = -np.outer(ops.A @ uf, Mw0) - np.outer(ops.M @ uf, Aw0)
-    W_int = shifted_solve(R @ Z) @ Z.T
+    G = dual(np.column_stack([ops.A @ uf, ops.M @ uf])) @ zMA
+    W_int = solve(G) @ Z.T
 
     full = np.zeros((cyl.base.n_nodes, cyl.J + 1))
     full[ops.free, 0] = uf
@@ -250,11 +267,23 @@ def x_norm(
 
     For the extension of u this matches the fractional norm of u; the
     discrete quadratic form uses the same exactly-integrated weight as the
-    solve, so the match is limited only by discretization.
+    solve, so the match is limited only by discretization.  It is the form
+    kappa W^T (kron(A, Mw) + kron(M, Aw)) W of any field W, taken without
+    forming either Kronecker factor's product with W: the Mw part from the
+    two bands of the tridiagonal Mw as inner products of adjacent levels,
+    sum_j d_j <A W_j, W_j> + 2 sum_j e_j <A W_j, W_j+1>, and the Aw part in
+    conductance-difference form, sum_c a_c <M dW_c, dW_c> with dW_c =
+    W_c+1 - W_c and a_c the cell conductances.  The rows of Aw sum to zero
+    while its entries grow like y_1^(-2s), so the difference form keeps the
+    digits that W^T Aw W would lose to cancellation.
     """
     ops = assemble_operators(cyl.base, w.partition)
-    Aw, Mw = weighted_matrices(cyl.y, params.s)
+    _, Mw = weighted_matrices(cyl.y, params.s)
+    a = harmonic_conductances(cyl.y, params.s)
     W = w.values[ops.free, :]
-    energy = float(np.sum((ops.A @ W) * (Mw @ W.T).T))
-    energy += float(np.sum((ops.M @ W) * (Aw @ W.T).T))
+    AW = ops.A @ W
+    dW = np.diff(W, axis=1)
+    energy = Mw.diagonal(0) @ np.einsum("ij,ij->j", AW, W)
+    energy += 2.0 * Mw.diagonal(1) @ np.einsum("ij,ij->j", AW[:, :-1], W[:, 1:])
+    energy += a @ np.einsum("ij,ij->j", ops.M @ dW, dW)
     return float(np.sqrt(kappa * energy))

@@ -189,7 +189,8 @@ def test_cli_eig_success(tmp_path, capsys):
     assert summary["ok"] is True
     assert summary["subcommand"] == "eig"
     run_dir = Path(summary["run_dir"])
-    assert run_dir.name == summary["config_hash"]
+    assert run_dir.name == "eig"
+    assert run_dir.parent.name == summary["config_hash"]
     for name in ("config.json", "eigenvalues.csv", "eig.json"):
         assert name in summary["artifacts"]
         assert (run_dir / name).exists()
@@ -378,6 +379,29 @@ def test_cli_numerical_failure_exits_3(tmp_path, capsys):
 def test_run_unknown_subcommand():
     with pytest.raises(fl.ConfigError, match="unknown subcommand"):
         run("nope", fl.validate({}))
+
+
+def test_each_subcommand_keeps_its_own_run_directory(tmp_path):
+    # every file of a run directory is listed in that directory's manifest,
+    # also after other subcommands and a rerun on the same config
+    field = {"field": {"modes": [1, 2], "coeffs": [1.0, 0.5]}}
+    cfg = fl.validate(json.loads(_write_cfg(tmp_path, field).read_text()))
+    first = run("eig", cfg)
+    for sub in ("frac-apply", "extend-check", "eig"):
+        last = run(sub, cfg)
+    runs = tmp_path / "runs"
+    assert sorted(p.name for p in runs.iterdir()) == [first.config_hash]
+    subdirs = sorted(p.name for p in (runs / first.config_hash).iterdir())
+    assert subdirs == ["eig", "extend-check", "frac-apply"]
+    assert last.run_dir == first.run_dir
+    for sub in subdirs:
+        run_dir = runs / first.config_hash / sub
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["subcommand"] == sub
+        assert manifest["run_dir"] == str(run_dir)
+        listed = {Path(p) for p in manifest["artifacts"].values()}
+        on_disk = {p for p in run_dir.rglob("*") if p.is_file()}
+        assert on_disk == listed | {run_dir / "manifest.json"}
 
 
 def test_run_manifest_round_trip(tmp_path):

@@ -306,3 +306,93 @@ def test_extend_matches_assembled_cylinder_solve(face_aligned):
     # both are direct solves of one well-posed system: round-off only
     err = np.max(np.abs(w.values[ops.free, 1:cyl.J] - want))
     assert err < 1e-12 * np.max(np.abs(uf))
+
+
+def _face_aligned_or_partial(face_aligned):
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.5)], [8, 6])
+    if face_aligned:
+        part = fl.partition_boundary(mesh, [(0, 0), (1, 1)])
+    else:
+        part = fl.moving_family(mesh, [0.5])[0]
+    return mesh, part
+
+
+@pytest.mark.parametrize("face_aligned", [True, False])
+def test_x_norm_is_the_assembled_quadratic_form(face_aligned):
+    # x_norm^2 / kappa is w^T (kron(A, Mw) + kron(M, Aw)) w for any field,
+    # not only for extensions: the minimality test compares perturbed ones
+    params = fl.FracParams(s=S, N=2)
+    mesh, part = _face_aligned_or_partial(face_aligned)
+    ops = fl.assemble_operators(mesh, part)
+    cyl = fl.build_cylinder(mesh, 4.0, 24, 2.0)
+    u = fl.Field.from_callable(
+        mesh, part, lambda x: np.cos(x[:, 0]) * (1.0 + x[:, 1] ** 2))
+    w = fl.extend(cyl, part, params, u)
+    Aw, Mw = weighted_matrices(cyl.y, S)
+    K = sp.kron(ops.A, Mw) + sp.kron(ops.M, Aw)
+    kap = fl.kappa_s(params)
+    rng = np.random.default_rng(11)
+    for scale in (0.0, 1e-3, 1.0):
+        delta = scale * rng.standard_normal((mesh.n_nodes, cyl.J - 1))
+        field = w.perturbed(delta)
+        vec = field.values[ops.free, :].ravel()
+        want = math.sqrt(kap * (vec @ (K @ vec)))
+        got = fl.x_norm(cyl, params, field, kap)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_x_norm_keeps_its_digits_on_a_graded_cylinder():
+    # the Aw part of the energy sums conductances of size y_1^(-2s) against
+    # level differences of size y^(2s); a reference in long double with
+    # conductances from the long-double grid exposes any cancellation
+    # (W^T Aw W formed in double misses by 8.5e-8 here)
+    params = fl.FracParams(s=S, N=2)
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])
+    part = fl.partition_boundary(mesh, [(0, 0)])
+    ops = fl.assemble_operators(mesh, part)
+    basis = fl.eigendecompose(ops, m=1)
+    cyl = fl.build_cylinder(mesh, 6.0 / math.sqrt(basis.lams[0]), 256, 3.0)
+    w = fl.extend(cyl, part, params, fl.mode_field(basis, 1))
+
+    ld = np.longdouble
+    y, s = cyl.y.astype(ld), ld(S)
+    cond = 2 * s / np.diff(y ** (2 * s))
+    yl, yr, h = y[:-1], y[1:], np.diff(y)
+    m0, m1, m2 = ((yr ** e - yl ** e) / e
+                  for e in (k + 2 - 2 * s for k in range(3)))
+    diag = np.zeros(len(y), dtype=ld)
+    diag[:-1] += (m2 - 2 * yr * m1 + yr**2 * m0) / h**2
+    diag[1:] += (m2 - 2 * yl * m1 + yl**2 * m0) / h**2
+    off = (-m2 + (yl + yr) * m1 - yl * yr * m0) / h**2
+    W = w.values[ops.free, :].astype(ld)
+    AW = ops.A.toarray().astype(ld) @ W
+    dW = np.diff(W, axis=1)
+    want = (diag @ np.einsum("ij,ij->j", AW, W)
+            + 2 * off @ np.einsum("ij,ij->j", AW[:, :-1], W[:, 1:])
+            + cond @ np.einsum("ij,ij->j", ops.M.toarray().astype(ld) @ dW, dW))
+    kap = fl.kappa_s(params)
+    got = ld(fl.x_norm(cyl, params, w, kap)) ** 2 / ld(kap)
+    assert abs(got - want) / want < 1e-12
+
+
+@pytest.mark.parametrize("face_aligned", [True, False])
+def test_extend_maps_a_rank_two_right_side(face_aligned, monkeypatch):
+    # the right side -(A u) Mw[1:J, 0]^T - (M u) Aw[1:J, 0]^T has rank 2, so
+    # the base dual sees its two factors, never J - 1 columns
+    params = fl.FracParams(s=S, N=2)
+    mesh, part = _face_aligned_or_partial(face_aligned)
+    owner = fl.spectral.TensorEigs if face_aligned \
+        else fl.spectral._CapacitanceKernel
+    columns = []
+    dual = owner.dual
+
+    def counting(self, X):
+        columns.append(X.shape[1])
+        return dual(self, X)
+
+    monkeypatch.setattr(owner, "dual", counting)
+    cyl = fl.build_cylinder(mesh, 4.0, 24, 2.0)
+    u = fl.Field.from_callable(mesh, part, lambda x: np.sin(x[:, 0] + x[:, 1]))
+    for calls in (1, 2, 3):
+        fl.extend(cyl, part, params, u)
+        assert columns == [2] * calls
