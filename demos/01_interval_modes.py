@@ -8,6 +8,8 @@ and shows how the fractional powers lambda_k^s follow.
 """
 import math
 
+import numpy as np
+
 import fraclap as fl
 
 mesh = fl.build_tensor_mesh(1, [(0.0, 1.0)], [256])
@@ -25,6 +27,7 @@ for k in range(1, 7):
     rel = abs(lam - exact) / exact
     print(f"{k:>3} {lam:>14.6f} {exact:>14.6f} {rel:>10.2e} {lam**params.s:>14.6f}")
 
-lam1, vec1 = fl.first_eigenpair(ops)
-print(f"\nfirst_eigenpair agrees with the basis: {abs(lam1 - float(basis.lams[0])):.2e}")
+phi1 = basis.eigenfunction(1)
+positive = bool(np.all(phi1[ops.mesh.interior_node_mask] > 0))
+print(f"\nphi_1 is positive on the interior nodes: {positive}")
 print(f"lambda_1^s via lambda1s(): {fl.lambda1s(basis, params):.8f}")

@@ -21,7 +21,7 @@ for N in (2, 3):
     print(f"  closed-form rel diff {rep.notes['kappa_closed_form_rel_diff']:.2e}")
     print(f"  sobolev constant     {rep.sobolev:.12f}")
     print(f"  threshold            {rep.threshold:.12f}")
-    print(f"  critical exponent    {fl.critical_exponent(params):.6f}")
+    print(f"  critical exponent    {params.two_star:.6f}")
 
 print("\ns sweep (N = 3): closed-form kappa, the calibration's distance to it")
 for s in (0.55, 0.65, 0.75, 0.85, 0.95, 0.99):

@@ -16,14 +16,13 @@ well.
 import fraclap as fl
 
 params = fl.FracParams(s=0.75, N=2)
-kap = fl.kappa_s(params)
 alphas = [1.0, 0.75, 0.5, 0.25, 0.125]
 
 for cells in (40, 64):
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [cells, cells])
     n_free = [fl.assemble_operators(mesh, part).n_free
               for part in fl.moving_family(mesh, alphas)]
-    res = fl.move_boundary_experiment(mesh, params, alphas, kappa=kap)
+    res = fl.move_boundary_experiment(mesh, params, alphas)
 
     print(f"{cells}^2 cells, {min(n_free)}..{max(n_free)} free nodes "
           f"(dense cap {fl.DEFAULT_DOF_CAP})")

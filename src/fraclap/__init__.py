@@ -21,7 +21,6 @@ from .spectral import (
     DofCapError,
     assemble_operators,
     eigendecompose,
-    first_eigenpair,
     quotient_operator,
     DEFAULT_DOF_CAP,
 )
@@ -36,7 +35,6 @@ from .fractional import (
     frac_norm,
     spectral_tail_bound,
     lambda1s,
-    critical_exponent,
     sobolev_constant,
     kappa_s,
     attainment_threshold,
@@ -91,7 +89,6 @@ from .experiments import (
     RunManifest,
     SUBCOMMANDS,
     run,
-    emit_plot_data,
 )
 
 __version__ = "0.1.0"
@@ -101,11 +98,11 @@ __all__ = [
     "build_tensor_mesh", "partition_boundary", "moving_family",
     "cone_domain",
     "OperatorPair", "SpectralBasis", "DofCapError", "assemble_operators",
-    "eigendecompose", "first_eigenpair", "quotient_operator",
+    "eigendecompose", "quotient_operator",
     "DEFAULT_DOF_CAP",
     "FracParams", "Field", "ConstantsReport", "QuotientReport",
     "TruncatedBasisError", "mode_field", "frac_apply", "frac_norm",
-    "spectral_tail_bound", "lambda1s", "critical_exponent",
+    "spectral_tail_bound", "lambda1s",
     "sobolev_constant", "kappa_s", "attainment_threshold",
     "constants_report", "critical_norm", "test_function_quotient",
     "extremal_bubble", "cutoff_profile",
@@ -121,6 +118,5 @@ __all__ = [
     "ConfigError", "load_config", "apply_overrides", "validate",
     "config_hash", "build_domain", "resolve_lambda",
     "ExperimentError", "RunManifest", "SUBCOMMANDS", "run",
-    "emit_plot_data",
     "__version__",
 ]

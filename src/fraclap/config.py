@@ -16,7 +16,13 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
-from .mesh import _parse_face
+from .extension import MIN_Y_CELLS
+from .mesh import (
+    _parse_face,
+    build_tensor_mesh,
+    cone_domain,
+    partition_boundary,
+)
 
 __all__ = [
     "ConfigError",
@@ -210,11 +216,45 @@ def _domain_dim(dom: dict) -> int | None:
     return None
 
 
+def _negative(spec) -> bool:
+    # a lambda spec that resolves below 0 whatever lambda_1^s is
+    if isinstance(spec, dict):
+        spec = spec.get("fraction_of_lambda1s")
+    return _num(spec) and spec < 0
+
+
+def _level_ok(level) -> bool:
+    # one rung of the refinement ladder: [n >= 2 or null, J >= MIN_Y_CELLS]
+    return (isinstance(level, list) and len(level) == 2
+            and (level[0] is None or _is_int(level[0]) and level[0] >= 2)
+            and _is_int(level[1]) and level[1] >= MIN_Y_CELLS)
+
+
 def _check_values(resolved: dict, bad: list[str]) -> None:
     # value ranges of well-typed keys; numbers the library would reject
     # later, after the run directory exists
     if not 0.5 < resolved["s"] < 1.0:
         bad.append("s (expected a number in (1/2, 1))")
+    cyl = resolved["cylinder"]
+    if cyl["J"] < MIN_Y_CELLS:
+        bad.append(f"cylinder.J (expected an integer >= {MIN_Y_CELLS})")
+    if cyl["gamma"] < 1:
+        bad.append("cylinder.gamma (expected a number >= 1)")
+    if cyl["Y"] is not None and cyl["Y"] <= 0:
+        bad.append("cylinder.Y (expected a positive number or null)")
+    if not all(_level_ok(level) for level in resolved.get("levels") or []):
+        bad.append(f"levels (expected [n >= 2 or null, J >= {MIN_Y_CELLS}] "
+                   f"entries)")
+    for key, values in (("alphas", resolved.get("alphas")),
+                        ("pohozaev.x0", resolved["pohozaev"].get("x0")),
+                        ("field.coeffs",
+                         resolved.get("field", {}).get("coeffs"))):
+        if not all(_num(v) for v in values or []):
+            bad.append(f"{key} (expected numbers)")
+    if _negative(resolved["lambda"]):
+        bad.append("lambda (expected a nonnegative number or fraction)")
+    if any(_negative(v) for v in resolved.get("lambda_grid") or []):
+        bad.append("lambda_grid (expected nonnegative numbers or fractions)")
     if resolved["mode_count"] < 1:
         bad.append("mode_count (expected an integer >= 1)")
     if resolved["solver"]["polish_max"] < 1:
@@ -251,8 +291,11 @@ def validate(cfg: dict) -> dict:
     Keys are checked first for name and type, then the resolved values
     for range: ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at
     least 2, faces on the box, ``mode_count`` and ``solver.polish_max`` of
-    at least 1, and ``solver.init`` and ``pohozaev.nonlinearity`` among
-    their choices.
+    at least 1, ``solver.init`` and ``pohozaev.nonlinearity`` among their
+    choices, a cylinder with J >= 16, gamma >= 1 and Y > 0 (or null),
+    ``levels`` entries [n >= 2 or null, J >= 16], numeric ``alphas``,
+    ``pohozaev.x0`` and ``field.coeffs`` entries, and no negative
+    ``lambda`` or ``lambda_grid`` spec.
 
     Returns
     -------
@@ -297,8 +340,6 @@ def build_domain(resolved: dict):
     ConfigError
         If the domain or partition section is missing or inconsistent.
     """
-    from .mesh import build_tensor_mesh, cone_domain, partition_boundary
-
     dom = _domain_section(resolved)
     if dom.get("kind") == "cone":
         cone = cone_domain(dom["dim"], dom["radius"], int(dom["n"][0]),

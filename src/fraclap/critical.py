@@ -18,7 +18,7 @@ the partition's shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from .fractional import (
     TruncatedBasisError,
     attainment_threshold,
     critical_norm,
+    lambda1s,
     mode_field,
 )
-from .mesh import Mesh
+from .mesh import Mesh, moving_family
 from .spectral import (
     Operator,
     OperatorPair,
@@ -54,6 +55,13 @@ __all__ = [
 ]
 
 NONEXISTENCE = "NONEXISTENCE-REGIME"
+
+
+def _scalars(report) -> dict:
+    # every field of a report but those holding a Field, which a JSON report
+    # leaves out; annotations are strings here (postponed evaluation)
+    return {f.name: getattr(report, f.name) for f in fields(report)
+            if not f.type.startswith("Field")}
 
 
 def quotient(
@@ -142,15 +150,7 @@ class MinimizerReport:
     el_residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "lam": self.lam, "flag": self.flag,
-            "witness_quotient": self.witness_quotient, "value": self.value,
-            "converged": self.converged, "iterations": self.iterations,
-            "max_abs": self.max_abs, "participation": self.participation,
-            "grad_residual": self.grad_residual,
-            "el_residual": self.el_residual,
-            "trace_q": self.trace_q,
-        }
+        return _scalars(self)
 
 
 def _nonlinear_coeffs(basis: Operator, uf: np.ndarray, p: float) -> np.ndarray:
@@ -307,7 +307,7 @@ def sobolev_constant_dirichlet(
     """
     rep = minimize_quotient(basis, params, lam=0.0, opts=opts)
     vol = basis.ops.mesh.volume
-    bound = vol ** (2.0 * params.s / params.N) * basis.lam1 ** params.s
+    bound = vol ** (2.0 * params.s / params.N) * lambda1s(basis, params)
     if not rep.value <= bound * (1.0 + 1e-10):
         raise AssertionError(
             f"constrained constant {rep.value} exceeds its eigenvalue bound "
@@ -329,11 +329,7 @@ class SolutionReport:
     energy_value: float
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k, "S": self.S, "residual_rel": self.residual_rel,
-            "min_interior": self.min_interior, "positive": self.positive,
-            "energy_value": self.energy_value,
-        }
+        return _scalars(self)
 
 
 def rescale_to_solution(
@@ -412,13 +408,15 @@ def sweep_lambda(
     Values must lie in [0, 1.2 * lambda_1^s].  Each minimization warm-starts
     from the previous minimizer, which makes the S_lambda column monotone
     nonincreasing by construction; grid points at or above the fractional
-    principal eigenvalue are flagged instead of iterated.
+    principal eigenvalue are flagged instead of iterated.  The reported
+    ``lam1s`` is :func:`~fraclap.fractional.lambda1s`, the very value the
+    flags are decided against.
 
     Returns
     -------
     SweepResult
     """
-    lam1s = float(basis.lam1 ** params.s)
+    lam1s = lambda1s(basis, params)
     grid = np.sort(np.asarray(list(lam_grid), dtype=float))
     if grid.size == 0:
         raise ValueError("empty lambda grid")
@@ -469,15 +467,15 @@ def move_boundary_experiment(
     alphas,
     faces=None,
     opts: MinimizeOptions | None = None,
-    kappa: float | None = None,
 ) -> MoveBoundaryResult:
     """Shrink the Dirichlet part and track eigenvalues against the threshold.
 
     For each alpha (snapped down to a facet union) the table records the
     principal eigenvalue, its fractional power, the constrained Sobolev
     constant at lam = 0, and whether |Omega|^(2s/N) lambda_1^s has dropped
-    below the attainment threshold; the first alpha where it has is
-    ``onset_alpha`` (NaN if none).  Eigenvalue columns are monotone
+    below the attainment threshold, taken with the closed-form coupling
+    constant :func:`~fraclap.fractional.kappa_s`; the first alpha where it
+    has is ``onset_alpha`` (NaN if none).  Eigenvalue columns are monotone
     nonincreasing as alpha decreases, which is asserted.  Each alpha runs
     on :func:`~fraclap.spectral.quotient_operator`: a complete Kronecker
     basis when the partition is face-aligned, otherwise the spectrum-free
@@ -494,23 +492,18 @@ def move_boundary_experiment(
     faces : sequence, optional
         Fill order restriction passed to :func:`fraclap.mesh.moving_family`.
     opts : MinimizeOptions, optional
-    kappa : float, optional
-        Extension coupling constant; the closed form
-        :func:`~fraclap.fractional.kappa_s` if omitted.
 
     Returns
     -------
     MoveBoundaryResult
     """
-    from .mesh import moving_family
-
     parts = moving_family(mesh, alphas, faces)
     snapped = [p.alpha for p in parts]
     if any(b >= a for a, b in zip(snapped, snapped[1:])):
         raise ValueError(
             f"alphas snap to non-distinct facet unions {snapped}; "
             f"refine the mesh or spread the alphas")
-    thr = attainment_threshold(params, kappa)
+    thr = attainment_threshold(params)
     vol_pow = mesh.volume ** (2.0 * params.s / params.N)
 
     rows = []
@@ -520,7 +513,7 @@ def move_boundary_experiment(
         ops = assemble_operators(mesh, part)
         basis = quotient_operator(ops)
         lam11 = float(basis.lam1)
-        lam1s_val = lam11**params.s
+        lam1s_val = lambda1s(basis, params)
         srep = sobolev_constant_dirichlet(basis, params, opts)
         frac_err = basis.frac_rel_error(params.s)
         # release this alpha's operator before the next one is built, so

@@ -1,4 +1,4 @@
-"""Experiment orchestration: run subcommands, persist reports, emit plot data.
+"""Experiment orchestration: run subcommands, persist reports and plot series.
 
 Every run lands in ``<outdir>/<config-hash>/<subcommand>/`` and is
 reproducible: the same resolved config writes byte-identical JSON and CSV
@@ -38,8 +38,10 @@ from .fractional import (
     constants_report,
     frac_apply,
     kappa_s,
+    lambda1s,
     mode_field,
 )
+from .mesh import moving_family
 from .pohozaev import (
     critical_power,
     linear_plus_critical,
@@ -53,7 +55,6 @@ __all__ = [
     "RunManifest",
     "SUBCOMMANDS",
     "run",
-    "emit_plot_data",
     "fmt17",
 ]
 
@@ -68,12 +69,12 @@ SUBCOMMANDS = (
     "pohozaev",
 )
 
-# which CSV table feeds which two-column plot series: (table, x, y, outname)
-_PLOT_RULES = (
-    ("sweep.csv", "lam", "S_lambda", "S_vs_lambda.dat"),
-    ("move_boundary.csv", "alpha", "lam_1_s", "lambda1s_vs_alpha.dat"),
-    ("pohozaev.csv", "level", "residual_over_scale", "residual_vs_level.dat"),
-)
+# the two-column plot series written with a CSV table: table -> (x, y, series)
+_PLOTS = {
+    "sweep.csv": ("lam", "S_lambda", "S_vs_lambda.dat"),
+    "move_boundary.csv": ("alpha", "lam_1_s", "lambda1s_vs_alpha.dat"),
+    "pohozaev.csv": ("level", "residual_over_scale", "residual_vs_level.dat"),
+}
 
 
 class ExperimentError(RuntimeError):
@@ -132,10 +133,20 @@ class _Sink:
                                     indent=2) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows: list[dict]) -> None:
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt17(row[h]) for h in header))
-        self._emit(name, "\n".join(lines) + "\n")
+        """Write a table and, if ``_PLOTS`` names one, its plot series.
+
+        A series line is the x and y cell of one row, as the table has
+        them; rows whose y cell is "nan" are left out.
+        """
+        cells = [[fmt17(row[h]) for h in header] for row in rows]
+        self._emit(name, "\n".join([",".join(header)]
+                                   + [",".join(c) for c in cells]) + "\n")
+        if name in _PLOTS:
+            x, y, series = _PLOTS[name]
+            xi, yi = header.index(x), header.index(y)
+            (self.run_dir / "plots").mkdir(exist_ok=True)
+            self._emit(f"plots/{series}", "".join(
+                f"{c[xi]} {c[yi]}\n" for c in cells if c[yi] != "nan"))
 
 
 @dataclass
@@ -226,6 +237,12 @@ def _preflight(subcommand: str, resolved: dict) -> FracParams:
             raise ConfigError(f"field.modes entries must be mode numbers in "
                               f"1..{limit} (mode_count or free nodes)",
                               keys=["field.modes"])
+    if subcommand == "move-boundary":
+        try:
+            moving_family(part.mesh, resolved["alphas"],
+                          resolved.get("faces") or None)
+        except ValueError as e:
+            raise ConfigError(f"invalid alphas: {e}", keys=["alphas"]) from e
     if subcommand == "pohozaev" and len(resolved["pohozaev"]["x0"]) != dim:
         raise ConfigError(f"pohozaev.x0 needs {dim} components, one per "
                           f"axis", keys=["pohozaev.x0"])
@@ -354,7 +371,7 @@ def _run_minimize(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     basis = quotient_operator(ops)
-    lam1s = float(basis.lam1 ** params.s)
+    lam1s = lambda1s(basis, params)
     lam = resolve_lambda(resolved["lambda"], lam1s)
     rep = minimize_quotient(basis, params, lam,
                             init=_initial_field(resolved, ops),
@@ -374,7 +391,7 @@ def _run_sweep(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, part = build_domain(resolved)
     ops = assemble_operators(mesh, part)
     basis = quotient_operator(ops)
-    lam1s = float(basis.lam1 ** params.s)
+    lam1s = lambda1s(basis, params)
     grid = [resolve_lambda(v, lam1s) for v in resolved["lambda_grid"]]
     result = sweep_lambda(basis, params, grid, opts=_options(resolved))
     header = ["lam", "nonexistence", "witness_quotient", "S_lambda",
@@ -427,7 +444,7 @@ def _run_pohozaev(resolved: dict, params: FracParams, sink: _Sink) -> None:
         mesh, part = build_domain(level_cfg)
         ops = assemble_operators(mesh, part)
         basis = quotient_operator(ops)
-        lam1s = float(basis.lam1 ** params.s)
+        lam1s = lambda1s(basis, params)
         lam = resolve_lambda(resolved["lambda"], lam1s)
         rep = minimize_quotient(basis, params, lam, opts=_options(resolved))
         if rep.flag != "OK":
@@ -438,18 +455,10 @@ def _run_pohozaev(resolved: dict, params: FracParams, sink: _Sink) -> None:
         cyl = _cylinder_for(level_cfg, mesh, float(basis.lam1))
         w = extend(cyl, part, params, sol.v)
         nl = _nonlinearity(resolved, params, lam)
-        report = pohozaev_terms(sol.v, w, nl, params, kappa, x0)
-        rows.append({
-            "level": idx,
-            "n": mesh.n[0], "J": cyl.J, "lam": lam,
-            "volume_uf": report.volume_uf, "volume_F": report.volume_F,
-            "lateral_neumann": report.lateral_neumann,
-            "lateral_dirichlet": report.lateral_dirichlet,
-            "boundary_neumann": report.boundary_neumann,
-            "residual": report.residual, "scale": report.scale,
-            "residual_over_scale": report.residual_over_scale,
-        })
-        reports.append(report.as_dict())
+        report = pohozaev_terms(sol.v, w, nl, params, kappa, x0).as_dict()
+        rows.append({"level": idx, "n": mesh.n[0], "J": cyl.J, "lam": lam,
+                     **report})
+        reports.append(report)
         last = (mesh, part, nl)
     header = ["level", "n", "J", "lam", "volume_uf", "volume_F",
               "lateral_neumann", "lateral_dirichlet", "boundary_neumann",
@@ -535,13 +544,10 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
         manifest.timings["compute"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        manifest.artifacts = dict(sink.artifacts)
-        if any(table in sink.artifacts for table, *_ in _PLOT_RULES):
-            emit_plot_data(manifest)
-        manifest.timings["write"] = time.perf_counter() - t0
         manifest.run_dir = str(run_dir)
         manifest.artifacts = {name: str(run_dir / name)
-                              for name in manifest.artifacts}
+                              for name in sink.artifacts}
+        manifest.timings["write"] = time.perf_counter() - t0
         (work / "manifest.json").write_text(
             json.dumps(_jsonable(manifest.as_dict()), sort_keys=True,
                        indent=2) + "\n")
@@ -559,50 +565,3 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
         shutil.rmtree(work, ignore_errors=True)
         shutil.rmtree(stale, ignore_errors=True)
     return manifest
-
-
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
-
-
-def emit_plot_data(manifest: RunManifest) -> list[str]:
-    """Write two-column whitespace-delimited series from a manifest's tables.
-
-    Recognized tables: the lambda sweep (lam vs S_lambda), the moving
-    boundary family (alpha vs the fractional principal eigenvalue), and the
-    refinement ladder (level vs scaled identity residual).  Rows without a
-    finite y-value are dropped.
-
-    Parameters
-    ----------
-    manifest : RunManifest
-
-    Returns
-    -------
-    list of str
-        Paths of the series files written, also added to the manifest.
-
-    Raises
-    ------
-    ExperimentError
-        If the manifest has none of the recognized tables.
-    """
-    written = []
-    for table, xcol, ycol, outname in _PLOT_RULES:
-        if table not in manifest.artifacts:
-            continue
-        header, rows = _read_csv(Path(manifest.artifacts[table]))
-        xi, yi = header.index(xcol), header.index(ycol)
-        pairs = [(r[xi], r[yi]) for r in rows if r[yi] != "nan"]
-        out = Path(manifest.run_dir) / "plots" / outname
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("".join(f"{x} {y}\n" for x, y in pairs))
-        manifest.artifacts[f"plots/{outname}"] = str(out)
-        written.append(str(out))
-    if not written:
-        raise ExperimentError(
-            "plot", "manifest has no plottable tables (expected one of: "
-            + ", ".join(t for t, *_ in _PLOT_RULES) + ")")
-    return written

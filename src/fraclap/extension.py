@@ -22,7 +22,7 @@ from ._weighted1d import (
 )
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import OperatorPair, _CapacitanceKernel, assemble_operators
+from .spectral import OperatorPair, assemble_operators
 
 __all__ = [
     "CylinderMesh",
@@ -147,14 +147,14 @@ def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
     On face-aligned partitions A and M are diagonal in the Kronecker basis
     of ``ops.tensor``, so each solve is two per-axis contractions and a
     division by (lambda_i + theta_j).  Partial-facet partitions add the
-    capacitance correction of their relaxation's kernel, one r x r
+    capacitance correction of the pair's one ``kernel``, one r x r
     Cholesky factor per shift; no shifted matrix is factored.
     """
     t = ops.tensor
     if t is not None:
         denom = t.values[:, None] + theta[None, :]
         return t.dual, lambda G: t.synthesize(G / denom)
-    kernel = _CapacitanceKernel(*ops._relaxation)
+    kernel = ops.kernel
     shifts = kernel.shifts(theta)
     return kernel.dual, lambda G: kernel.synthesize(kernel.solve(G, shifts))
 
@@ -199,8 +199,9 @@ def extend(
     Neumann) the shifted systems are solved in the Kronecker basis of 1-D
     eigenvectors, with no factorization; on other partitions the same
     solves get a capacitance correction at the nodes that the face-aligned
-    relaxation frees, with one small Cholesky factor per theta_j.  The
-    solver is built by the first call with a given partition and s and
+    relaxation frees, from the partition's one capacitance kernel
+    (``OperatorPair.kernel``), with one small Cholesky factor per theta_j.
+    The solver is built by the first call with a given partition and s and
     kept on the cylinder, so repeat calls only solve.  No base-operator
     spectrum is involved either way.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _weighted1d
 from .mesh import BoundaryPartition, Mesh
-from .spectral import Operator, OperatorPair, SpectralBasis
+from .spectral import Operator, OperatorPair, SpectralBasis, assemble_operators
 
 __all__ = [
     "FracParams",
@@ -32,7 +32,6 @@ __all__ = [
     "frac_norm",
     "spectral_tail_bound",
     "lambda1s",
-    "critical_exponent",
     "sobolev_constant",
     "kappa_s",
     "attainment_threshold",
@@ -218,13 +217,12 @@ def spectral_tail_bound(basis: SpectralBasis, params: FracParams, u: Field) -> f
 
 
 def lambda1s(basis: Operator, params: FracParams) -> float:
-    """First eigenvalue of the fractional operator: lambda_1 ** s."""
-    return float(basis.lam1 ** params.s)
+    """First eigenvalue of the fractional operator: lambda_1 ** s.
 
-
-def critical_exponent(params: FracParams) -> float:
-    """Critical Sobolev exponent 2N/(N-2s)."""
-    return params.two_star
+    The one spelling of it, ``basis.lam1s``, which the nonexistence witness
+    also uses; the scalar power of lambda_1 may differ from it by one ulp.
+    """
+    return float(basis.lam1s(params.s))
 
 
 def sobolev_constant(params: FracParams) -> float:
@@ -344,23 +342,14 @@ def critical_norm(
     ops: OperatorPair,
     params: FracParams,
     values_free: np.ndarray,
-    quadrature: str = "lumped",
 ) -> float:
     """Nodal L^{2*} norm with lumped-mass weights.
 
     The lumped rule is positivity-preserving, which the minimization loop
-    relies on.  ``quadrature="consistent"`` interpolates |u|^{p/2} and uses
-    the consistent mass instead; documented alternative, not the default.
+    relies on.
     """
     p = params.two_star
-    if quadrature == "lumped":
-        val = float(np.sum(ops.lumped * np.abs(values_free) ** p))
-    elif quadrature == "consistent":
-        half = np.abs(values_free) ** (p / 2.0)
-        val = float(half @ (ops.M @ half))
-    else:
-        raise ValueError(f"unknown quadrature {quadrature!r}")
-    return val ** (1.0 / p)
+    return float(np.sum(ops.lumped * np.abs(values_free) ** p)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -419,7 +408,6 @@ def test_function_quotient(
     lam: float = 0.0,
     route: str = "extension",
     basis: SpectralBasis | None = None,
-    kappa: float | None = None,
     Y: float | None = None,
     J: int = 32,
     gamma: float = 3.0,
@@ -447,8 +435,9 @@ def test_function_quotient(
     route : {"extension", "spectral"}
     basis : SpectralBasis, optional
         Required for the spectral route.
-    kappa, Y, J, gamma
-        Extension-route parameters; Y defaults to 1.5 * longest side.
+    Y, J, gamma
+        Extension-route cylinder; Y defaults to 1.5 * longest side.  The
+        energy takes the closed-form coupling constant :func:`kappa_s`.
 
     Returns
     -------
@@ -481,9 +470,6 @@ def test_function_quotient(
         raise ValueError(
             "cutoff support reaches the Dirichlet part; shrink rho or move x0")
     u = Field(values=vals, mesh=mesh, partition=partition)
-
-    from .spectral import assemble_operators
-
     ops = assemble_operators(mesh, partition)
     uf = u.free_values(ops)
     l2_sq = float(uf @ (ops.M @ uf))
@@ -492,11 +478,9 @@ def test_function_quotient(
     if route == "extension":
         if Y is None:
             Y = 1.5 * max(b - a for a, b in mesh.extents)
-        if kappa is None:
-            kappa = kappa_s(params)
         cyl = build_cylinder(mesh, Y=Y, J=J, gamma=gamma)
         w = extend(cyl, partition, params, u)
-        energy = x_norm(cyl, params, w, kappa) ** 2
+        energy = x_norm(cyl, params, w, kappa_s(params)) ** 2
     elif route == "spectral":
         if basis is None:
             raise ValueError("spectral route needs a basis")

@@ -20,7 +20,7 @@ face's lateral strips, Neumann F-means and labels are arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,10 @@ __all__ = [
     "NonexistenceReport",
     "nonexistence_check",
 ]
+
+# the growth condition g(t) >= 0 is sampled at this many points of (0, max]
+_GROWTH_T_MAX = 10.0
+_GROWTH_SAMPLES = 400
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,8 @@ class PohozaevReport:
 
     ``residual`` is LHS - RHS with LHS = volume_uf - volume_F and
     RHS = lateral_neumann - lateral_dirichlet - boundary_neumann; ``scale``
-    is the largest absolute term, and ``residual_over_scale`` degrades to
-    0 at the zero field where every term vanishes.
+    is the largest absolute term, and ``residual_over_scale`` is their
+    ratio, 0 at the zero field where every term vanishes.
     """
 
     volume_uf: float
@@ -122,22 +126,11 @@ class PohozaevReport:
     boundary_neumann: float
     residual: float
     scale: float
+    residual_over_scale: float
     x0: tuple
 
-    @property
-    def residual_over_scale(self) -> float:
-        return self.residual / self.scale if self.scale > 0 else 0.0
-
     def as_dict(self) -> dict:
-        return {
-            "volume_uf": self.volume_uf, "volume_F": self.volume_F,
-            "lateral_neumann": self.lateral_neumann,
-            "lateral_dirichlet": self.lateral_dirichlet,
-            "boundary_neumann": self.boundary_neumann,
-            "residual": self.residual, "scale": self.scale,
-            "residual_over_scale": self.residual_over_scale,
-            "x0": list(self.x0),
-        }
+        return asdict(self)
 
 
 def _pairing(mesh: Mesh, axis: int, side: int, x0: tuple) -> float:
@@ -265,11 +258,13 @@ def pohozaev_terms(
 
     lhs = vol_uf - vol_F
     rhs = lat_neu - lat_dir - bdry_neu
-    terms = [vol_uf, vol_F, lat_neu, lat_dir, bdry_neu]
+    residual = lhs - rhs
+    scale = max(abs(t) for t in (vol_uf, vol_F, lat_neu, lat_dir, bdry_neu))
     return PohozaevReport(
         volume_uf=vol_uf, volume_F=vol_F, lateral_neumann=lat_neu,
         lateral_dirichlet=lat_dir, boundary_neumann=bdry_neu,
-        residual=lhs - rhs, scale=max(abs(t) for t in terms), x0=x0)
+        residual=residual, scale=scale,
+        residual_over_scale=residual / scale if scale > 0 else 0.0, x0=x0)
 
 
 @dataclass(frozen=True)
@@ -293,15 +288,7 @@ class NonexistenceReport:
     x0: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "flag": self.flag, "geometry_ok": self.geometry_ok,
-            "growth_ok": self.growth_ok, "mixed_sign": self.mixed_sign,
-            "max_neumann_pairing": self.max_neumann_pairing,
-            "min_dirichlet_pairing": self.min_dirichlet_pairing,
-            "exempted_facets": self.exempted_facets,
-            "g_min": self.g_min, "g_scale": self.g_scale,
-            "x0": list(self.x0),
-        }
+        return asdict(self)
 
 
 def nonexistence_check(
@@ -310,8 +297,6 @@ def nonexistence_check(
     spec: NonlinearitySpec,
     params: FracParams,
     x0,
-    t_max: float = 10.0,
-    n_samples: int = 400,
     tol: float = 1e-10,
     rho: float = 0.0,
 ) -> NonexistenceReport:
@@ -322,7 +307,8 @@ def nonexistence_check(
     facets whose centroid lies within distance ``rho`` of ``x0`` are
     exempt from the Neumann test, mirroring the smoothed-corner region of
     the cone construction.  The growth condition samples
-    g(t) = (N-2s) t f(t) - 2N F(t) >= 0 on (0, t_max].
+    g(t) = (N-2s) t f(t) - 2N F(t) >= 0 at 400 evenly spaced points of
+    (0, 10].
 
     Returns
     -------
@@ -369,7 +355,8 @@ def nonexistence_check(
     dirichlet_out = bool(dir_pair.size and np.all(dir_pair > 0))
     geometry_ok = neumann_flat and dirichlet_out
 
-    ts = np.linspace(t_max / n_samples, t_max, n_samples)
+    ts = np.linspace(_GROWTH_T_MAX / _GROWTH_SAMPLES, _GROWTH_T_MAX,
+                     _GROWTH_SAMPLES)
     g = growth_defect(spec, params, ts)
     g_scale = float(max(
         1.0,

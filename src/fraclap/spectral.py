@@ -27,17 +27,18 @@ nodes.
 The critical quotient needs no such eigensolve.  In the same coordinates
 a shifted solve (A + theta M) x = b of a partial-facet partition is a
 diagonal solve plus a Lagrange correction through an r x r capacitance
-matrix (``_CapacitanceKernel``), which also serves ``extend``.  A
-Gauss-Jacobi rule for the Balakrishnan integral (Aceto & Novati 2017)
-turns L^-a into one kernel call over all its shifts, so
-:class:`ConstrainedOperator` gives L^s and (L^s - lam)^-1 with only
-lambda_1 and phi_1 computed, at any size; :func:`quotient_operator`
-chooses it or a complete basis by the partition's shape.
+matrix.  Each partial-facet pair holds one ``_CapacitanceKernel`` as
+``OperatorPair.kernel``, and the dense eigensolve, ``extend`` and
+:class:`ConstrainedOperator` all use it.  A Gauss-Jacobi rule for the
+Balakrishnan integral (Aceto & Novati 2017) turns L^-a into one kernel
+call over all its shifts, so :class:`ConstrainedOperator` gives L^s and
+(L^s - lam)^-1 with only lambda_1 and phi_1 computed, at any size;
+:func:`quotient_operator` chooses it or a complete basis by the
+partition's shape.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,7 +54,6 @@ __all__ = [
     "SpectralBasis",
     "assemble_operators",
     "eigendecompose",
-    "first_eigenpair",
     "DofCapError",
     "ConstrainedOperator",
     "quotient_operator",
@@ -233,8 +233,9 @@ class OperatorPair:
     nodes form a product set that contains the free nodes here, and its
     eigenpairs are Kronecker products of 1-D eigenpairs.  A partition that
     is its own relaxation (every face wholly Dirichlet or wholly Neumann)
-    exposes them as ``tensor``; on a partial-facet partition they serve the
-    dense eigensolve of :func:`eigendecompose` instead.
+    exposes them as ``tensor``; a partial-facet partition holds them in its
+    one capacitance ``kernel``, which its dense eigensolve, its
+    :class:`ConstrainedOperator` and its extension solvers all share.
 
     Attributes
     ----------
@@ -250,6 +251,9 @@ class OperatorPair:
     tensor : TensorEigs or None
         Per-axis 1-D eigenpairs when every face is wholly Dirichlet or
         wholly Neumann; None for partial-facet partitions.
+    kernel : _CapacitanceKernel or None
+        Shifted solves in the relaxation's eigen-coordinates on a
+        partial-facet partition; None on face-aligned ones.
     """
 
     A: sp.csr_matrix = field(repr=False)
@@ -259,10 +263,8 @@ class OperatorPair:
     mesh: Mesh
     partition: BoundaryPartition
     tensor: TensorEigs | None = field(default=None, repr=False, compare=False)
-    # partial-facet partitions only: the relaxation's 1-D eigenpairs and the
-    # positions of the free nodes among the relaxation's free nodes
-    _relaxation: tuple[TensorEigs, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    kernel: _CapacitanceKernel | None = field(default=None, repr=False,
+                                              compare=False)
 
     @property
     def n_free(self) -> int:
@@ -314,7 +316,8 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
                             mesh=mesh, partition=partition, tensor=relaxed)
     return OperatorPair(A=A[pos][:, pos].tocsr(), M=M[pos][:, pos].tocsr(),
                         lumped=lumped, free=free, mesh=mesh,
-                        partition=partition, _relaxation=(relaxed, pos))
+                        partition=partition,
+                        kernel=_CapacitanceKernel(relaxed, pos))
 
 
 def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair:
@@ -515,7 +518,7 @@ def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _constrained_eigh(relaxed: TensorEigs, pos: np.ndarray,
+def _constrained_eigh(kernel: _CapacitanceKernel,
                       k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a partial-facet partition, via its relaxation.
 
@@ -531,14 +534,11 @@ def _constrained_eigh(relaxed: TensorEigs, pos: np.ndarray,
     face Neumann) is harmless.  Returns eigenvalues and eigenvectors over
     the partition's free nodes, M-orthonormal.
     """
-    lam = relaxed.values
-    n_r = len(lam)
-    r = n_r - len(pos)
-    cut = np.ones(n_r, dtype=bool)
-    cut[pos] = False
-    # B^T is the Fortran-ordered transpose of the C-ordered rows
+    lam = kernel.lam
+    n_r, r = len(lam), kernel.B.shape[0]
+    # dgeqrt overwrites its input, so it gets a Fortran-ordered copy of B^T
     W, T, info = scipy.linalg.lapack.dgeqrt(
-        r, relaxed.rows(np.flatnonzero(cut)).T, overwrite_a=True)
+        r, np.array(kernel.B.T, order="F"), overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
     W = np.tril(W, -1)
@@ -565,7 +565,7 @@ def _constrained_eigh(relaxed: TensorEigs, pos: np.ndarray,
     C[r:] = Y
     del Y
     C -= W @ Z
-    return mu, relaxed.synthesize(C)[pos]
+    return mu, kernel.relaxed.synthesize(C)[kernel.pos]
 
 
 def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -643,7 +643,7 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
                              complete=(k == n), order=order,
                              signs=tensor.signs(order))
     if dense:
-        lams, vecs = _constrained_eigh(*ops._relaxation, k)
+        lams, vecs = _constrained_eigh(ops.kernel, k)
     else:
         lams, vecs = _lanczos(ops, k)
 
@@ -653,28 +653,6 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
         ops=ops,
         complete=(k == n),
     )
-
-
-def first_eigenpair(ops: OperatorPair) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue and eigenvector, scattered to all nodes.
-
-    The eigenvector is M-normalized and sign-fixed to be nonnegative at its
-    largest-magnitude node.  A sign change on interior free nodes indicates
-    a discretization pathology and raises a warning, not an error.
-
-    Returns
-    -------
-    (float, numpy.ndarray)
-    """
-    basis = eigendecompose(ops, m=1)
-    lam1 = float(basis.lams[0])
-    phi1 = basis.eigenfunction(1)
-    interior = ops.mesh.interior_node_mask
-    if np.any(phi1[interior] <= 0):
-        warnings.warn(
-            "first eigenvector is not strictly positive on interior nodes",
-            RuntimeWarning, stacklevel=2)
-    return lam1, phi1
 
 
 # a Gauss-Jacobi rule for L^-a gains nodes until the measured sup of
@@ -725,7 +703,8 @@ class _CapacitanceKernel:
 
     where the capacitance matrix C_theta = B (Lambda_R + theta)^-1 B^T is
     r x r and positive definite for theta > 0, singular R included.  B is
-    held densely, r x n_R.
+    held densely, r x n_R.  A partition assembles one kernel, which every
+    consumer of the partition shares.
     """
 
     def __init__(self, relaxed: TensorEigs, pos: np.ndarray) -> None:
@@ -867,21 +846,21 @@ class ConstrainedOperator:
     call for all shifts; L^s c = Pi (Lambda_R L^-(1-s) c); (L^s - lam)^-1
     is L^-s at lam = 0 and CG on (I - lam L^-s) otherwise, whose condition
     number is at most 1 / (1 - lam / lambda_1^s).  Rules are built on
-    first use, one per power.
+    first use, one per power; the kernel is the pair's own ``ops.kernel``.
 
     Parameters
     ----------
     ops : OperatorPair
-        A partial-facet partition's pair (``ops.tensor`` is None).
+        A partial-facet partition's pair (``ops.kernel`` set).
     """
 
     complete = True
 
     def __init__(self, ops: OperatorPair) -> None:
-        if ops._relaxation is None:
+        if ops.kernel is None:
             raise ValueError("face-aligned partition: use eigendecompose")
         self.ops = ops
-        self._kernel = _CapacitanceKernel(*ops._relaxation)
+        self._kernel = ops.kernel
         lams, vecs = _lanczos(ops, 1)
         self.lam1 = float(lams[0])
         self._phi1 = _sign_normalize(vecs)[:, 0]

@@ -212,9 +212,8 @@ def test_criterion_07_strict_upper_bound(cube_solution, square_sweep,
 def test_criterion_08_moving_boundary_onset(p2):
     t0 = time.perf_counter()
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
-    kap = fl.kappa_s(p2)
     res = fl.move_boundary_experiment(
-        mesh, p2, [1.0, 0.75, 0.5, 0.25, 0.125], kappa=kap)
+        mesh, p2, [1.0, 0.75, 0.5, 0.25, 0.125])
     elapsed = time.perf_counter() - t0
     lam1s_col = res.column("lam_1_s")
     assert all(b < a for a, b in zip(lam1s_col, lam1s_col[1:]))

@@ -8,7 +8,7 @@ import pytest
 
 import fraclap as fl
 from fraclap.config import DEFAULTS
-from fraclap.experiments import RunManifest, emit_plot_data, fmt17, run
+from fraclap.experiments import fmt17, run
 
 
 def test_validate_fills_defaults_without_mutating():
@@ -266,6 +266,30 @@ _BAD_RUNS = [
      "partition.dirichlet_faces"),
     ("eig", ["domain.extents=[[1.0,0.0]]"], "domain"),
 ]
+# values that the library itself would refuse once the run had started; an
+# 8^2 square so that each subcommand gets as far as its computation
+_SQUARE8 = ["domain.extents=[[0,1],[0,1]]", "domain.n=[8,8]"]
+_BAD_NUMBERS = [
+    ("extend-check", ["cylinder.J=8"], "cylinder.J"),
+    ("extend-check", ["cylinder.gamma=0.5"], "cylinder.gamma"),
+    ("extend-check", ["cylinder.Y=0"], "cylinder.Y"),
+    ("extend-check", ["cylinder.Y=-1.0"], "cylinder.Y"),
+    ("move-boundary", ['alphas=[1.0,"half"]'], "alphas"),
+    ("move-boundary", ["alphas=[0.5,1.0]"], "alphas"),
+    ("move-boundary", ["alphas=[1.0,1.0]"], "alphas"),
+    # the square's boundary measures 4, and alpha = 4 leaves no Neumann part
+    ("move-boundary", ["alphas=[5.0]"], "alphas"),
+    ("move-boundary", ["alphas=[4.0]"], "alphas"),
+    ("pohozaev", [_LAM, _X0, "levels=[[1,32]]"], "levels"),
+    ("pohozaev", [_LAM, _X0, "levels=[[8,8]]"], "levels"),
+    ("pohozaev", [_LAM, _X0, "levels=[[8]]"], "levels"),
+    ("pohozaev", [_LAM, _X0, 'levels=[[null,32],["eight",32]]'], "levels"),
+    ("pohozaev", [_LAM, 'pohozaev.x0=[1.0,"mid"]'], "pohozaev.x0"),
+    ("frac-apply", ["field.modes=[1]", 'field.coeffs=["one"]'], "field.coeffs"),
+    ("minimize", ["lambda=-1.0"], "lambda"),
+    ("minimize", ['lambda={"fraction_of_lambda1s":-0.5}'], "lambda"),
+    ("sweep-lambda", ["lambda_grid=[-0.5,0.5]"], "lambda_grid"),
+]
 
 
 @pytest.mark.parametrize("subcommand, overrides, key", [
@@ -274,6 +298,9 @@ _BAD_RUNS = [
 ] + [
     pytest.param(sub, overrides, key, id=f"{sub}-{key}-{i}")
     for i, (sub, overrides, key) in enumerate(_BAD_RUNS)
+] + [
+    pytest.param(sub, [*_SQUARE8, *overrides], key, id=f"{sub}-{overrides[-1]}")
+    for sub, overrides, key in _BAD_NUMBERS
 ])
 def test_cli_bad_value_exits_2_before_writing(tmp_path, capsys, subcommand,
                                               overrides, key):
@@ -421,11 +448,35 @@ def test_run_manifest_round_trip(tmp_path):
     assert on_disk["artifacts"] == manifest.artifacts
 
 
-def test_emit_plot_data_requires_a_table(tmp_path):
-    manifest = RunManifest(subcommand="eig", config_hash="abc",
-                           run_dir=str(tmp_path))
-    with pytest.raises(fl.ExperimentError, match="plottable"):
-        emit_plot_data(manifest)
+_HALF = {"fraction_of_lambda1s": 0.5}
+_ABOVE = {"fraction_of_lambda1s": 1.1}
+
+
+@pytest.mark.parametrize("subcommand, extra, table, x, y, series, dropped", [
+    ("sweep-lambda", {"lambda_grid": [0.0, _HALF, _ABOVE]}, "sweep.csv",
+     "lam", "S_lambda", "S_vs_lambda.dat", 1),
+    ("move-boundary", {"alphas": [1.0, 0.5, 0.25]}, "move_boundary.csv",
+     "alpha", "lam_1_s", "lambda1s_vs_alpha.dat", 0),
+])
+def test_plot_series_are_the_cells_of_their_table(tmp_path, subcommand, extra,
+                                                  table, x, y, series,
+                                                  dropped):
+    # each series line is the x and y cell of one table row, rows whose y
+    # cell is "nan" (a flagged lambda above lambda_1^s) left out
+    square = {"domain": {"kind": "box", "extents": [[0.0, 1.0], [0.0, 1.0]],
+                         "n": [6, 6]}}
+    cfg = fl.validate(json.loads(
+        _write_cfg(tmp_path, {**square, **extra}).read_text()))
+    run_dir = Path(run(subcommand, cfg).run_dir)
+    header, *rows = [line.split(",") for line in
+                     (run_dir / table).read_text().splitlines()]
+    xi, yi = header.index(x), header.index(y)
+    want = [f"{r[xi]} {r[yi]}" for r in rows if r[yi] != "nan"]
+    assert len(want) == len(rows) - dropped > 0
+    path = run_dir / "plots" / series
+    assert path.read_text().splitlines() == want
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"][f"plots/{series}"] == str(path)
 
 
 def test_fmt17_cells():

@@ -22,7 +22,7 @@ THETAS = np.geomspace(1e-2, 1e6, 9)
 
 
 def _kernel_solve(ops, F, theta):
-    kernel = _CapacitanceKernel(*ops._relaxation)
+    kernel = ops.kernel
     return kernel.synthesize(kernel.solve(kernel.dual(F), kernel.shifts(theta)))
 
 
@@ -42,7 +42,7 @@ def test_interval_partitions_are_face_aligned():
     assert len(mesh.facets) == 2
     for faces in ([(0, 0)], [(0, 1)]):
         ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, faces))
-        assert ops.tensor is not None and ops._relaxation is None
+        assert ops.tensor is not None and ops.kernel is None
         assert isinstance(quotient_operator(ops), fl.SpectralBasis)
 
 
@@ -176,6 +176,30 @@ def test_quotient_operator_picks_by_partition_shape(square_ops, square_partial):
     with pytest.raises(ValueError):
         ConstrainedOperator(square_ops)
     assert isinstance(quotient_operator(square_partial), ConstrainedOperator)
+
+
+def test_partition_builds_one_kernel_for_every_consumer(monkeypatch):
+    # the dense eigensolve, the spectrum-free operator and the extension
+    # solvers of two cylinders all use the pair's one capacitance kernel
+    built = []
+    init = _CapacitanceKernel.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_CapacitanceKernel, "__init__", spy)
+    params = fl.FracParams(s=S, N=2)
+    part = _mixed_partition((8, 8), {(0, 0): [True] * 4 + [False] * 4})
+    ops = fl.assemble_operators(part.mesh, part)
+    assert fl.eigendecompose(ops, m=3).m == 3
+    op = quotient_operator(ops)
+    assert fl.minimize_quotient(op, params, 0.0).converged
+    u = fl.Field.from_callable(part.mesh, part, lambda x: x[:, 0])
+    for J in (16, 24):
+        fl.extend(fl.build_cylinder(part.mesh, 4.0, J, 2.0), part, params, u)
+    assert built == [ops.kernel]
+    assert op._kernel is ops.kernel
 
 
 def test_spectral_basis_powers_are_coefficientwise(square_basis):

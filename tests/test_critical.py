@@ -77,7 +77,7 @@ def test_participation_mesh_independent():
         mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [n, n])
         part = fl.partition_boundary(mesh, [(0, 0)])
         ops = fl.assemble_operators(mesh, part)
-        _, phi1 = fl.first_eigenpair(ops)
+        phi1 = fl.eigendecompose(ops, m=1).eigenfunction(1)
         values.append(_participation(ops, phi1[ops.free]))
     assert 0 < values[0] <= 1
     assert values[1] == pytest.approx(values[0], rel=0.02)
@@ -261,6 +261,20 @@ def test_sweep_lambda_table(square_basis, params2, lam1s):
             assert row["iterations"] == 0
 
 
+def test_sweep_reports_the_lam1s_it_flags_against():
+    # on the 15^2 square at s = 0.6 the vectorized power of the eigenvalues
+    # and the scalar power of lambda_1 can differ by one ulp (they do with
+    # an AVX-512 numpy); the sweep must report the value its flags use
+    params = fl.FracParams(s=0.6, N=2)
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [15, 15])
+    ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
+    basis = fl.quotient_operator(ops)
+    lam1s = basis.lam1s(params.s)
+    res = fl.sweep_lambda(basis, params, [np.nextafter(lam1s, 0.0), lam1s])
+    assert res.lam1s == lam1s == fl.lambda1s(basis, params)
+    assert res.column("nonexistence") == [False, True]
+
+
 def test_sweep_lambda_guards(square_basis, params2, lam1s):
     with pytest.raises(ValueError):
         fl.sweep_lambda(square_basis, params2, [])
@@ -273,8 +287,7 @@ def test_sweep_lambda_guards(square_basis, params2, lam1s):
 def test_move_boundary_small_family(params2):
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [8, 8])
     kap = fl.kappa_s(params2)
-    res = fl.move_boundary_experiment(mesh, params2, [1.0, 0.5, 0.25],
-                                      kappa=kap)
+    res = fl.move_boundary_experiment(mesh, params2, [1.0, 0.5, 0.25])
     thr = fl.attainment_threshold(params2, kappa=kap)
     assert res.threshold == pytest.approx(thr, rel=1e-15)
     alphas = res.column("alpha")
@@ -294,8 +307,7 @@ def test_move_boundary_rejects_non_distinct_alphas(params2):
     # on a 4x4 square both requests snap down to the same 15-facet union
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [4, 4])
     with pytest.raises(ValueError):
-        fl.move_boundary_experiment(mesh, params2, [0.99, 0.98],
-                                    kappa=0.478)
+        fl.move_boundary_experiment(mesh, params2, [0.99, 0.98])
 
 
 ALPHAS = [1.0, 0.75, 0.5, 0.25, 0.125]
@@ -305,7 +317,7 @@ def test_move_boundary_matches_dense_loop(params2):
     # the same experiment written out with a dense complete basis per alpha
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [16, 16])
     kap = fl.kappa_s(params2)
-    res = fl.move_boundary_experiment(mesh, params2, ALPHAS, kappa=kap)
+    res = fl.move_boundary_experiment(mesh, params2, ALPHAS)
     thr = fl.attainment_threshold(params2, kappa=kap)
     vol_pow = mesh.volume ** (2 * params2.s / params2.N)
     onset = float("nan")
@@ -330,8 +342,7 @@ def test_move_boundary_runs_without_dense_eigensolve(params2, monkeypatch):
 
     monkeypatch.setattr(fl.spectral, "_constrained_eigh", refuse)
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
-    res = fl.move_boundary_experiment(mesh, params2, ALPHAS,
-                                      kappa=fl.kappa_s(params2))
+    res = fl.move_boundary_experiment(mesh, params2, ALPHAS)
     assert res.onset_alpha == 0.125
     errors = res.column("frac_rel_error")
     assert errors[0] == 0.0

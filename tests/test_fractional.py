@@ -22,9 +22,9 @@ def test_params_validation():
 
 
 def test_critical_exponent_values():
-    assert fl.critical_exponent(FracParams(s=0.75, N=3)) == pytest.approx(4.0)
-    assert fl.critical_exponent(FracParams(s=0.75, N=2)) == pytest.approx(8.0)
-    assert fl.critical_exponent(FracParams(s=0.6, N=3)) == pytest.approx(10 / 3)
+    assert FracParams(s=0.75, N=3).two_star == pytest.approx(4.0)
+    assert FracParams(s=0.75, N=2).two_star == pytest.approx(8.0)
+    assert FracParams(s=0.6, N=3).two_star == pytest.approx(10 / 3)
     with pytest.raises(ValueError):
         FracParams(s=0.75, N=1).two_star  # N <= 2s: no critical regime
 
@@ -177,13 +177,6 @@ def test_critical_norm_homogeneity_and_quadratures(square_ops, params2):
     n1 = fl.critical_norm(square_ops, params2, uf)
     n3 = fl.critical_norm(square_ops, params2, 3.0 * uf)
     assert n3 == pytest.approx(3.0 * n1, rel=1e-12)
-    smooth = np.ones(len(square_ops.free))
-    lumped = fl.critical_norm(square_ops, params2, smooth)
-    consistent = fl.critical_norm(square_ops, params2, smooth,
-                                  quadrature="consistent")
-    assert lumped == pytest.approx(consistent, rel=0.05)
-    with pytest.raises(ValueError):
-        fl.critical_norm(square_ops, params2, uf, quadrature="exotic")
 
 
 def test_cutoff_profile_shape():

@@ -87,7 +87,8 @@ def test_eigenfunction_one_based(interval_basis):
 
 
 def test_first_eigenpair_positive(interval_ops):
-    lam1, phi1 = fl.first_eigenpair(interval_ops)
+    basis = eigendecompose(interval_ops, m=1)
+    lam1, phi1 = float(basis.lams[0]), basis.eigenfunction(1)
     assert lam1 == pytest.approx(INTERVAL_EIGS[0], rel=1e-3)
     interior = interval_ops.mesh.interior_node_mask
     assert np.all(phi1[interior] > 0)
