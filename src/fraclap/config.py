@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
+from .critical import _SWEEP_TOP
 from .extension import MIN_Y_CELLS
 from .mesh import (
     _parse_face,
@@ -223,6 +224,12 @@ def _negative(spec) -> bool:
     return _num(spec) and spec < 0
 
 
+def _above_sweep(spec) -> bool:
+    # a fraction of lambda_1^s above the top of every lambda sweep
+    frac = spec.get("fraction_of_lambda1s") if isinstance(spec, dict) else None
+    return _num(frac) and frac > _SWEEP_TOP
+
+
 def _level_ok(level) -> bool:
     # one rung of the refinement ladder: [n >= 2 or null, J >= MIN_Y_CELLS]
     return (isinstance(level, list) and len(level) == 2
@@ -253,8 +260,10 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
             bad.append(f"{key} (expected numbers)")
     if _negative(resolved["lambda"]):
         bad.append("lambda (expected a nonnegative number or fraction)")
-    if any(_negative(v) for v in resolved.get("lambda_grid") or []):
-        bad.append("lambda_grid (expected nonnegative numbers or fractions)")
+    if any(_negative(v) or _above_sweep(v)
+           for v in resolved.get("lambda_grid") or []):
+        bad.append(f"lambda_grid (expected nonnegative numbers or fractions "
+                   f"up to {_SWEEP_TOP})")
     if resolved["mode_count"] < 1:
         bad.append("mode_count (expected an integer >= 1)")
     if resolved["solver"]["polish_max"] < 1:

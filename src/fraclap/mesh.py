@@ -375,7 +375,8 @@ def moving_family(
     ------
     ValueError
         If an alpha exceeds the total boundary measure, leaves no Neumann
-        facet, or is too small to contain a single facet.
+        facet, or is too small to contain a single facet, or if two alphas
+        snap to the same facet union.
     """
     alphas = [float(a) for a in alphas]
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -409,6 +410,11 @@ def moving_family(
         labels = np.zeros(n_facets, dtype=bool)
         labels[pool[:k]] = True
         out.append(BoundaryPartition(mesh, tuple(labels.tolist())))
+    snapped = [p.alpha for p in out]
+    if any(b >= a for a, b in zip(snapped, snapped[1:])):
+        raise ValueError(
+            f"alphas snap to non-distinct facet unions {snapped}; "
+            f"refine the mesh or spread the alphas")
     return out
 
 

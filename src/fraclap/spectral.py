@@ -27,9 +27,11 @@ nodes.
 The critical quotient needs no such eigensolve.  In the same coordinates
 a shifted solve (A + theta M) x = b of a partial-facet partition is a
 diagonal solve plus a Lagrange correction through an r x r capacitance
-matrix.  Each partial-facet pair holds one ``_CapacitanceKernel`` as
-``OperatorPair.kernel``, and the dense eigensolve, ``extend`` and
-:class:`ConstrainedOperator` all use it.  A Gauss-Jacobi rule for the
+matrix; on the one partial face of a moving family that matrix factors
+through the face's own Kronecker eigenvectors (Proskurowski & Widlund
+1976).  Each partial-facet pair holds one ``_CapacitanceKernel`` as
+``OperatorPair.kernel``, and the dense eigensolve, ``extend``,
+:class:`ConstrainedOperator` and its Lanczos for lambda_1 all use it.  A Gauss-Jacobi rule for the
 Balakrishnan integral (Aceto & Novati 2017) turns L^-a into one kernel
 call over all its shifts, so :class:`ConstrainedOperator` gives L^s and
 (L^s - lam)^-1 with only lambda_1 and phi_1 computed, at any size;
@@ -569,12 +571,29 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
 
 
 def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # lowest k eigenpairs by shift-invert Lanczos, ascending; eigsh returns
-    # M-orthonormal columns for the generalized problem
+    """Lowest k eigenpairs of a partial-facet partition by Lanczos, ascending.
+
+    Shift-invert at sigma = -theta_0, with theta_0 the second-lowest
+    eigenvalue of the relaxation R: positive, since R's null space holds
+    at most the constants.  The inverse (A + theta_0 M)^-1 that ``eigsh``
+    needs is one shifted solve of the pair's capacitance kernel, so A is
+    never factored.  The columns are M-orthonormal, as ``eigsh`` returns
+    them for the generalized problem.
+    """
+    kernel = ops.kernel
     n = ops.n_free
+    theta0 = float(np.partition(kernel.lam, 1)[1])
+    sh = kernel.shifts([theta0])
+
+    def inverse(b: np.ndarray) -> np.ndarray:
+        c = kernel.solve(kernel.dual(b.reshape(n, 1)), sh)
+        return kernel.synthesize(c).ravel()
+
     # deterministic start vector; shift-invert targets the low end
     v0 = np.full(n, 1.0 / np.sqrt(n))
-    lams, vecs = spla.eigsh(ops.A, k=k, M=ops.M, sigma=0.0, v0=v0)
+    lams, vecs = spla.eigsh(
+        ops.A, k=k, M=ops.M, sigma=-theta0, v0=v0,
+        OPinv=spla.LinearOperator((n, n), matvec=inverse, dtype=float))
     order = np.argsort(lams)
     return lams[order], vecs[:, order]
 
@@ -595,8 +614,9 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     ``eigh`` in the eigen-coordinates of their face-aligned relaxation,
     O(n^3) and bounded by ``DEFAULT_DOF_CAP`` free nodes (read at call
     time), for any m up to n; above the cap shift-invert Lanczos serves at
-    most 32 pairs.  Their bases keep the dense eigenvectors.  The critical
-    quotient on such a partition needs none of this: see
+    most 32 pairs, with the partition's capacitance kernel as the inverse,
+    so no sparse LU is built.  Their bases keep the dense eigenvectors.
+    The critical quotient on such a partition needs none of this: see
     :func:`quotient_operator`.
 
     Parameters
@@ -664,9 +684,6 @@ _RULE_SAMPLES = 50
 # CG on (I - lam L^-s) stops at this residual relative to its right side
 _CG_TOL = 1e-13
 _CG_MAX_ITER = 2000
-# entries of one block of row-pair products of B when every C_theta of a
-# shift set is formed
-_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,9 +719,26 @@ class _CapacitanceKernel:
         c = (g - B^T z) / (Lambda_R + theta),  C_theta z = B (g / (Lambda_R + theta)),
 
     where the capacitance matrix C_theta = B (Lambda_R + theta)^-1 B^T is
-    r x r and positive definite for theta > 0, singular R included.  B is
-    held densely, r x n_R.  A partition assembles one kernel, which every
-    consumer of the partition shares.
+    r x r and positive definite for theta > 0, singular R included.
+
+    The solves never multiply by B itself.  When every node of D has the
+    same index e on some axis a, as on the one partial face a moving
+    family leaves, B factors through that face (Proskurowski & Widlund
+    1976): with R's eigen-index split as (p, i, q) around axis a and the
+    face index f = (p, q),
+
+        B[:, (p, i, q)] = v_i B_f[:, f],  v = V_a[e, :],
+
+    where B_f (r x n_f) holds the rows at D of the face's own Kronecker
+    eigenvectors.  Then C_theta = B_f diag(g_theta) B_f^T with g_theta(f) =
+    sum_i v_i^2 / (mu_i + nu_f + theta), for R's 1-D eigenvalues mu on axis
+    a and the face's eigenvalues nu, and B x and B^T z are a contraction
+    with v and one product with B_f.  So forming C_theta costs r^2 n_f and
+    an apply O(n_R k + r n_f k) for k shifts, against r^2 n_R and r n_R k
+    with B itself.  When D spans several faces the same code runs with
+    the trivial factorization v = [1], B_f = B.  The dense B is built on
+    first use, for the QR of :func:`_constrained_eigh` only.  A partition
+    assembles one kernel, which every consumer of the partition shares.
     """
 
     def __init__(self, relaxed: TensorEigs, pos: np.ndarray) -> None:
@@ -713,12 +747,55 @@ class _CapacitanceKernel:
         self.lam = relaxed.values
         cut = np.ones(len(self.lam), dtype=bool)
         cut[pos] = False
-        self.B = relaxed.rows(np.flatnonzero(cut))
-        self._gram = scipy.linalg.cho_factor(self.B @ self.B.T, lower=True)
+        self._cut = np.flatnonzero(cut)
+        shape = relaxed.shape
+        idx = np.unravel_index(self._cut, shape)
+        # axes along which all of D has one index; factor through the longest
+        constant = [d for d, i in enumerate(idx) if np.all(i == i[0])]
+        if constant:
+            a = max(constant, key=lambda d: shape[d])
+            others = [d for d in range(len(shape)) if d != a]
+            self._v = relaxed.vecs[a][idx[a][0]]
+            face = np.ravel_multi_index([idx[d] for d in others],
+                                        [shape[d] for d in others])
+            self.B_f = _kron_rows([relaxed.vecs[d] for d in others], face)
+            # (p, i, q) extents of R's eigen-index around axis a
+            self._layout = (math.prod(shape[:a]), shape[a],
+                            math.prod(shape[a + 1:]))
+        else:
+            self._v = np.ones(1)
+            self.B_f = _kron_rows(relaxed.vecs, self._cut)
+            self._layout = (1, 1, len(self.lam))
+        # B B^T = (v . v) B_f B_f^T, factored once for the projector
+        self._gram = scipy.linalg.cholesky(
+            (self._v @ self._v) * (self.B_f @ self.B_f.T), lower=True)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The dense r x n_R constraint rows V_R[D, :], built on first use."""
+        return self.relaxed.rows(self._cut)
+
+    def _face_sum(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # sum_i v_i X[(p, i, q), :] for X of shape (n_R, k); (n_f, k)
+        pre, n_a, post = self._layout
+        k = X.shape[1]
+        return (v @ X.reshape(pre, n_a, post * k)).reshape(pre * post, k)
+
+    def _B(self, X: np.ndarray) -> np.ndarray:
+        # B X for X of shape (n_R, k)
+        return self.B_f @ self._face_sum(X, self._v)
+
+    def _Bt(self, Z: np.ndarray) -> np.ndarray:
+        # B^T Z for Z of shape (r, k)
+        pre, n_a, post = self._layout
+        Y = (self.B_f.T @ Z).reshape(pre, 1, -1)
+        return (self._v[:, None] * Y).reshape(pre * n_a * post, -1)
 
     def project(self, c: np.ndarray) -> np.ndarray:
-        """Pi c, the orthogonal projection onto null(B)."""
-        return c - self.B.T @ scipy.linalg.cho_solve(self._gram, self.B @ c)
+        """Pi c, the orthogonal projection onto null(B), (n_R,) or (n_R, k)."""
+        X = c.reshape(len(self.lam), -1)
+        z, _ = scipy.linalg.lapack.dpotrs(self._gram, self._B(X), lower=1)
+        return (X - self._Bt(z)).reshape(c.shape)
 
     def dual(self, f: np.ndarray) -> np.ndarray:
         """Pi V_R^T f, f given at the partition's free nodes, (n,) or (n, k)."""
@@ -732,37 +809,50 @@ class _CapacitanceKernel:
         x = self.relaxed.synthesize(c.reshape(len(self.lam), -1))
         return x[self.pos].reshape((len(self.pos),) + c.shape[1:])
 
+    def _capacitance(self, H: np.ndarray):
+        # the lower triangle of C_theta_j = B_f diag(g_j) B_f^T for each
+        # column H[:, j] = 1 / (Lambda_R + theta_j); g_j > 0 for theta_j > 0
+        for g in self._face_sum(H, self._v**2).T:
+            yield scipy.linalg.blas.dsyrk(1.0, self.B_f * np.sqrt(g), lower=1)
+
     def shifts(self, theta: np.ndarray) -> _Shifts:
         """Factor C_theta for every shift in ``theta`` (all positive)."""
         theta = np.asarray(theta, dtype=float)
         H = 1.0 / (self.lam[:, None] + theta[None, :])
-        B = self.B
-        r, n_r = B.shape
-        # every C_theta at once: entry (a, b) of all of them is the row
-        # B[a] * B[b] times H, one product per block of pairs a <= b
-        rows, cols = np.triu_indices(r)
-        C = np.empty((len(theta), r, r))
-        step = max(1, _CHUNK_ENTRIES // n_r)
-        for i in range(0, len(rows), step):
-            a, b = rows[i:i + step], cols[i:i + step]
-            C[:, a, b] = C[:, b, a] = ((B[a] * B[b]) @ H).T
-        Linv = np.linalg.cholesky(C)
-        for L in Linv:
-            L[:], info = scipy.linalg.lapack.dtrtri(L, lower=1)
+        r = self.B_f.shape[0]
+        Linv = np.empty((len(theta), r, r))
+        for j, C in enumerate(self._capacitance(H)):
+            L, info = scipy.linalg.lapack.dpotrf(C, lower=1, overwrite_a=1)
+            if info == 0:
+                L, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
             if info != 0:
-                raise np.linalg.LinAlgError(f"dtrtri failed with info={info}")
+                raise np.linalg.LinAlgError(
+                    f"capacitance factor failed with info={info}")
+            Linv[j] = L
         return _Shifts(theta=theta, H=H, Linv=Linv)
 
     def solve(self, G: np.ndarray, sh: _Shifts) -> np.ndarray:
         """Column j of the result solves (Pi Lambda_R Pi + theta_j) c = Pi g_j."""
-        Z = sh.solve(self.B @ (G * sh.H))
-        return (G - self.B.T @ Z) * sh.H
+        Z = sh.solve(self._B(G * sh.H))
+        return (G - self._Bt(Z)) * sh.H
 
-    def weighted(self, g: np.ndarray, sh: _Shifts,
-                 w: np.ndarray) -> np.ndarray:
-        """sum_j w_j (Pi Lambda_R Pi + theta_j)^-1 Pi g for one vector g."""
-        Z = sh.solve((self.B * g) @ sh.H)
-        return g * (sh.H @ w) - np.einsum("ij,ij->i", self.B.T @ Z, sh.H * w)
+    def weighted(self, g: np.ndarray, rule: _PowerRule) -> np.ndarray:
+        """sum_j w_j (Pi Lambda_R Pi + theta_j)^-1 Pi g for one vector g.
+
+        The weights w_j and shifts theta_j are the rule's.  Both products
+        with B are taken in the (p, i, q) split of R's eigen-index, so no
+        n_R x k intermediate is formed besides the rule's own.
+        """
+        sh = rule.shifts
+        pre, n_a, post = self._layout
+        k = len(sh.theta)
+        H = sh.H.reshape(pre, n_a, post, k)
+        gv = g.reshape(pre, n_a, post) * self._v[:, None]
+        Y = np.einsum("piq,piqj->pqj", gv, H).reshape(pre * post, k)
+        E = (self.B_f.T @ sh.solve(self.B_f @ Y)).reshape(pre, post, k)
+        out = np.einsum("piqj,pqj->piq",
+                        rule.H_weighted.reshape(pre, n_a, post, k), E)
+        return g * rule.H_sum - (out * self._v[:, None]).ravel()
 
 
 def _gauss_jacobi(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -792,6 +882,19 @@ class _PowerRule:
     weights: np.ndarray = field(repr=False)
     shifts: _Shifts
     error: float
+
+    # the products with the shifts' H = 1 / (Lambda_R + theta_j) that every
+    # apply of the rule needs; fixed per rule, so formed once
+
+    @cached_property
+    def H_weighted(self) -> np.ndarray:
+        """H w_j, column j scaled by its weight."""
+        return self.shifts.H * self.weights
+
+    @cached_property
+    def H_sum(self) -> np.ndarray:
+        """H w, the sum of those columns."""
+        return self.shifts.H @ self.weights
 
 
 def _power_rule(kernel: _CapacitanceKernel, a: float, lam1: float) -> _PowerRule:
@@ -841,10 +944,11 @@ class ConstrainedOperator:
     (see :class:`_CapacitanceKernel`): Euclidean products of coordinates are
     M-products of fields, as with a complete :class:`SpectralBasis`, but a
     coordinate vector has R's n_R entries.  Only lambda_1 and phi_1 are
-    computed, by shift-invert Lanczos.  L^-a (0 < a < 1) is a Gauss-Jacobi
-    sum of shifted solves, each apply one capacitance-corrected kernel
-    call for all shifts; L^s c = Pi (Lambda_R L^-(1-s) c); (L^s - lam)^-1
-    is L^-s at lam = 0 and CG on (I - lam L^-s) otherwise, whose condition
+    computed, by shift-invert Lanczos whose inverse is one kernel solve
+    (see :func:`_lanczos`), so A is never factored.  L^-a (0 < a < 1) is
+    a Gauss-Jacobi sum of shifted solves, each apply one
+    capacitance-corrected kernel call for all shifts; L^s c = Pi (Lambda_R
+    L^-(1-s) c); (L^s - lam)^-1 is L^-s at lam = 0 and CG on (I - lam L^-s) otherwise, whose condition
     number is at most 1 / (1 - lam / lambda_1^s).  Rules are built on
     first use, one per power; the kernel is the pair's own ``ops.kernel``.
 
@@ -898,8 +1002,7 @@ class ConstrainedOperator:
 
     def inverse_power(self, c: np.ndarray, a: float) -> np.ndarray:
         """L^-a c for 0 < a < 1, one kernel call."""
-        rule = self._rule(a)
-        return self._kernel.weighted(c, rule.shifts, rule.weights)
+        return self._kernel.weighted(c, self._rule(a))
 
     def lam1s(self, s: float) -> float:
         return self.lam1 ** s

@@ -265,6 +265,11 @@ _BAD_RUNS = [
     ("eig", [*_SQUARE, "partition.dirichlet_faces=[[0,0],[0,1],[1,0],[1,1]]"],
      "partition.dirichlet_faces"),
     ("eig", ["domain.extents=[[1.0,0.0]]"], "domain"),
+    # the 4^2 square's facets measure 0.25, so both alphas snap to 0.75
+    ("move-boundary", [*_SQUARE, "alphas=[0.99,0.98]"], "alphas"),
+    # above the top of every sweep, 1.2 lambda_1^s, whatever the mesh
+    ("sweep-lambda", [*_SQUARE, 'lambda_grid=[{"fraction_of_lambda1s":1.5}]'],
+     "lambda_grid"),
 ]
 # values that the library itself would refuse once the run had started; an
 # 8^2 square so that each subcommand gets as far as its computation

@@ -5,12 +5,20 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg._dsolve import _superlu
 
 import fraclap as fl
+from fraclap import spectral
 from fraclap.spectral import (
     ConstrainedOperator,
+    TensorEigs,
     _CapacitanceKernel,
+    _constrained_eigh,
     _gauss_jacobi,
+    _lanczos,
+    _PowerRule,
+    _sign_normalize,
     quotient_operator,
 )
 
@@ -215,3 +223,146 @@ def test_spectral_basis_powers_are_coefficientwise(square_basis):
                                   a / (lam_s - lam))
     assert square_basis.lam1s(S) == lam_s[0]
     assert square_basis.lam1 == square_basis.lams[0]
+
+
+# -- the face-tensor factorization of the kernel against its dense B ------
+
+def _dense_c(B, h):
+    return (B * h) @ B.T
+
+
+def _assert_close(got, want, rel=1e-12):
+    err = np.max(np.abs(got - want))
+    assert err <= rel * np.max(np.abs(want)), err
+
+
+def _assert_factored_kernel_matches_dense_b(ops, seed=0):
+    kernel = ops.kernel
+    B, lam = kernel.B, kernel.lam
+    n_r = len(lam)
+    rng = np.random.default_rng(seed)
+    H = 1.0 / (lam[:, None] + THETAS[None, :])
+    for C, h in zip(kernel._capacitance(H), H.T):
+        _assert_close(np.tril(C), np.tril(_dense_c(B, h)))
+
+    def dense_solve(g, h):
+        z = np.linalg.solve(_dense_c(B, h), B @ (g * h))
+        return (g - B.T @ z) * h
+
+    sh = kernel.shifts(THETAS)
+    G = rng.standard_normal((n_r, len(THETAS)))
+    _assert_close(kernel.solve(G, sh),
+                  np.stack([dense_solve(g, h) for g, h in zip(G.T, H.T)], 1))
+
+    w = rng.uniform(0.5, 2.0, len(THETAS))
+    g = rng.standard_normal(n_r)
+    rule = _PowerRule(weights=w, shifts=sh, error=0.0)
+    want = sum(wj * dense_solve(g, h) for wj, h in zip(w, H.T))
+    _assert_close(kernel.weighted(g, rule), want)
+
+    X = rng.standard_normal((n_r, 3))
+    want = X - B.T @ np.linalg.solve(B @ B.T, B @ X)
+    _assert_close(kernel.project(X), want)
+    _assert_close(kernel.project(X[:, 0]), want[:, 0])
+
+
+def _ops(part):
+    return fl.assemble_operators(part.mesh, part)
+
+
+def _one_face(n, alpha):
+    mesh = fl.build_tensor_mesh(len(n), [(0.0, 1.0)] * len(n), n)
+    return fl.assemble_operators(mesh, fl.moving_family(mesh, [alpha])[0])
+
+
+@pytest.mark.parametrize("ops", [
+    pytest.param(lambda: _one_face((40, 40), 0.5), id="40x40-half"),
+    pytest.param(lambda: _one_face((16, 16, 16), 0.5), id="16^3-half"),
+    pytest.param(lambda: _ops(_mixed_partition(
+        (6, 5), {(0, 0): True, (1, 0): [True, True, False, False, True,
+                                        False]})),
+        id="2d-dirichlet-neighbour"),
+])
+def test_factored_kernel_matches_dense_b(ops):
+    ops = ops()
+    # D lies on one face, so the kernel holds B_f with fewer columns than B
+    assert ops.kernel._layout[1] > 1
+    assert ops.kernel.B_f.shape[1] < ops.kernel.B.shape[1]
+    _assert_factored_kernel_matches_dense_b(ops)
+
+
+@st.composite
+def _one_face_fills(draw):
+    # one face labelled facet by facet with both labels present, every
+    # other face wholly Dirichlet or wholly Neumann
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.lists(st.integers(3, 8 if dim == 2 else 5),
+                      min_size=dim, max_size=dim))
+    mesh = fl.build_tensor_mesh(dim, [(0.0, 1.0)] * dim, n)
+    faces = list(mesh.faces())
+    mixed = draw(st.integers(0, len(faces) - 1))
+    labels = []
+    for k, (_, _, facets, _, _) in enumerate(faces):
+        count = facets.stop - facets.start
+        if k == mixed:
+            face = draw(st.lists(st.booleans(), min_size=count,
+                                 max_size=count))
+            assume(any(face) and not all(face))
+            labels += face
+        else:
+            labels += [draw(st.booleans())] * count
+    return fl.BoundaryPartition(mesh, tuple(labels))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_one_face_fills())
+def test_factored_kernel_matches_dense_b_on_random_one_face_fills(part):
+    ops = _ops(part)
+    assert ops.tensor is None and ops.kernel._layout[1] > 1
+    _assert_factored_kernel_matches_dense_b(ops, seed=2)
+
+
+def test_one_face_move_boundary_never_builds_dense_b(monkeypatch):
+    def refuse(self, nodes):
+        raise AssertionError("dense eigenvector rows built")
+
+    monkeypatch.setattr(TensorEigs, "rows", refuse)
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [8, 8])
+    res = fl.move_boundary_experiment(mesh, fl.FracParams(s=S, N=2),
+                                      [1.0, 0.5, 0.25])
+    assert len(res.rows) == 3
+
+
+# -- Lanczos with the kernel as its inverse --------------------------------
+
+@pytest.fixture(scope="module")
+def square40_family():
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
+    return dict(zip([0.75, 0.5, 0.25, 0.125],
+                    fl.moving_family(mesh, [0.75, 0.5, 0.25, 0.125])))
+
+
+@pytest.mark.parametrize("alpha", [0.75, 0.5, 0.25, 0.125])
+def test_lanczos_matches_dense_eigh(square40_family, alpha):
+    ops = _ops(square40_family[alpha])
+    lams, vecs = _lanczos(ops, 1)
+    mu, X = _constrained_eigh(ops.kernel, 1)
+    assert lams[0] == pytest.approx(mu[0], rel=1e-10)
+    d = _sign_normalize(vecs)[:, 0] - _sign_normalize(X)[:, 0]
+    assert np.sqrt(d @ (ops.M @ d)) <= 1e-8
+
+
+def test_lanczos_builds_no_sparse_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse LU factorization built")
+
+    monkeypatch.setattr(_superlu, "gstrf", refuse)
+    part = _mixed_partition((9, 7), {(0, 0): [True] * 4 + [False] * 3})
+    ops = _ops(part)
+    op = ConstrainedOperator(ops)
+    monkeypatch.setattr(spectral, "DEFAULT_DOF_CAP", 10)
+    basis = fl.eigendecompose(ops, m=3)
+    lams = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(),
+                             eigvals_only=True)
+    assert op.lam1 == pytest.approx(lams[0], rel=1e-10)
+    np.testing.assert_allclose(basis.lams, lams[:3], rtol=1e-10)
