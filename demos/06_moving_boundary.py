@@ -11,9 +11,8 @@ interface runs through the inside of a face).  Those run on the
 spectrum-free operator: lambda_1 by Lanczos, L^s and (L^s - lambda)^-1 by
 Gauss-Jacobi sums of shifted solves, whose measured error is the
 frac_rel_error column.  Each shifted solve is a capacitance correction
-through the one partial face.  No dense eigensolve runs, so the 64^2
-square and the 16^3 cube below, with more free nodes than the dense
-solve's cap DEFAULT_DOF_CAP, run as well.
+through the one partial face.  No dense eigensolve runs, so its O(n^3)
+cost does not bound the 64^2 square or the 16^3 cube below.
 """
 import fraclap as fl
 
@@ -28,8 +27,7 @@ for dim, cells, alphas in families:
               for part in fl.moving_family(mesh, alphas)]
     res = fl.move_boundary_experiment(mesh, params, alphas)
 
-    print(f"{cells}^{dim} cells, {min(n_free)}..{max(n_free)} free nodes "
-          f"(dense cap {fl.DEFAULT_DOF_CAP})")
+    print(f"{cells}^{dim} cells, {min(n_free)}..{max(n_free)} free nodes")
     print("alpha (requested -> snapped), lambda_1, lambda_1^s, sufficient?, "
           "rational error")
     for row in res.rows:

@@ -18,11 +18,9 @@ from .mesh import (
 from .spectral import (
     OperatorPair,
     SpectralBasis,
-    DofCapError,
     assemble_operators,
     eigendecompose,
     quotient_operator,
-    DEFAULT_DOF_CAP,
 )
 from .fractional import (
     FracParams,
@@ -97,9 +95,8 @@ __all__ = [
     "Mesh", "Facet", "BoundaryPartition", "ConeDomain",
     "build_tensor_mesh", "partition_boundary", "moving_family",
     "cone_domain",
-    "OperatorPair", "SpectralBasis", "DofCapError", "assemble_operators",
+    "OperatorPair", "SpectralBasis", "assemble_operators",
     "eigendecompose", "quotient_operator",
-    "DEFAULT_DOF_CAP",
     "FracParams", "Field", "ConstantsReport", "QuotientReport",
     "TruncatedBasisError", "mode_field", "frac_apply", "frac_norm",
     "spectral_tail_bound", "lambda1s",

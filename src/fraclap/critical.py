@@ -485,7 +485,7 @@ def move_boundary_experiment(
     basis when the partition is face-aligned, otherwise the spectrum-free
     operator, whose measured rational error is the row's
     ``frac_rel_error`` (0.0 on face-aligned rows).  No alpha needs a dense
-    eigensolve, so ``DEFAULT_DOF_CAP`` does not apply.
+    eigensolve, so the O(n^3) cost of one does not bound the mesh.
 
     Parameters
     ----------

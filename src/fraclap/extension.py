@@ -22,7 +22,7 @@ from ._weighted1d import (
 )
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import OperatorPair, assemble_operators
+from .spectral import assemble_operators
 
 __all__ = [
     "CylinderMesh",
@@ -135,33 +135,10 @@ class ExtensionField:
         return replace(self, values=v)
 
 
-def _shifted_solver(ops: OperatorPair, theta: np.ndarray):
-    """Coordinates and shifted solves of (A + theta_j M) x_j = b_j.
-
-    Returns ``(dual, solve)``.  ``dual(B)`` takes right sides b to the
-    base coordinates, one column per right side; ``solve(G)`` takes a
-    coordinate array with one column per shift to the solutions x_j.  So
-    ``solve(dual(B))`` solves column by column, and a right side of low
-    rank in the shift direction needs ``dual`` on its few factors only.
-
-    On face-aligned partitions A and M are diagonal in the Kronecker basis
-    of ``ops.tensor``, so each solve is two per-axis contractions and a
-    division by (lambda_i + theta_j).  Partial-facet partitions add the
-    capacitance correction of the pair's one ``kernel``, one r x r
-    Cholesky factor per shift; no shifted matrix is factored.
-    """
-    t = ops.tensor
-    if t is not None:
-        denom = t.values[:, None] + theta[None, :]
-        return t.dual, lambda G: t.synthesize(G / denom)
-    kernel = ops.kernel
-    shifts = kernel.shifts(theta)
-    return kernel.dual, lambda G: kernel.synthesize(kernel.solve(G, shifts))
-
-
 def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
-    # y-direction eigenpairs plus the base shifted solver, built once per
-    # partition and s and kept on the cylinder
+    # y-direction eigenpairs plus the base shifted solves of
+    # OperatorPair.shifted, built once per partition and s and kept on the
+    # cylinder
     solver = cyl._solvers.get((partition, s))
     if solver is not None:
         return solver
@@ -176,7 +153,7 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     # the y-eigenbasis those are the rows Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0]
     zMA = -np.stack([Mw[1:J, 0].toarray().ravel() @ Z,
                      Aw[1:J, 0].toarray().ravel() @ Z])
-    solver = (ops, Z, zMA, *_shifted_solver(ops, theta))
+    solver = (ops, Z, zMA, *ops.shifted(theta))
     cyl._solvers[partition, s] = solver
     return solver
 
@@ -238,6 +215,12 @@ def extend(
     return ExtensionField(values=full, cyl=cyl, partition=partition)
 
 
+def _check_grid(cyl: CylinderMesh, w: ExtensionField) -> None:
+    # dtn and x_norm read the y-grid of cyl, so it must be the one w is on
+    if w.cyl.grid_key() != cyl.grid_key():
+        raise ValueError("extension lives on another cylinder grid")
+
+
 def dtn(
     cyl: CylinderMesh,
     params: FracParams,
@@ -249,7 +232,9 @@ def dtn(
     Returns -kappa * lim_{y->0+} y^(1-2s) dw/dy as a Field; for the true
     extension of u this is the fractional operator applied to u.  The limit
     comes from the two-point boundary-layer fit of :mod:`_weighted1d`.
+    ``w`` must have been built on ``cyl``'s grid.
     """
+    _check_grid(cyl, w)
     limit = weighted_slope_limit(
         w.values[:, 1] - w.values[:, 0], w.values[:, 2] - w.values[:, 0],
         cyl.y[1], cyl.y[2], params.s)
@@ -276,8 +261,10 @@ def x_norm(
     conductance-difference form, sum_c a_c <M dW_c, dW_c> with dW_c =
     W_c+1 - W_c and a_c the cell conductances.  The rows of Aw sum to zero
     while its entries grow like y_1^(-2s), so the difference form keeps the
-    digits that W^T Aw W would lose to cancellation.
+    digits that W^T Aw W would lose to cancellation.  ``w`` must have been
+    built on ``cyl``'s grid.
     """
+    _check_grid(cyl, w)
     ops = assemble_operators(cyl.base, w.partition)
     _, Mw = weighted_matrices(cyl.y, params.s)
     a = harmonic_conductances(cyl.y, params.s)

@@ -131,6 +131,11 @@ class Field:
         return cls(values=vals, mesh=mesh, partition=partition)
 
     def free_values(self, ops: OperatorPair) -> np.ndarray:
+        """Values at the free nodes of ``ops``, which must be on this
+        field's partition."""
+        if ops.partition != self.partition:
+            raise ValueError("field lives on another partition than the "
+                             "operators")
         return self.values[ops.free]
 
     def __add__(self, other: Field) -> Field:

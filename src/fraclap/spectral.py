@@ -21,8 +21,9 @@ multiplying it out.  A partial-facet partition is R constrained to vanish
 on the r nodes R frees and it does not; in R's eigen-coordinates that is
 a standard eigenproblem of a diagonal plus a rank-2r term, the
 constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
-George & Golub 1971), solved densely up to ``DEFAULT_DOF_CAP`` free
-nodes.
+George & Golub 1971).  A few of its eigenpairs come from shift-invert
+Lanczos with the capacitance kernel below as the inverse, and many or all
+of them from one dense solve of that standard problem.
 
 The critical quotient needs no such eigensolve.  In the same coordinates
 a shifted solve (A + theta M) x = b of a partial-facet partition is a
@@ -30,17 +31,18 @@ diagonal solve plus a Lagrange correction through an r x r capacitance
 matrix; on the one partial face of a moving family that matrix factors
 through the face's own Kronecker eigenvectors (Proskurowski & Widlund
 1976).  Each partial-facet pair holds one ``_CapacitanceKernel`` as
-``OperatorPair.kernel``, and the dense eigensolve, ``extend``,
-:class:`ConstrainedOperator` and its Lanczos for lambda_1 all use it.  A Gauss-Jacobi rule for the
-Balakrishnan integral (Aceto & Novati 2017) turns L^-a into one kernel
-call over all its shifts, so :class:`ConstrainedOperator` gives L^s and
-(L^s - lam)^-1 with only lambda_1 and phi_1 computed, at any size;
-:func:`quotient_operator` chooses it or a complete basis by the
+``OperatorPair.kernel``, and the dense eigensolve, the Lanczos inverse,
+``extend`` and :class:`ConstrainedOperator` all use it.  A Gauss-Jacobi
+rule for the Balakrishnan integral (Aceto & Novati 2017) turns L^-a into
+one kernel call over all its shifts, so :class:`ConstrainedOperator`
+gives L^s and (L^s - lam)^-1 with only lambda_1 and phi_1 computed, at
+any size; :func:`quotient_operator` chooses it or a complete basis by the
 partition's shape.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,21 +58,15 @@ __all__ = [
     "SpectralBasis",
     "assemble_operators",
     "eigendecompose",
-    "DofCapError",
     "ConstrainedOperator",
     "quotient_operator",
 ]
 
-DEFAULT_DOF_CAP = 3000
-# largest eigenpair count served by the Lanczos path on big meshes
+# a partial-facet request for at most this many eigenpairs (and fewer than
+# the free nodes) runs Lanczos; any other runs the dense solve
 _ITERATIVE_MAX = 32
 # columns multiplied out at a time when a tensor basis needs them explicitly
 _COLUMN_CHUNK = 256
-
-
-class DofCapError(RuntimeError):
-    """Request refused above ``DEFAULT_DOF_CAP``; the message says what is
-    served."""
 
 
 def _line_matrices(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -153,13 +149,6 @@ class TensorEigs:
         """
         return _kron_rows([V.T for V in self.vecs], flat).T
 
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        """Rows of the eigenvector matrix at the C-order nodes ``nodes``.
-
-        Only the selected 1-D rows are multiplied out; (len(nodes), n).
-        """
-        return _kron_rows(self.vecs, nodes)
-
     @cached_property
     def _peak_candidates(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         # per axis: (starts, rows) in CSR layout; column j of vecs[d] may
@@ -236,8 +225,9 @@ class OperatorPair:
     eigenpairs are Kronecker products of 1-D eigenpairs.  A partition that
     is its own relaxation (every face wholly Dirichlet or wholly Neumann)
     exposes them as ``tensor``; a partial-facet partition holds them in its
-    one capacitance ``kernel``, which its dense eigensolve, its
-    :class:`ConstrainedOperator` and its extension solvers all share.
+    one capacitance ``kernel``, which its eigensolves, its
+    :class:`ConstrainedOperator` and its extension solvers all share, each
+    through :meth:`shifted` or the kernel itself.
 
     Attributes
     ----------
@@ -271,6 +261,29 @@ class OperatorPair:
     @property
     def n_free(self) -> int:
         return len(self.free)
+
+    def shifted(self, theta: np.ndarray):
+        """Coordinates and shifted solves of (A + theta_j M) x_j = b_j.
+
+        Returns ``(dual, solve)``.  ``dual(B)`` takes right sides b to the
+        base coordinates, one column per right side; ``solve(G)`` takes a
+        coordinate array with one column per shift to the solutions x_j.  So
+        ``solve(dual(B))`` solves column by column, and a right side of low
+        rank in the shift direction needs ``dual`` on its few factors only.
+
+        On face-aligned partitions A and M are diagonal in the Kronecker
+        basis of ``tensor``, so each solve is two per-axis contractions and
+        a division by (lambda_i + theta_j).  Partial-facet partitions add
+        the capacitance correction of the pair's one ``kernel``, one r x r
+        Cholesky factor per shift; no shifted matrix is factored.
+        """
+        t = self.tensor
+        if t is not None:
+            denom = t.values[:, None] + theta[None, :]
+            return t.dual, lambda G: t.synthesize(G / denom)
+        k = self.kernel
+        shifts = k.shifts(theta)
+        return k.dual, lambda G: k.synthesize(k.solve(G, shifts))
 
 
 def _assemble(partition: BoundaryPartition) -> OperatorPair:
@@ -528,19 +541,20 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
     and mass are diag(Lambda_R) and I.  The partition's space is the
     subspace where x vanishes on the r nodes D that R frees and the
     partition does not: B c = 0 with B = V_R[D, :], of full row rank since
-    V_R is invertible.  The Householder QR of B^T, Q = I - W T W^T in
-    compact-WY form, spans null(B) by the last n columns of Q, so the
-    problem is the standard one for K = (Q^T Lambda_R Q)[r:, r:], a
-    diagonal plus a symmetric rank-2r term, and c = Q [0; Y] for the
-    eigenvectors Y of K.  Only Lambda_R enters, so a singular R (every
-    face Neumann) is harmless.  Returns eigenvalues and eigenvectors over
-    the partition's free nodes, M-orthonormal.
+    V_R is invertible; B^T is formed from the kernel's factors (v, B_f).
+    The Householder QR of B^T, Q = I - W T W^T in compact-WY form, spans
+    null(B) by the last n columns of Q, so the problem is the standard one
+    for K = (Q^T Lambda_R Q)[r:, r:], a diagonal plus a symmetric rank-2r
+    term, and c = Q [0; Y] for the eigenvectors Y of K.  Only Lambda_R
+    enters, so a singular R (every face Neumann) is harmless.  Returns
+    eigenvalues and eigenvectors over the partition's free nodes,
+    M-orthonormal.
     """
     lam = kernel.lam
-    n_r, r = len(lam), kernel.B.shape[0]
-    # dgeqrt overwrites its input, so it gets a Fortran-ordered copy of B^T
+    n_r, r = len(lam), kernel.B_f.shape[0]
+    # B^T is a fresh array, which dgeqrt may overwrite
     W, T, info = scipy.linalg.lapack.dgeqrt(
-        r, np.array(kernel.B.T, order="F"), overwrite_a=True)
+        r, np.asfortranarray(kernel._Bt(np.eye(r))), overwrite_a=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgeqrt failed with info={info}")
     W = np.tril(W, -1)
@@ -576,18 +590,17 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     Shift-invert at sigma = -theta_0, with theta_0 the second-lowest
     eigenvalue of the relaxation R: positive, since R's null space holds
     at most the constants.  The inverse (A + theta_0 M)^-1 that ``eigsh``
-    needs is one shifted solve of the pair's capacitance kernel, so A is
-    never factored.  The columns are M-orthonormal, as ``eigsh`` returns
-    them for the generalized problem.
+    needs is the pair's one-shift solve (:meth:`OperatorPair.shifted`),
+    through its capacitance kernel, so A is never factored.  The columns
+    are M-orthonormal, as ``eigsh`` returns them for the generalized
+    problem.
     """
-    kernel = ops.kernel
     n = ops.n_free
-    theta0 = float(np.partition(kernel.lam, 1)[1])
-    sh = kernel.shifts([theta0])
+    theta0 = float(np.partition(ops.kernel.lam, 1)[1])
+    dual, solve = ops.shifted(np.array([theta0]))
 
     def inverse(b: np.ndarray) -> np.ndarray:
-        c = kernel.solve(kernel.dual(b.reshape(n, 1)), sh)
-        return kernel.synthesize(c).ravel()
+        return solve(dual(b.reshape(n, 1))).ravel()
 
     # deterministic start vector; shift-invert targets the low end
     v0 = np.full(n, 1.0 / np.sqrt(n))
@@ -609,15 +622,15 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     Kronecker indices and one sign per mode.  The signs come from the
     per-axis rule of :meth:`TensorEigs.signs`, which never multiplies a
     column out, yet matches the dense convention exactly; the whole call
-    costs the sort plus O(n) past the 1-D tables.  Partial-facet
-    partitions (some face partly Dirichlet) take one standard dense
-    ``eigh`` in the eigen-coordinates of their face-aligned relaxation,
-    O(n^3) and bounded by ``DEFAULT_DOF_CAP`` free nodes (read at call
-    time), for any m up to n; above the cap shift-invert Lanczos serves at
-    most 32 pairs, with the partition's capacitance kernel as the inverse,
-    so no sparse LU is built.  Their bases keep the dense eigenvectors.
-    The critical quotient on such a partition needs none of this: see
-    :func:`quotient_operator`.
+    costs the sort plus O(n) past the 1-D tables.  On partial-facet
+    partitions (some face partly Dirichlet) the number of pairs picks the
+    solver, at any size: at most 32 pairs, fewer than n, come from
+    shift-invert Lanczos with the partition's capacitance kernel as the
+    inverse, so no sparse LU is built; any other request takes one standard
+    dense ``eigh`` in the eigen-coordinates of the face-aligned relaxation,
+    O(n^3) time and O(n^2) memory like any dense complete basis.  Their
+    bases keep the dense eigenvectors.  The critical quotient on such a
+    partition needs none of this: see :func:`quotient_operator`.
 
     Parameters
     ----------
@@ -633,39 +646,31 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
 
     Raises
     ------
-    DofCapError
-        If a partial-facet partition has more than ``DEFAULT_DOF_CAP`` free
-        nodes and the request is a complete basis or more than 32 pairs.
+    ValueError
+        If m is neither "all" nor an integer in [1, n]; a bool is not one.
     """
     n = ops.n_free
-    want_all = isinstance(m, str)
-    if want_all:
+    if isinstance(m, str):
         if m.lower() != "all":
             raise ValueError(f"m must be an integer or 'all', got {m!r}")
         k = n
     else:
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValueError(f"m must be an integer or 'all', got {m!r}")
         k = int(m)
         if not 1 <= k <= n:
             raise ValueError(f"m must be in [1, {n}], got {k}")
 
     tensor = ops.tensor
-    dense = n <= DEFAULT_DOF_CAP
-    if tensor is None and not dense and (k == n or k > _ITERATIVE_MAX):
-        raise DofCapError(
-            f"{n} free nodes exceed the dense cap of {DEFAULT_DOF_CAP}; above "
-            f"the cap this partial-facet partition serves m <= "
-            f"{_ITERATIVE_MAX}; face-aligned partitions (every face wholly "
-            f"Dirichlet or Neumann) serve any m at any size")
-
     if tensor is not None:
         order = tensor.order(k)
         return SpectralBasis(lams=tensor.values[order], vecs=None, ops=ops,
                              complete=(k == n), order=order,
                              signs=tensor.signs(order))
-    if dense:
-        lams, vecs = _constrained_eigh(ops.kernel, k)
-    else:
+    if k <= _ITERATIVE_MAX and k < n:
         lams, vecs = _lanczos(ops, k)
+    else:
+        lams, vecs = _constrained_eigh(ops.kernel, k)
 
     return SpectralBasis(
         lams=np.ascontiguousarray(lams),
@@ -736,9 +741,10 @@ class _CapacitanceKernel:
     with v and one product with B_f.  So forming C_theta costs r^2 n_f and
     an apply O(n_R k + r n_f k) for k shifts, against r^2 n_R and r n_R k
     with B itself.  When D spans several faces the same code runs with
-    the trivial factorization v = [1], B_f = B.  The dense B is built on
-    first use, for the QR of :func:`_constrained_eigh` only.  A partition
-    assembles one kernel, which every consumer of the partition shares.
+    the trivial factorization v = [1], B_f = B.  (v, B_f) is the only form
+    of B kept; the QR of :func:`_constrained_eigh` reads B^T through it.
+    A partition assembles one kernel, which every consumer of the
+    partition shares.
     """
 
     def __init__(self, relaxed: TensorEigs, pos: np.ndarray) -> None:
@@ -747,9 +753,9 @@ class _CapacitanceKernel:
         self.lam = relaxed.values
         cut = np.ones(len(self.lam), dtype=bool)
         cut[pos] = False
-        self._cut = np.flatnonzero(cut)
+        cut = np.flatnonzero(cut)
         shape = relaxed.shape
-        idx = np.unravel_index(self._cut, shape)
+        idx = np.unravel_index(cut, shape)
         # axes along which all of D has one index; factor through the longest
         constant = [d for d, i in enumerate(idx) if np.all(i == i[0])]
         if constant:
@@ -764,16 +770,11 @@ class _CapacitanceKernel:
                             math.prod(shape[a + 1:]))
         else:
             self._v = np.ones(1)
-            self.B_f = _kron_rows(relaxed.vecs, self._cut)
+            self.B_f = _kron_rows(relaxed.vecs, cut)
             self._layout = (1, 1, len(self.lam))
         # B B^T = (v . v) B_f B_f^T, factored once for the projector
         self._gram = scipy.linalg.cholesky(
             (self._v @ self._v) * (self.B_f @ self.B_f.T), lower=True)
-
-    @cached_property
-    def B(self) -> np.ndarray:
-        """The dense r x n_R constraint rows V_R[D, :], built on first use."""
-        return self.relaxed.rows(self._cut)
 
     def _face_sum(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
         # sum_i v_i X[(p, i, q), :] for X of shape (n_R, k); (n_f, k)
@@ -1061,7 +1062,7 @@ def quotient_operator(ops: OperatorPair) -> Operator:
     A face-aligned partition (``ops.tensor`` set) gets its complete
     Kronecker basis from :func:`eigendecompose`; a partial-facet one gets a
     :class:`ConstrainedOperator`, which needs no spectrum beyond lambda_1
-    and no dense cap.  Both give lambda_1, phi_1, the coordinate maps, L^s
+    and no dense eigensolve.  Both give lambda_1, phi_1, the coordinate maps, L^s
     and (L^s - lam)^-1 to :mod:`fraclap.critical` and
     :mod:`fraclap.fractional`.
     """

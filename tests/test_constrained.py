@@ -12,10 +12,10 @@ import fraclap as fl
 from fraclap import spectral
 from fraclap.spectral import (
     ConstrainedOperator,
-    TensorEigs,
     _CapacitanceKernel,
     _constrained_eigh,
     _gauss_jacobi,
+    _kron_rows,
     _lanczos,
     _PowerRule,
     _sign_normalize,
@@ -236,9 +236,16 @@ def _assert_close(got, want, rel=1e-12):
     assert err <= rel * np.max(np.abs(want)), err
 
 
+def _dense_b(kernel):
+    # V_R[D, :], multiplied out from R's 1-D eigenvectors at the nodes D
+    # that R frees and the partition does not
+    cut = np.setdiff1d(np.arange(len(kernel.lam)), kernel.pos)
+    return _kron_rows(kernel.relaxed.vecs, cut)
+
+
 def _assert_factored_kernel_matches_dense_b(ops, seed=0):
     kernel = ops.kernel
-    B, lam = kernel.B, kernel.lam
+    B, lam = _dense_b(kernel), kernel.lam
     n_r = len(lam)
     rng = np.random.default_rng(seed)
     H = 1.0 / (lam[:, None] + THETAS[None, :])
@@ -287,7 +294,7 @@ def test_factored_kernel_matches_dense_b(ops):
     ops = ops()
     # D lies on one face, so the kernel holds B_f with fewer columns than B
     assert ops.kernel._layout[1] > 1
-    assert ops.kernel.B_f.shape[1] < ops.kernel.B.shape[1]
+    assert ops.kernel.B_f.shape[1] < _dense_b(ops.kernel).shape[1]
     _assert_factored_kernel_matches_dense_b(ops)
 
 
@@ -323,14 +330,25 @@ def test_factored_kernel_matches_dense_b_on_random_one_face_fills(part):
 
 
 def test_one_face_move_boundary_never_builds_dense_b(monkeypatch):
-    def refuse(self, nodes):
-        raise AssertionError("dense eigenvector rows built")
+    # every row block of R's eigenvectors is multiplied out by _kron_rows;
+    # on the partial-facet alphas none may be as wide as R's eigenbasis
+    widths = []
 
-    monkeypatch.setattr(TensorEigs, "rows", refuse)
+    def spy(mats, flat):
+        rows = _kron_rows(mats, flat)
+        widths.append(rows.shape[1])
+        return rows
+
+    monkeypatch.setattr(spectral, "_kron_rows", spy)
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [8, 8])
     res = fl.move_boundary_experiment(mesh, fl.FracParams(s=S, N=2),
                                       [1.0, 0.5, 0.25])
     assert len(res.rows) == 3
+    assert widths  # the face rows B_f of each partial-facet kernel
+    # partly Dirichlet x = 0 relaxes to all Neumann: R frees all 9 x 9 nodes
+    n_r = {len(_ops(part).kernel.lam)
+           for part in fl.moving_family(mesh, [0.5, 0.25])}
+    assert n_r == {81} and 81 not in widths
 
 
 # -- Lanczos with the kernel as its inverse --------------------------------
@@ -360,7 +378,6 @@ def test_lanczos_builds_no_sparse_lu(monkeypatch):
     part = _mixed_partition((9, 7), {(0, 0): [True] * 4 + [False] * 3})
     ops = _ops(part)
     op = ConstrainedOperator(ops)
-    monkeypatch.setattr(spectral, "DEFAULT_DOF_CAP", 10)
     basis = fl.eigendecompose(ops, m=3)
     lams = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(),
                              eigvals_only=True)

@@ -181,13 +181,13 @@ def test_cylinder_keeps_a_solver_per_power(interval_cylinder, interval_ops,
                                            monkeypatch):
     # alternating powers on one cylinder reuse the solvers it holds
     built = []
-    shifted_solver = fl.extension._shifted_solver
+    shifted = fl.OperatorPair.shifted
 
     def counting(ops, theta):
         built.append(theta)
-        return shifted_solver(ops, theta)
+        return shifted(ops, theta)
 
-    monkeypatch.setattr(fl.extension, "_shifted_solver", counting)
+    monkeypatch.setattr(fl.OperatorPair, "shifted", counting)
     ops, old = interval_ops, interval_cylinder
     cyl = fl.build_cylinder(ops.mesh, old.Y, old.J, old.gamma)
     u = fl.Field.from_callable(ops.mesh, ops.partition,
@@ -229,6 +229,25 @@ def test_extend_rejects_foreign_trace(interval_cylinder, params1):
     u = fl.Field(values=np.zeros(other.n_nodes), mesh=other, partition=part)
     with pytest.raises(ValueError):
         fl.extend(interval_cylinder, part, params1, u)
+
+
+def test_dtn_and_x_norm_refuse_another_cylinder(params2):
+    # both read the y-grid of their cylinder argument, so it must be the
+    # grid the extension was solved on
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])
+    part = fl.partition_boundary(mesh, [(0, 0)])
+    basis = fl.eigendecompose(fl.assemble_operators(mesh, part), m=1)
+    kap = fl.kappa_s(params2)
+    cyl = fl.build_cylinder(mesh, 6.0 / math.sqrt(basis.lams[0]), 32, 3.0)
+    w = fl.extend(cyl, part, params2, fl.mode_field(basis, 1))
+    assert fl.x_norm(cyl, params2, w, kap) > 0.0
+    assert np.all(np.isfinite(fl.dtn(cyl, params2, w, kap).values))
+    for other in (fl.build_cylinder(mesh, 1.0, 32, 3.0),
+                  fl.build_cylinder(mesh, cyl.Y, 48, 3.0)):
+        with pytest.raises(ValueError, match="another cylinder"):
+            fl.x_norm(other, params2, w, kap)
+        with pytest.raises(ValueError, match="another cylinder"):
+            fl.dtn(other, params2, w, kap)
 
 
 def test_dtn_matches_spectral_per_mode(interval_cylinder, interval_ops,

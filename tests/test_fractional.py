@@ -68,6 +68,24 @@ def test_field_arithmetic(square_ops):
         u + w
 
 
+def test_field_from_another_partition_is_refused(params2):
+    # same mesh, two partitions: a field is read only through its own
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])
+    bases = [fl.eigendecompose(fl.assemble_operators(
+        mesh, fl.partition_boundary(mesh, [face])), m="all")
+        for face in ((0, 0), (1, 1))]
+    u = fl.mode_field(bases[0], 1)
+    assert fl.frac_norm(bases[0], params2, u) > 0.0
+    other = bases[1]
+    with pytest.raises(ValueError, match="another partition"):
+        u.free_values(other.ops)
+    for call in (fl.frac_norm, fl.frac_apply, fl.spectral_tail_bound):
+        with pytest.raises(ValueError, match="another partition"):
+            call(other, params2, u)
+    with pytest.raises(ValueError, match="another partition"):
+        fl.quotient(other, params2, 0.0, u)
+
+
 def test_mode_field_coefficients_are_unit_vectors(square_basis, params2):
     for k in (1, 2, 5):
         u = fl.mode_field(square_basis, k)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import fraclap as fl
 from fraclap.spectral import (
-    DofCapError,
     TensorEigs,
     _column_signs,
+    _constrained_eigh,
     _sign_normalize,
     eigendecompose,
 )
@@ -130,19 +130,55 @@ def test_tensor_path_matches_dense_oracle(dim, n, faces):
         np.testing.assert_allclose(V @ V.T, W @ W.T, rtol=0, atol=1e-8)
 
 
-def test_iterative_path_matches_dense(monkeypatch):
+def test_iterative_path_matches_dense():
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
     # partial-facet: face-aligned partitions take the tensor path instead
     part = fl.moving_family(mesh, [0.5])[0]
     ops = fl.assemble_operators(mesh, part)
     assert ops.tensor is None
-    dense = eigendecompose(ops, m=3)
-    monkeypatch.setattr(fl.spectral, "DEFAULT_DOF_CAP", 10)
-    sparse = eigendecompose(ops, m=3)  # forces shift-invert
-    np.testing.assert_allclose(sparse.lams, dense.lams, rtol=1e-9)
+    dense_lams, dense_vecs = _constrained_eigh(ops.kernel, 3)
+    sparse = eigendecompose(ops, m=3)  # three modes run shift-invert
+    np.testing.assert_allclose(sparse.lams, dense_lams, rtol=1e-9)
     for k in range(3):
-        dot = sparse.vecs[:, k] @ (ops.M @ dense.vecs[:, k])
+        dot = sparse.vecs[:, k] @ (ops.M @ dense_vecs[:, k])
         assert abs(abs(dot) - 1.0) < 1e-8
+
+
+def _solver_calls(monkeypatch):
+    # records which partial-facet solver each eigendecompose call runs
+    calls = []
+    for name in ("_lanczos", "_constrained_eigh"):
+        def spy(*args, _name=name, _real=getattr(fl.spectral, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(fl.spectral, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [8, 24])
+def test_partial_facet_solver_follows_the_mode_count(cells, monkeypatch):
+    # Lanczos for at most 32 modes (and fewer than n), the dense solve for
+    # any other request, whatever the size of the mesh
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [cells, cells])
+    ops = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
+    assert ops.tensor is None and ops.n_free > 33
+    calls = _solver_calls(monkeypatch)
+    for m, solver in ((1, "_lanczos"), (8, "_lanczos"), (32, "_lanczos"),
+                      (33, "_constrained_eigh"), ("all", "_constrained_eigh")):
+        calls.clear()
+        assert eigendecompose(ops, m=m).m == (ops.n_free if m == "all" else m)
+        assert calls == [solver], (m, calls)
+
+
+def test_partial_facet_solver_needs_fewer_modes_than_nodes(monkeypatch):
+    part = _mixed_partition((4, 3), {(0, 0): [True, False, False]})
+    ops = fl.assemble_operators(part.mesh, part)
+    n = ops.n_free
+    assert ops.tensor is None and n <= 32
+    calls = _solver_calls(monkeypatch)
+    eigendecompose(ops, m=n - 1)
+    eigendecompose(ops, m=n)
+    assert calls == ["_lanczos", "_constrained_eigh"]
 
 
 def _mixed_partition(n, labels_by_face):
@@ -232,25 +268,25 @@ def test_partial_facet_solve_takes_no_mass_matrix(monkeypatch):
     assert all(b is None or n not in b for _, b in calls)
 
 
-def test_dof_cap_raises_for_complete_basis(monkeypatch):
+def test_large_and_complete_requests_are_served():
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [24, 24])
     part = fl.partition_boundary(mesh, [(0, 0)])
     ops = fl.assemble_operators(mesh, part)
-    monkeypatch.setattr(fl.spectral, "DEFAULT_DOF_CAP", 10)
-    # the tensor backend serves complete and truncated bases above the cap
+    # both backends serve complete and many-mode bases; no size cap exists
     complete = eigendecompose(ops, m="all")
     assert complete.complete and complete.m == 600
     assert eigendecompose(ops, m=100).m == 100
     partial = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
-    for m in (33, "all"):
-        with pytest.raises(DofCapError,
-                           match="partial-facet partition serves m <= 32; "
-                                 "face-aligned partitions .* serve any m"):
-            eigendecompose(partial, m=m)
-    with pytest.raises(ValueError):
-        eigendecompose(ops, m="some")
-    with pytest.raises(ValueError):
-        eigendecompose(ops, m=0)
+    many = eigendecompose(partial, m=33)
+    assert many.m == 33 and not many.complete
+    whole = eigendecompose(partial, m="all")
+    assert whole.complete and whole.m == partial.n_free
+    np.testing.assert_allclose(whole.lams[:33], many.lams, rtol=1e-10)
+    # a bool or a non-integral count is refused, not truncated by int()
+    for m in ("some", 0, True, False, 2.7, 3.0, None):
+        for pair in (ops, partial):
+            with pytest.raises(ValueError):
+                eigendecompose(pair, m=m)
 
 
 def test_assembly_cached_identity(square_ops):
@@ -342,8 +378,7 @@ def test_tensor_signs_match_sign_normalize(request, ops_name, m):
             basis.eigenfunction(k)[ops.free], basis.vecs[:, k - 1])
 
 
-def test_complete_basis_above_dof_cap_minimizes_without_vecs(params2,
-                                                             monkeypatch):
+def test_complete_tensor_basis_minimizes_without_vecs(params2, monkeypatch):
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [24, 24])
     ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
 
@@ -351,7 +386,6 @@ def test_complete_basis_above_dof_cap_minimizes_without_vecs(params2,
         raise AssertionError("dense eigenvectors were requested")
 
     monkeypatch.setattr(fl.SpectralBasis, "vecs", property(refuse))
-    monkeypatch.setattr(fl.spectral, "DEFAULT_DOF_CAP", 10)
     basis = eigendecompose(ops, m="all")
     assert basis.complete and basis.m == ops.n_free
     lam = 0.5 * float(basis.lams[0] ** params2.s)
