@@ -1,8 +1,8 @@
 """One-dimensional building blocks for the weighted cylinder direction.
 
 Graded grids, exact per-cell moments of the degenerate weight y^(1-2s),
-the weighted stiffness and mass matrices, a one-mode profile solver, and
-the boundary-layer slope extraction.
+the bands of the weighted stiffness and mass matrices, a one-mode profile
+solver, and the boundary-layer slope extraction.
 
 The stiffness uses per-cell harmonic conductances (closed-form integral
 of the reciprocal weight): in one dimension a tridiagonal stiffness is a
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import diags_array
 
 
 def graded_grid(Y: float, J: int, gamma: float) -> np.ndarray:
@@ -53,15 +52,18 @@ def harmonic_conductances(y: np.ndarray, s: float) -> np.ndarray:
     return 2.0 * s / (yr ** (2.0 * s) - yl ** (2.0 * s))
 
 
-def weighted_matrices(y: np.ndarray, s: float):
-    """Weighted stiffness and mass on the graded grid, as sparse CSR.
+def weighted_bands(y: np.ndarray, s: float):
+    """Bands of the weighted stiffness and mass on the graded grid.
 
     Stiffness entries come from harmonic cell conductances; mass entries
     from the exact weight moments against the P1 hat products.
 
     Returns
     -------
-    (A, M) : scipy.sparse.csr_array pair, shape (J+1, J+1)
+    (dA, a, dM, eM) : numpy.ndarray
+        The stiffness diagonal (J+1,) and cell conductances a (J,), whose
+        negatives are its off-diagonal; the mass diagonal (J+1,) and
+        off-diagonal eM (J,).
     """
     h = np.diff(y)
     a = harmonic_conductances(y, s)
@@ -75,12 +77,10 @@ def weighted_matrices(y: np.ndarray, s: float):
     dA = np.zeros(J + 1)
     dA[:-1] += a
     dA[1:] += a
-    A = diags_array([dA, -a, -a], offsets=[0, 1, -1], format="csr")
     dM = np.zeros(J + 1)
     dM[:-1] += M00
     dM[1:] += M11
-    M = diags_array([dM, M01, M01], offsets=[0, 1, -1], format="csr")
-    return A, M
+    return dA, a, dM, M01
 
 
 def solve_mode_deviation(y: np.ndarray, s: float, mu: float) -> np.ndarray:
@@ -98,20 +98,17 @@ def solve_mode_deviation(y: np.ndarray, s: float, mu: float) -> np.ndarray:
     """
     if mu <= 0:
         raise ValueError("mode number must be positive")
-    A, M = weighted_matrices(y, s)
-    K = A + mu * M
-    J = len(y) - 1
-    diag = K.diagonal(0)
-    upper = K.diagonal(1)
-    lower = K.diagonal(-1)
-    # interior system K v = -mu M 1, with v0 = 0 and vJ = -1 eliminated
-    ones = np.ones(J + 1)
-    rhs = (-mu * (M @ ones))[1:-1]
-    rhs[-1] += upper[-1]
-    ab = np.zeros((3, J - 1))
-    ab[0, 1:] = upper[1:-1]
+    dA, a, dM, eM = weighted_bands(y, s)
+    # K = A + mu M; K v = -mu M 1 on the interior, with v0 = 0 and vJ = -1
+    # eliminated (each row of M 1 summed left to right)
+    diag = dA + mu * dM
+    off = -a + mu * eM
+    rhs = -mu * ((eM[:-1] + dM[1:-1]) + eM[1:])
+    rhs[-1] += off[-1]
+    ab = np.zeros((3, len(rhs)))
+    ab[0, 1:] = off[1:-1]
     ab[1, :] = diag[1:-1]
-    ab[2, :-1] = lower[1:-1]
+    ab[2, :-1] = off[1:-1]
     vi = solve_banded((1, 1), ab, rhs)
     return np.concatenate([[0.0], vi, [-1.0]])
 

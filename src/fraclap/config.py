@@ -266,10 +266,15 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
                    f"up to {_SWEEP_TOP})")
     if resolved["mode_count"] < 1:
         bad.append("mode_count (expected an integer >= 1)")
+    if not 0.0 < resolved["solver"]["polish_tol"] < 1.0:
+        bad.append("solver.polish_tol (expected a number in (0, 1))")
     if resolved["solver"]["polish_max"] < 1:
         bad.append("solver.polish_max (expected an integer >= 1)")
     if resolved["solver"]["init"] not in ("principal", "random"):
         bad.append("solver.init (expected 'principal' or 'random')")
+    for key in ("geometry_tol", "exempt_radius"):
+        if not resolved["pohozaev"][key] >= 0.0:
+            bad.append(f"pohozaev.{key} (expected a number >= 0)")
     if resolved["pohozaev"]["nonlinearity"] not in (
             "critical", "linear_plus_critical"):
         bad.append("pohozaev.nonlinearity (expected 'critical' or "
@@ -300,9 +305,11 @@ def validate(cfg: dict) -> dict:
     Keys are checked first for name and type, then the resolved values
     for range: ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at
     least 2, faces on the box, ``mode_count`` and ``solver.polish_max`` of
-    at least 1, ``solver.init`` and ``pohozaev.nonlinearity`` among their
-    choices, a cylinder with J >= 16, gamma >= 1 and Y > 0 (or null),
-    ``levels`` entries [n >= 2 or null, J >= 16], numeric ``alphas``,
+    at least 1, ``solver.polish_tol`` in (0, 1), ``pohozaev.geometry_tol``
+    and ``pohozaev.exempt_radius`` of at least 0 (NaN fails those three),
+    ``solver.init`` and ``pohozaev.nonlinearity`` among their choices, a
+    cylinder with J >= 16, gamma >= 1 and Y > 0 (or null), ``levels``
+    entries [n >= 2 or null, J >= 16], numeric ``alphas``,
     ``pohozaev.x0`` and ``field.coeffs`` entries, and no negative
     ``lambda`` or ``lambda_grid`` spec.
 

@@ -14,15 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from ._weighted1d import (
-    graded_grid,
-    harmonic_conductances,
-    weighted_matrices,
-    weighted_slope_limit,
-)
+from ._weighted1d import graded_grid, weighted_bands, weighted_slope_limit
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import assemble_operators
+from .spectral import _tridiagonal, assemble_operators
 
 __all__ = [
     "CylinderMesh",
@@ -144,15 +139,14 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
         return solver
 
     ops = assemble_operators(cyl.base, partition)
-    Aw, Mw = weighted_matrices(cyl.y, s)
+    dA, a, dM, eM = weighted_bands(cyl.y, s)
     J = cyl.J
-    Aw_II = Aw[1:J, 1:J].toarray()
-    Mw_II = Mw[1:J, 1:J].toarray()
-    theta, Z = scipy.linalg.eigh(Aw_II, Mw_II)
-    # the trace couples to the interior through column 0 of Mw and Aw; in
-    # the y-eigenbasis those are the rows Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0]
-    zMA = -np.stack([Mw[1:J, 0].toarray().ravel() @ Z,
-                     Aw[1:J, 0].toarray().ravel() @ Z])
+    theta, Z = scipy.linalg.eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
+                                 _tridiagonal(dM[1:J], eM[1:J - 1]))
+    # the trace couples to the interior through column 0 of Mw and Aw, whose
+    # one interior entry is row 1; in the y-eigenbasis those are the rows
+    # Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0]
+    zMA = -np.stack([eM[0] * Z[0], -a[0] * Z[0]])
     solver = (ops, Z, zMA, *ops.shifted(theta))
     cyl._solvers[partition, s] = solver
     return solver
@@ -266,12 +260,11 @@ def x_norm(
     """
     _check_grid(cyl, w)
     ops = assemble_operators(cyl.base, w.partition)
-    _, Mw = weighted_matrices(cyl.y, params.s)
-    a = harmonic_conductances(cyl.y, params.s)
+    _, a, dM, eM = weighted_bands(cyl.y, params.s)
     W = w.values[ops.free, :]
     AW = ops.A @ W
     dW = np.diff(W, axis=1)
-    energy = Mw.diagonal(0) @ np.einsum("ij,ij->j", AW, W)
-    energy += 2.0 * Mw.diagonal(1) @ np.einsum("ij,ij->j", AW[:, :-1], W[:, 1:])
+    energy = dM @ np.einsum("ij,ij->j", AW, W)
+    energy += 2.0 * eM @ np.einsum("ij,ij->j", AW[:, :-1], W[:, 1:])
     energy += a @ np.einsum("ij,ij->j", ops.M @ dW, dW)
     return float(np.sqrt(kappa * energy))

@@ -1,17 +1,23 @@
 """Assembly and eigendecomposition of the constrained Laplacian.
 
-Lowest-order conforming elements on the tensor grid with consistent mass.
-Stiffness and mass are Kronecker products of 1-D matrices, restricted to
-free nodes (Dirichlet nodes eliminated).  Eigenpairs of A phi = lambda M phi
-are M-orthonormal and define everything spectral downstream.
+Lowest-order conforming elements on the tensor grid with consistent mass,
+restricted to free nodes (Dirichlet nodes eliminated).  Eigenpairs of
+A phi = lambda M phi are M-orthonormal and define everything spectral
+downstream.
 
 Every partition has a face-aligned relaxation R: the same box with each
 partly Dirichlet face made Neumann.  R's free nodes form a product set
 containing the partition's, R's A is a Kronecker sum and M a Kronecker
 product of restricted 1-D matrices, and R's eigenpairs are sums and
-Kronecker products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).
-Assembly builds R once, and A and M are R's matrices sliced to the free
-nodes.
+Kronecker products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).  Each
+1-D matrix is tridiagonal, so A and M share one 3^N-point CSR pattern on
+R's product grid.  Assembly builds that pattern once by index arithmetic
+and fills M and the N terms of A from the per-axis bands, multiplied and
+summed in the order of a sparse Kronecker build, whose matrices they equal
+bit for bit; entries of A that cancel exactly (every face-neighbour entry
+on a 3-D grid of cubic cells) are not stored.  A partial-facet partition
+keeps the rows and columns of its own free nodes, and R's 1-D eigenpairs
+come from the dense tridiagonals of the same bands.
 
 When every face is wholly Dirichlet or wholly Neumann, the partition is
 its own relaxation.  It never needs a dense n x n eigensolve, its bases
@@ -69,16 +75,59 @@ _ITERATIVE_MAX = 32
 _COLUMN_CHUNK = 256
 
 
-def _line_matrices(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """1-D P1 stiffness and consistent mass on n uniform cells."""
-    e = np.ones(n + 1)
-    a_main = 2.0 * e
-    a_main[0] = a_main[-1] = 1.0
-    a = sp.diags([-e[:-1], a_main, -e[:-1]], [-1, 0, 1]) / h
-    m_main = 4.0 * e
-    m_main[0] = m_main[-1] = 2.0
-    m = sp.diags([e[:-1], m_main, e[:-1]], [-1, 0, 1]) * (h / 6.0)
-    return a.tocsr(), m.tocsr()
+def _line_bands(n: int, h: float,
+                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-D P1 stiffness and consistent mass bands on n uniform cells.
+
+    Row i of each (len, 3) array holds the entries (i, i-1), (i, i) and
+    (i, i+1) over the kept nodes ``keep``, zero past the kept ends.
+    """
+    inv, sixth = 1.0 / h, h / 6.0
+    a = np.tile([-inv, 2.0 * inv, -inv], (n + 1, 1))
+    m = np.tile([sixth, 4.0 * sixth, sixth], (n + 1, 1))
+    a[[0, -1], 1] = inv
+    m[[0, -1], 1] = 2.0 * sixth
+    a, m = a[keep], m[keep]
+    for band in (a, m):
+        band[0, 0] = band[-1, 2] = 0.0
+    return a, m
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrix from its diagonal and off-diagonal."""
+    out = np.diag(diag)
+    i = np.arange(len(off))
+    out[i, i + 1] = out[i + 1, i] = off
+    return out
+
+
+def _csr(vals: np.ndarray, sel: np.ndarray, col: np.ndarray,
+         rows: np.ndarray) -> sp.csr_matrix:
+    # square CSR matrix of the stencil values at the entries sel, whose
+    # column indices are col, over the stencil rows ``rows``
+    indptr = np.zeros(len(rows) + 1, dtype=col.dtype)
+    np.cumsum(np.count_nonzero(sel, axis=1)[rows], dtype=col.dtype,
+              out=indptr[1:])
+    return sp.csr_matrix((vals[sel], col, indptr), shape=(len(rows),) * 2)
+
+
+def _stencil(bands, shape: tuple[int, ...]) -> np.ndarray:
+    """Kronecker product of per-axis bands on the 3^N-point stencil.
+
+    Row k (C order over ``shape``) holds the products for the neighbours
+    k + sum_d o_d stride_d, the offsets o in {-1, 0, 1}^N in lexicographic,
+    hence column, order; a neighbour off the grid gets a zero factor.  The
+    factors multiply left to right, ((b_0 b_1) b_2), as ``scipy.sparse.kron``
+    multiplies them.
+    """
+    dim = len(shape)
+    out = None
+    for d, band in enumerate(bands):
+        spread = [1] * (2 * dim)
+        spread[d], spread[dim + d] = shape[d], 3
+        factor = band.reshape(spread)
+        out = factor if out is None else out * factor
+    return out.reshape(math.prod(shape), 3**dim)
 
 
 def _trapezoid_weights(mesh: Mesh) -> np.ndarray:
@@ -222,9 +271,12 @@ class OperatorPair:
     Assembly also builds the face-aligned relaxation R of the partition:
     the same box with every partly Dirichlet face made Neumann.  Its free
     nodes form a product set that contains the free nodes here, and its
-    eigenpairs are Kronecker products of 1-D eigenpairs.  A partition that
-    is its own relaxation (every face wholly Dirichlet or wholly Neumann)
-    exposes them as ``tensor``; a partial-facet partition holds them in its
+    eigenpairs are Kronecker products of 1-D eigenpairs.  A and M are
+    filled straight from the 1-D stiffness and mass bands on R's 3^N-point
+    stencil, then restricted to the free nodes here; no sparse Kronecker
+    product, sum or slice is formed.  A partition that is its own
+    relaxation (every face wholly Dirichlet or wholly Neumann) exposes its
+    eigenpairs as ``tensor``; a partial-facet partition holds them in its
     one capacitance ``kernel``, which its eigensolves, its
     :class:`ConstrainedOperator` and its extension solvers all share, each
     through :meth:`shifted` or the kernel itself.
@@ -232,7 +284,8 @@ class OperatorPair:
     Attributes
     ----------
     A, M : scipy.sparse.csr_matrix
-        Symmetric stiffness and consistent mass over free nodes.
+        Symmetric stiffness and consistent mass over free nodes, with
+        sorted column indices and no stored zeros.
     lumped : numpy.ndarray
         Trapezoid weights at the free nodes (the row sums of the full
         consistent mass); the positive quadrature weights of nodal p-norms.
@@ -296,43 +349,59 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
         if labels[facets].all():
             keep[axis][0 if side == 0 else -1] = False
 
-    mats_a, mats_m, lams, vecs = [], [], [], []
+    bands_a, bands_m, lams, vecs = [], [], [], []
     for nd, hd, k in zip(mesh.n, mesh.spacing, keep):
-        a, m = _line_matrices(nd, hd)
-        a, m = a[k][:, k], m[k][:, k]
-        lam, vec = scipy.linalg.eigh(a.toarray(), m.toarray())
-        mats_a.append(a)
-        mats_m.append(m)
+        a, m = _line_bands(nd, hd, k)
+        lam, vec = scipy.linalg.eigh(_tridiagonal(a[:, 1], a[:-1, 2]),
+                                     _tridiagonal(m[:, 1], m[:-1, 2]))
+        bands_a.append(a)
+        bands_m.append(m)
         lams.append(lam)
         vecs.append(vec)
     relaxed = TensorEigs(lams=tuple(lams), vecs=tuple(vecs))
 
-    def kron_all(mats):
-        out = mats[0]
-        for m in mats[1:]:
-            out = sp.kron(out, m, format="csr")
-        return out
+    # A and M share the 3^N-point pattern of the relaxation's product grid:
+    # the stencil entries whose mass product is nonzero, the ones on the grid
+    shape = relaxed.shape
+    n_r = math.prod(shape)
+    idx = np.int32 if n_r * 3**mesh.dim < 2**31 else np.int64
+    strides = [math.prod(shape[d + 1:]) for d in range(mesh.dim)]
+    shift = np.array([sum((o - 1) * st for o, st in zip(offs, strides))
+                      for offs in np.ndindex(*(3,) * mesh.dim)], dtype=idx)
+    m_vals = _stencil(bands_m, shape)
+    entry = m_vals != 0
+    col = np.arange(n_r, dtype=idx)[:, None] + shift
+    # the free nodes here, as positions in the relaxation's C-order free set
+    kept = ~partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)]
+    pos = np.flatnonzero(kept)
+    if len(pos) < n_r:
+        # keep the rows and columns of the partition's free nodes
+        kept = kept.ravel()
+        entry &= kept[:, None]
+        entry[entry] = kept[col[entry]]
+        col = (np.cumsum(kept, dtype=idx) - 1)[col[entry]]
+    else:
+        col = col[entry]
+    M = _csr(m_vals, entry, col, pos)
+    del m_vals
 
-    M = kron_all(mats_m)
-    A = sp.csr_matrix(M.shape)
-    for d in range(mesh.dim):
-        factors = [mats_a[d] if k == d else mats_m[k] for k in range(mesh.dim)]
-        A = A + kron_all(factors)
+    # A is a Kronecker sum, its terms added left to right; entries that
+    # cancel exactly are dropped, as a sparse sum drops them (on a 3-D grid
+    # of cubic cells, every face-neighbour entry)
+    terms = ([bands_a[k] if k == d else bands_m[k] for k in range(mesh.dim)]
+             for d in range(mesh.dim))
+    a_vals = _stencil(next(terms), shape)
+    for factors in terms:
+        a_vals += _stencil(factors, shape)
+    stored = entry & (a_vals != 0)
+    A = _csr(a_vals, stored, col[stored[entry]], pos)
 
     free = partition.free_nodes
-    lumped = _trapezoid_weights(mesh)[free]
-    # the free nodes here, as positions in the relaxation's C-order free set
-    pos = np.flatnonzero(
-        ~partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)])
-    if len(pos) == M.shape[0]:
-        # a sparse sum keeps a buffer sized for both operands; the copy is
-        # compact, as the sliced matrices below are
-        return OperatorPair(A=A.copy(), M=M, lumped=lumped, free=free,
-                            mesh=mesh, partition=partition, tensor=relaxed)
-    return OperatorPair(A=A[pos][:, pos].tocsr(), M=M[pos][:, pos].tocsr(),
-                        lumped=lumped, free=free, mesh=mesh,
-                        partition=partition,
-                        kernel=_CapacitanceKernel(relaxed, pos))
+    aligned = len(pos) == n_r
+    return OperatorPair(
+        A=A, M=M, lumped=_trapezoid_weights(mesh)[free], free=free, mesh=mesh,
+        partition=partition, tensor=relaxed if aligned else None,
+        kernel=None if aligned else _CapacitanceKernel(relaxed, pos))
 
 
 def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair:

@@ -294,6 +294,21 @@ _BAD_NUMBERS = [
     ("minimize", ["lambda=-1.0"], "lambda"),
     ("minimize", ['lambda={"fraction_of_lambda1s":-0.5}'], "lambda"),
     ("sweep-lambda", ["lambda_grid=[-0.5,0.5]"], "lambda_grid"),
+    # a tolerance outside (0, 1) stops the minimizer at once or never
+    ("minimize", [_LAM, "solver.polish_tol=1e300"], "solver.polish_tol"),
+    ("minimize", [_LAM, "solver.polish_tol=1.0"], "solver.polish_tol"),
+    ("minimize", [_LAM, "solver.polish_tol=0"], "solver.polish_tol"),
+    ("minimize", [_LAM, "solver.polish_tol=-1e-8"], "solver.polish_tol"),
+    ("minimize", [_LAM, "solver.polish_tol=NaN"], "solver.polish_tol"),
+    ("minimize", [_LAM, "solver.polish_tol=Infinity"], "solver.polish_tol"),
+    ("pohozaev", [_LAM, _X0, "pohozaev.geometry_tol=-1"],
+     "pohozaev.geometry_tol"),
+    ("pohozaev", [_LAM, _X0, "pohozaev.geometry_tol=NaN"],
+     "pohozaev.geometry_tol"),
+    ("pohozaev", [_LAM, _X0, "pohozaev.exempt_radius=-1"],
+     "pohozaev.exempt_radius"),
+    ("pohozaev", [_LAM, _X0, "pohozaev.exempt_radius=NaN"],
+     "pohozaev.exempt_radius"),
 ]
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
@@ -15,7 +16,7 @@ from fraclap._weighted1d import (
     harmonic_conductances,
     solve_mode_deviation,
     solve_mode_profile,
-    weighted_matrices,
+    weighted_bands,
     weighted_slope_limit,
 )
 from fraclap.extension import MIN_Y_CELLS
@@ -64,11 +65,18 @@ def test_harmonic_conductance_is_reciprocal_resistance():
         assert a[j] == pytest.approx(1.0 / resistance, rel=1e-10)
 
 
+def _weighted_matrices(y, s):
+    # the weighted stiffness and mass as sparse CSR, from the library's bands
+    dA, a, dM, eM = weighted_bands(y, s)
+    return (sp.diags_array([dA, -a, -a], offsets=[0, 1, -1], format="csr"),
+            sp.diags_array([dM, eM, eM], offsets=[0, 1, -1], format="csr"))
+
+
 def test_weighted_stiffness_exact_on_layer_profile():
     # flux of y^(2s) through every harmonic conductance is exactly 2s, so
     # interior rows cancel identically and the end rows carry +-2s
     y = graded_grid(2.0, 40, 4.0)
-    A, M = weighted_matrices(y, S)
+    A, M = _weighted_matrices(y, S)
     ones = np.ones(len(y))
     # residuals round at the scale of the first-cell conductances
     scale = harmonic_conductances(y, S).max()
@@ -83,12 +91,32 @@ def test_weighted_stiffness_exact_on_layer_profile():
 def test_weighted_mass_total_and_symmetry():
     Y = 2.0
     y = graded_grid(Y, 30, 3.0)
-    A, M = weighted_matrices(y, S)
+    A, M = _weighted_matrices(y, S)
     total = Y ** (2 - 2 * S) / (2 - 2 * S)
     assert M.sum() == pytest.approx(total, rel=1e-12)
     assert np.max(np.abs((A - A.T).toarray())) == 0.0
     assert np.max(np.abs((M - M.T).toarray())) == 0.0
     assert np.min(np.linalg.eigvalsh(M.toarray())) > 0
+
+
+@pytest.mark.parametrize("s, J, gamma, mu", [
+    (0.6, 50, 3.0, 1.0), (0.75, 200, 4.0, 7.5), (0.97, 400, 6.0, 1e-3)])
+def test_mode_deviation_matches_sparse_assembled_system(s, J, gamma, mu):
+    # the banded solve reads K = A + mu M and the right side -mu M 1 from
+    # the bands; the system assembled from the sparse matrices gives the
+    # same bits
+    y = graded_grid(40.0, J, gamma)
+    A, M = _weighted_matrices(y, s)
+    K = A + mu * M
+    rhs = (-mu * (M @ np.ones(J + 1)))[1:-1]
+    rhs[-1] += K.diagonal(1)[-1]
+    ab = np.zeros((3, J - 1))
+    ab[0, 1:] = K.diagonal(1)[1:-1]
+    ab[1] = K.diagonal(0)[1:-1]
+    ab[2, :-1] = K.diagonal(-1)[1:-1]
+    want = np.concatenate([[0.0], scipy.linalg.solve_banded((1, 1), ab, rhs),
+                           [-1.0]])
+    np.testing.assert_array_equal(solve_mode_deviation(y, s, mu), want)
 
 
 def test_mode_profile_deviation_consistency():
@@ -315,7 +343,7 @@ def test_extend_matches_assembled_cylinder_solve(face_aligned):
         mesh, part, lambda x: np.cos(x[:, 0]) * (1.0 + x[:, 1] ** 2))
     w = fl.extend(cyl, part, params, u)
 
-    Aw, Mw = weighted_matrices(cyl.y, S)
+    Aw, Mw = _weighted_matrices(cyl.y, S)
     inner = slice(1, cyl.J)
     K = sp.kron(ops.A, Mw[inner, inner]) + sp.kron(ops.M, Aw[inner, inner])
     uf = u.free_values(ops)
@@ -347,7 +375,7 @@ def test_x_norm_is_the_assembled_quadratic_form(face_aligned):
     u = fl.Field.from_callable(
         mesh, part, lambda x: np.cos(x[:, 0]) * (1.0 + x[:, 1] ** 2))
     w = fl.extend(cyl, part, params, u)
-    Aw, Mw = weighted_matrices(cyl.y, S)
+    Aw, Mw = _weighted_matrices(cyl.y, S)
     K = sp.kron(ops.A, Mw) + sp.kron(ops.M, Aw)
     kap = fl.kappa_s(params)
     rng = np.random.default_rng(11)
@@ -415,3 +443,39 @@ def test_extend_maps_a_rank_two_right_side(face_aligned, monkeypatch):
     for calls in (1, 2, 3):
         fl.extend(cyl, part, params, u)
         assert columns == [2] * calls
+
+
+def test_solve_path_builds_no_sparse_matrix(monkeypatch):
+    # A and M are filled from their 1-D bands, and the cylinder's Aw and Mw
+    # enter extend and x_norm as bands: from assembly through x_norm no
+    # sparse Kronecker product, diagonal constructor, sum or slice runs
+    from fraclap import _weighted1d
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse matrix built on the solve path")
+
+    for name in ("kron", "diags", "diags_array"):
+        monkeypatch.setattr(sp, name, refuse)
+        # a name imported from scipy.sparse into the module
+        monkeypatch.setattr(_weighted1d, name, refuse, raising=False)
+    owners = set()
+    for cls in (sp.csr_matrix, sp.csr_array, sp.csc_matrix, sp.csc_array,
+                sp.coo_matrix, sp.coo_array, sp.dia_matrix, sp.dia_array):
+        for attr in ("__add__", "__radd__", "__getitem__"):
+            owners |= {(c, attr) for c in cls.__mro__ if attr in vars(c)}
+    for owner, attr in owners:
+        monkeypatch.setattr(owner, attr, refuse)
+
+    params = fl.FracParams(s=S, N=3)
+    mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [12] * 3)
+    part = fl.partition_boundary(mesh, [(0, 0)])
+    ops = fl.assemble_operators(mesh, part)
+    assert ops.tensor is not None
+    cyl = fl.build_cylinder(mesh, 4.0, 32, 3.0)
+    u = fl.Field.from_callable(mesh, part, lambda x: x[:, 0] * (1.0 - x[:, 1]))
+    w = fl.extend(cyl, part, params, u)
+    assert fl.x_norm(cyl, params, w, fl.kappa_s(params)) > 0
+
+    square = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
+    half = fl.moving_family(square, [0.5])[0]
+    assert fl.assemble_operators(square, half).kernel is not None

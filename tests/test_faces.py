@@ -14,7 +14,7 @@ import fraclap as fl
 from fraclap.config import validate
 from fraclap.fractional import _require_on_neumann_closure
 from fraclap.mesh import _parse_face
-from fraclap.spectral import _line_matrices, _trapezoid_weights
+from fraclap.spectral import _trapezoid_weights
 
 MESHES = [
     fl.build_tensor_mesh(1, [(0.0, 1.5)], [5]),
@@ -114,6 +114,18 @@ def test_partition_readers_match_per_facet_oracles(mesh):
         assert (ops.tensor is not None) == _oracle_face_aligned(part)
 
 
+def _line_matrices(n: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """1-D P1 stiffness and consistent mass on n uniform cells."""
+    e = np.ones(n + 1)
+    a_main = 2.0 * e
+    a_main[0] = a_main[-1] = 1.0
+    a = sp.diags([-e[:-1], a_main, -e[:-1]], [-1, 0, 1]) / h
+    m_main = 4.0 * e
+    m_main[0] = m_main[-1] = 2.0
+    m = sp.diags([e[:-1], m_main, e[:-1]], [-1, 0, 1]) * (h / 6.0)
+    return a.tocsr(), m.tocsr()
+
+
 def _oracle_full_kronecker_then_slice(part):
     # the full-mesh Kronecker build, sliced to the free nodes afterwards
     mesh = part.mesh
@@ -146,6 +158,50 @@ def test_relaxed_assembly_matches_full_kronecker_slice(mesh):
                 np.testing.assert_array_equal(getattr(got, attr),
                                               getattr(want, attr))
         np.testing.assert_array_equal(ops.lumped, lumped)
+
+
+@st.composite
+def _random_partitions(draw):
+    # a box of 2 to 7 cells per axis (the fewest a mesh takes) with
+    # anisotropic extents, or the same extent and cells on every axis, where
+    # the Kronecker sum cancels exactly at the 3-D face neighbours; Dirichlet
+    # labels whole faces or facet by facet, with both parts nonempty
+    dim = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(2, 7), min_size=dim, max_size=dim))
+    lows = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.1, 5.0), min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        n, lows, lengths = [n[0]] * dim, [lows[0]] * dim, [lengths[0]] * dim
+    mesh = fl.build_tensor_mesh(
+        dim, [(lo, lo + ln) for lo, ln in zip(lows, lengths)], n)
+    whole_faces = draw(st.booleans())
+    units = ([(axis, side) for axis in range(dim) for side in (0, 1)]
+             if whole_faces else mesh.facets)
+    labels = draw(st.lists(st.booleans(), min_size=len(units),
+                           max_size=len(units)))
+    labels[0] = labels[0] or not any(labels)
+    labels[-1] = labels[-1] and not all(labels)
+    if whole_faces:
+        return fl.partition_boundary(
+            mesh, [face for face, on in zip(units, labels) if on])
+    index = {(f.axis, f.side, f.index): i for i, f in enumerate(units)}
+    return fl.partition_boundary(
+        mesh, lambda f: labels[index[f.axis, f.side, f.index]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(part=_random_partitions())
+def test_stencil_assembly_matches_sparse_kronecker_oracle(part):
+    ops = fl.assemble_operators(part.mesh, part)
+    A, M, lumped = _oracle_full_kronecker_then_slice(part)
+    for got, want in ((ops.A, A), (ops.M, M)):
+        assert got.format == "csr" and got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr),
+                                          getattr(want, attr))
+        assert got.has_canonical_format
+        assert np.all(got.data != 0)
+    np.testing.assert_array_equal(ops.lumped, lumped)
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"{m.dim}d")
