@@ -17,7 +17,6 @@ Galerkin one built from the weight moments.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 
 def graded_grid(Y: float, J: int, gamma: float) -> np.ndarray:
@@ -95,7 +94,15 @@ def solve_mode_deviation(y: np.ndarray, s: float, mu: float) -> np.ndarray:
     -------
     ndarray, shape (J+1,)
         v at every node; v[0] = 0, v[-1] = -1.
+
+    Notes
+    -----
+    Imports ``scipy.linalg`` for its banded solver on the first call; only
+    the one-mode calibration of :func:`~fraclap.fractional.constants_report`
+    runs it.
     """
+    from scipy.linalg import solve_banded
+
     if mu <= 0:
         raise ValueError("mode number must be positive")
     dA, a, dM, eM = weighted_bands(y, s)

@@ -94,7 +94,8 @@ def quotient(
         raise ValueError("quotient undefined at the zero field")
     a = basis.coefficients(uf)
     energy, _ = basis.form(a, params.s)
-    l2_sq = float(uf @ (ops.M @ uf))
+    # coordinates in a complete basis are isometric: |a|^2 = u^T M u
+    l2_sq = float(a @ a)
     crit_sq = critical_norm(ops, params, uf) ** 2
     return QuotientReport(
         energy=energy, l2_sq=l2_sq, crit_sq=crit_sq, lam=float(lam),

@@ -15,12 +15,12 @@ import math
 import os
 import platform
 import shutil
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .config import ConfigError, build_domain, config_hash, resolve_lambda
 from .config import _domain_dim, _num
@@ -176,12 +176,15 @@ class RunManifest:
 def _versions() -> dict:
     from . import __version__
 
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "fraclap": __version__,
-    }
+    out = {"python": platform.python_version(), "numpy": np.__version__}
+    # scipy only when the run loaded it (a dense partial-facet basis of more
+    # than 32 modes, or the kappa calibration); reading its installed
+    # version would cost every run more than most of them compute
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        out["scipy"] = scipy.__version__
+    out["fraclap"] = __version__
+    return out
 
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -347,9 +350,9 @@ def _run_extend_check(resolved: dict, params: FracParams, sink: _Sink) -> None:
         lam_k = float(basis.lams[k - 1])
         got = dtn(cyl, params, w, kappa).free_values(ops)
         want = lam_k ** params.s * u.free_values(ops)
-        err = got - want
-        dtn_rel = math.sqrt(float(err @ (ops.M @ err))
-                            / float(want @ (ops.M @ want)))
+        # M-norms from the coordinates (OperatorPair.coordinates)
+        c_err, c_want = ops.coordinates(np.column_stack([got - want, want])).T
+        dtn_rel = math.sqrt(float(c_err @ c_err) / float(c_want @ c_want))
         ext_norm = x_norm(cyl, params, w, kappa)
         spec_norm = lam_k ** (params.s / 2.0)  # mode k is M-normalized
         rows.append({

@@ -12,12 +12,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._weighted1d import graded_grid, weighted_bands, weighted_slope_limit
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import _tridiagonal, assemble_operators
+from .spectral import _pencil_eigh, _tridiagonal, assemble_operators
 
 __all__ = [
     "CylinderMesh",
@@ -141,13 +140,12 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     ops = assemble_operators(cyl.base, partition)
     dA, a, dM, eM = weighted_bands(cyl.y, s)
     J = cyl.J
-    theta, Z = scipy.linalg.eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
-                                 _tridiagonal(dM[1:J], eM[1:J - 1]))
+    theta, Z = _pencil_eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
+                            _tridiagonal(dM[1:J], eM[1:J - 1]))
     # the trace couples to the interior through column 0 of Mw and Aw, whose
-    # one interior entry is row 1; in the y-eigenbasis those are the rows
-    # Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0]
-    zMA = -np.stack([eM[0] * Z[0], -a[0] * Z[0]])
-    solver = (ops, Z, zMA, *ops.shifted(theta))
+    # one interior entry is row 1: eM_0 and -a_0, which the y-eigenvectors
+    # turn into the row Z[0]
+    solver = (ops, Z, a[0], eM[0], ops.shifted(theta))
     cyl._solvers[partition, s] = solver
     return solver
 
@@ -163,15 +161,19 @@ def extend(
     The discrete system diagonalizes in the y-direction into one shifted
     base system (A + theta_j M) per weighted y-eigenvalue theta_j.  The
     trace enters through the right side -(A u) Mw[1:J, 0]^T - (M u)
-    Aw[1:J, 0]^T, which has rank 2: only A u and M u are taken to the base
-    coordinates, and the y-eigenvectors Z turn the two coupling columns
-    into the rows Z^T Mw[1:J, 0] and Z^T Aw[1:J, 0] kept with the solver.
-    On face-aligned partitions (every face wholly Dirichlet or wholly
-    Neumann) the shifted systems are solved in the Kronecker basis of 1-D
-    eigenvectors, with no factorization; on other partitions the same
-    solves get a capacitance correction at the nodes that the face-aligned
-    relaxation frees, from the partition's one capacitance kernel
-    (``OperatorPair.kernel``), with one small Cholesky factor per theta_j.
+    Aw[1:J, 0]^T.  Only interior level 1 couples to the trace, so
+    Mw[1:J, 0] = eM_0 e_1 and Aw[1:J, 0] = -a_0 e_1, and in the
+    y-eigenvectors Z the right side has rank one: g Z[0] with g = a_0 c -
+    eM_0 Lambda c in the base coordinates, where c are the M-coordinates
+    of u (:meth:`~fraclap.spectral.OperatorPair.coordinates`) and Lambda c
+    those of A u.  So one coordinate column is formed per call, and no
+    product with A or M.  On face-aligned partitions (every face wholly
+    Dirichlet or wholly Neumann) the shifted systems are solved in the
+    Kronecker basis of 1-D eigenvectors, with no factorization; on other
+    partitions the same solves get a capacitance correction at the nodes
+    that the face-aligned relaxation frees, from the partition's one
+    capacitance kernel (``OperatorPair.kernel``), with one small r x r
+    inverse per theta_j.
     The solver is built by the first call with a given partition and s and
     kept on the cylinder, so repeat calls only solve.  No base-operator
     spectrum is involved either way.
@@ -198,10 +200,11 @@ def extend(
             "first y-cell too coarse for the boundary layer; increase J or gamma",
             RuntimeWarning, stacklevel=2)
 
-    ops, Z, zMA, dual, solve = _interior_solver(partition, cyl, s)
+    ops, Z, a0, eM0, solve = _interior_solver(partition, cyl, s)
     uf = u.free_values(ops)
-    G = dual(np.column_stack([ops.A @ uf, ops.M @ uf])) @ zMA
-    W_int = solve(G) @ Z.T
+    c = ops.coordinates(uf)
+    g = a0 * c - eM0 * ops.stiffness(c)
+    W_int = solve(g[:, None] * Z[0]) @ Z.T
 
     full = np.zeros((cyl.base.n_nodes, cyl.J + 1))
     full[ops.free, 0] = uf
@@ -248,12 +251,14 @@ def x_norm(
     For the extension of u this matches the fractional norm of u; the
     discrete quadratic form uses the same exactly-integrated weight as the
     solve, so the match is limited only by discretization.  It is the form
-    kappa W^T (kron(A, Mw) + kron(M, Aw)) W of any field W, taken without
-    forming either Kronecker factor's product with W: the Mw part from the
-    two bands of the tridiagonal Mw as inner products of adjacent levels,
-    sum_j d_j <A W_j, W_j> + 2 sum_j e_j <A W_j, W_j+1>, and the Aw part in
-    conductance-difference form, sum_c a_c <M dW_c, dW_c> with dW_c =
-    W_c+1 - W_c and a_c the cell conductances.  The rows of Aw sum to zero
+    kappa W^T (kron(A, Mw) + kron(M, Aw)) W of any field W, taken from the
+    M-coordinates C_j of every level W_j in one contraction
+    (:meth:`~fraclap.spectral.OperatorPair.coordinates`), so that
+    <A W_j, W_k> = <Lambda C_j, C_k> and <M W_j, W_k> = <C_j, C_k>: the Mw
+    part from the two bands of the tridiagonal Mw as products of adjacent
+    levels, sum_j d_j <Lambda C_j, C_j> + 2 sum_j e_j <Lambda C_j, C_j+1>,
+    and the Aw part in conductance-difference form, sum_c a_c |C_c+1 -
+    C_c|^2 with a_c the cell conductances.  The rows of Aw sum to zero
     while its entries grow like y_1^(-2s), so the difference form keeps the
     digits that W^T Aw W would lose to cancellation.  ``w`` must have been
     built on ``cyl``'s grid.
@@ -261,10 +266,10 @@ def x_norm(
     _check_grid(cyl, w)
     ops = assemble_operators(cyl.base, w.partition)
     _, a, dM, eM = weighted_bands(cyl.y, params.s)
-    W = w.values[ops.free, :]
-    AW = ops.A @ W
-    dW = np.diff(W, axis=1)
-    energy = dM @ np.einsum("ij,ij->j", AW, W)
-    energy += 2.0 * eM @ np.einsum("ij,ij->j", AW[:, :-1], W[:, 1:])
-    energy += a @ np.einsum("ij,ij->j", ops.M @ dW, dW)
+    C = ops.coordinates(w.values[ops.free, :])
+    LC = ops.relaxed.values[:, None] * C
+    dC = np.diff(C, axis=1)
+    energy = dM @ np.einsum("ij,ij->j", LC, C)
+    energy += 2.0 * eM @ np.einsum("ij,ij->j", LC[:, :-1], C[:, 1:])
+    energy += a @ np.einsum("ij,ij->j", dC, dC)
     return float(np.sqrt(kappa * energy))

@@ -215,8 +215,8 @@ def spectral_tail_bound(basis: SpectralBasis, params: FracParams, u: Field) -> f
     true tail; it is an accounting figure, not a certified bound.
     """
     a = _coeffs(basis, u)
-    uf = u.free_values(basis.ops)
-    total = float(uf @ (basis.ops.M @ uf))
+    c = basis.ops.coordinates(u.free_values(basis.ops))
+    total = float(c @ c)
     missing = max(total - float(a @ a), 0.0)
     return float(basis.lams[-1] ** params.s * missing)
 
@@ -477,7 +477,8 @@ def test_function_quotient(
     u = Field(values=vals, mesh=mesh, partition=partition)
     ops = assemble_operators(mesh, partition)
     uf = u.free_values(ops)
-    l2_sq = float(uf @ (ops.M @ uf))
+    c = ops.coordinates(uf)
+    l2_sq = float(c @ c)
     crit_sq = critical_norm(ops, params, uf) ** 2
 
     if route == "extension":

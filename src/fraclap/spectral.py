@@ -9,15 +9,16 @@ Every partition has a face-aligned relaxation R: the same box with each
 partly Dirichlet face made Neumann.  R's free nodes form a product set
 containing the partition's, R's A is a Kronecker sum and M a Kronecker
 product of restricted 1-D matrices, and R's eigenpairs are sums and
-Kronecker products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).  Each
-1-D matrix is tridiagonal, so A and M share one 3^N-point CSR pattern on
-R's product grid.  Assembly builds that pattern once by index arithmetic
-and fills M and the N terms of A from the per-axis bands, multiplied and
-summed in the order of a sparse Kronecker build, whose matrices they equal
-bit for bit; entries of A that cancel exactly (every face-neighbour entry
-on a 3-D grid of cubic cells) are not stored.  A partial-facet partition
-keeps the rows and columns of its own free nodes, and R's 1-D eigenpairs
-come from the dense tridiagonals of the same bands.
+Kronecker products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).
+Assembly takes each axis's generalized eigenpairs from the dense
+tridiagonals of its 1-D stiffness and mass bands (:func:`_pencil_eigh`)
+and keeps U_d = V_d^T M_d with them.  A field's M-coordinates V_R^T M_R f
+are then one per-axis contraction with the U_d, and they give every
+product with A or M the library needs: V^T M f, |f|_M^2 and V^T A f =
+Lambda_R V^T M f (:meth:`OperatorPair.coordinates`).  So no library path
+forms A or M, and the package imports no scipy module: A and M exist as
+CSR matrices for checks only, filled from the same bands on R's 3^N-point
+stencil when first read.
 
 When every face is wholly Dirichlet or wholly Neumann, the partition is
 its own relaxation.  It never needs a dense n x n eigensolve, its bases
@@ -28,8 +29,9 @@ on the r nodes R frees and it does not; in R's eigen-coordinates that is
 a standard eigenproblem of a diagonal plus a rank-2r term, the
 constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
 George & Golub 1971).  A few of its eigenpairs come from shift-invert
-Lanczos with the capacitance kernel below as the inverse, and many or all
-of them from one dense solve of that standard problem.
+Lanczos in those coordinates, with the capacitance kernel below as the
+inverse, and many or all of them from one dense solve of that standard
+problem, which imports scipy's LAPACK drivers on first use.
 
 The critical quotient needs no such eigensolve.  In the same coordinates
 a shifted solve (A + theta M) x = b of a partial-facet partition is a
@@ -53,9 +55,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import BoundaryPartition, Mesh
 
@@ -71,6 +70,11 @@ __all__ = [
 # a partial-facet request for at most this many eigenpairs (and fewer than
 # the free nodes) runs Lanczos; any other runs the dense solve
 _ITERATIVE_MAX = 32
+# Lanczos stops once each wanted Ritz value mu of the inverse has a residual
+# of at most this times mu; it restarts from a fresh vector when the next
+# vector's norm falls to this times the largest Ritz value
+_LANCZOS_TOL = 1e-13
+_LANCZOS_BREAKDOWN = 1e-10
 # columns multiplied out at a time when a tensor basis needs them explicitly
 _COLUMN_CHUNK = 256
 
@@ -101,10 +105,25 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csr(vals: np.ndarray, sel: np.ndarray, col: np.ndarray,
-         rows: np.ndarray) -> sp.csr_matrix:
+def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric pencil (a, m), m positive definite.
+
+    Jacobi scaling d = diag(m)^-1/2, the Cholesky factor L L^T = d m d and
+    one standard eigensolve of L^-1 (d a d) L^-T = Y diag(lam) Y^T.  Returns
+    the ascending lam and v = d L^-T Y, so a v = m v diag(lam) and
+    v^T m v = I.
+    """
+    d = 1.0 / np.sqrt(np.diag(m))
+    Linv = np.linalg.inv(np.linalg.cholesky(d[:, None] * m * d))
+    lam, Y = np.linalg.eigh(Linv @ (d[:, None] * a * d) @ Linv.T)
+    return lam, d[:, None] * (Linv.T @ Y)
+
+
+def _csr(vals: np.ndarray, sel: np.ndarray, col: np.ndarray, rows: np.ndarray):
     # square CSR matrix of the stencil values at the entries sel, whose
     # column indices are col, over the stencil rows ``rows``
+    import scipy.sparse as sp
+
     indptr = np.zeros(len(rows) + 1, dtype=col.dtype)
     np.cumsum(np.count_nonzero(sel, axis=1)[rows], dtype=col.dtype,
               out=indptr[1:])
@@ -168,10 +187,14 @@ class TensorEigs:
         Ascending 1-D eigenvalues per axis.
     vecs : tuple of numpy.ndarray
         Matching 1-D eigenvectors per axis, one per column.
+    inverses : tuple of numpy.ndarray or None
+        U_d = V_d^T M_d = V_d^-1 per axis, which :meth:`coordinates`
+        contracts with; None when only the eigenpairs were given.
     """
 
     lams: tuple[np.ndarray, ...] = field(repr=False)
     vecs: tuple[np.ndarray, ...] = field(repr=False)
+    inverses: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -259,6 +282,10 @@ class TensorEigs:
         """V^T X for V the Kronecker product of ``vecs``; X is (n, r)."""
         return self._per_axis([V.T for V in self.vecs], X)
 
+    def coordinates(self, X: np.ndarray) -> np.ndarray:
+        """V^T M X = V^-1 X, the Kronecker product of ``inverses``; X is (n, r)."""
+        return self._per_axis(self.inverses, X)
+
     def synthesize(self, C: np.ndarray) -> np.ndarray:
         """V C for V the Kronecker product of ``vecs``; C is (n, r)."""
         return self._per_axis(self.vecs, C)
@@ -268,24 +295,28 @@ class TensorEigs:
 class OperatorPair:
     """Stiffness/mass pair restricted to free nodes.
 
-    Assembly also builds the face-aligned relaxation R of the partition:
-    the same box with every partly Dirichlet face made Neumann.  Its free
-    nodes form a product set that contains the free nodes here, and its
-    eigenpairs are Kronecker products of 1-D eigenpairs.  A and M are
-    filled straight from the 1-D stiffness and mass bands on R's 3^N-point
-    stencil, then restricted to the free nodes here; no sparse Kronecker
-    product, sum or slice is formed.  A partition that is its own
-    relaxation (every face wholly Dirichlet or wholly Neumann) exposes its
-    eigenpairs as ``tensor``; a partial-facet partition holds them in its
-    one capacitance ``kernel``, which its eigensolves, its
-    :class:`ConstrainedOperator` and its extension solvers all share, each
-    through :meth:`shifted` or the kernel itself.
+    Assembly builds the face-aligned relaxation R of the partition: the
+    same box with every partly Dirichlet face made Neumann.  Its free nodes
+    form a product set that contains the free nodes here, and its
+    eigenpairs are Kronecker products of 1-D eigenpairs, computed from the
+    1-D stiffness and mass bands with U_d = V_d^T M_d kept per axis
+    (``relaxed``).  A partition that is its own relaxation (every face
+    wholly Dirichlet or wholly Neumann) exposes them as ``tensor``; a
+    partial-facet partition holds them in its one capacitance ``kernel``,
+    which its eigensolves, its :class:`ConstrainedOperator` and its
+    extension solvers all share, each through :meth:`shifted` or the
+    kernel itself.  The library takes every product with A or M from R's
+    eigen-coordinates (:meth:`coordinates`, :meth:`stiffness`), so it never
+    forms either matrix.
 
     Attributes
     ----------
     A, M : scipy.sparse.csr_matrix
         Symmetric stiffness and consistent mass over free nodes, with
-        sorted column indices and no stored zeros.
+        sorted column indices and no stored zeros.  Filled from the 1-D
+        bands on R's 3^N-point stencil on first read, which imports
+        ``scipy.sparse``; a reference for checks, read by no library
+        function.
     lumped : numpy.ndarray
         Trapezoid weights at the free nodes (the row sums of the full
         consistent mass); the positive quadrature weights of nodal p-norms.
@@ -301,8 +332,6 @@ class OperatorPair:
         partial-facet partition; None on face-aligned ones.
     """
 
-    A: sp.csr_matrix = field(repr=False)
-    M: sp.csr_matrix = field(repr=False)
     lumped: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
     mesh: Mesh
@@ -310,33 +339,82 @@ class OperatorPair:
     tensor: TensorEigs | None = field(default=None, repr=False, compare=False)
     kernel: _CapacitanceKernel | None = field(default=None, repr=False,
                                               compare=False)
+    # per axis: R's kept end nodes and the 1-D stiffness and mass bands
+    _bands: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def n_free(self) -> int:
         return len(self.free)
 
-    def shifted(self, theta: np.ndarray):
-        """Coordinates and shifted solves of (A + theta_j M) x_j = b_j.
+    @property
+    def relaxed(self) -> TensorEigs:
+        """The relaxation R's per-axis eigenpairs; ``tensor`` when face-aligned."""
+        return self.tensor if self.kernel is None else self.kernel.relaxed
 
-        Returns ``(dual, solve)``.  ``dual(B)`` takes right sides b to the
-        base coordinates, one column per right side; ``solve(G)`` takes a
-        coordinate array with one column per shift to the solutions x_j.  So
-        ``solve(dual(B))`` solves column by column, and a right side of low
-        rank in the shift direction needs ``dual`` on its few factors only.
+    @cached_property
+    def _sparse(self) -> tuple:
+        return _sparse_pair(self)
+
+    @property
+    def A(self):
+        return self._sparse[0]
+
+    @property
+    def M(self):
+        return self._sparse[1]
+
+    def coordinates(self, f: np.ndarray) -> np.ndarray:
+        """c = V_R^T M_R f~ for free-node values f, (n,) or (n, k).
+
+        V_R is R's M-orthonormal eigenvector matrix and f~ is f on R's
+        grid, zero where R frees a node the partition does not; with
+        U = V_R^T M_R, the Kronecker product of the per-axis U_d, c is one
+        per-axis contraction.  These are the M-coordinates of f: V_R c = f~,
+        f^T M g = c^T c_g, |f|_M^2 = |c|^2, and V_R^T A f~ = Lambda_R c
+        (:meth:`stiffness`), so no product with A or M is formed.  On
+        partial facets c lies in null(B), because V_R c = f~ vanishes on D;
+        the kernel's projection removes the round-off.  c has R's n_R rows.
+        """
+        f = np.asarray(f, dtype=float)
+        if self.kernel is not None:
+            return self.kernel.coordinates(f)
+        return self.tensor.coordinates(f.reshape(len(f), -1)).reshape(f.shape)
+
+    def stiffness(self, c: np.ndarray) -> np.ndarray:
+        """V^T A f from the coordinates c of f: Lambda_R c, projected onto
+        null(B) on partial facets."""
+        out = _times_rows(self.relaxed.values, c)
+        return out if self.kernel is None else self.kernel.project(out)
+
+    def shifted(self, theta: np.ndarray):
+        """Solves of (A + theta_j M) x_j = b_j in R's eigen-coordinates.
+
+        Returns ``solve``, which takes an array G with one column g_j =
+        V_R^T b_j per shift (projected onto null(B) on partial facets) to
+        the free-node solutions x_j.  For b = M f that column is
+        :meth:`coordinates` of f, and for b = A f its :meth:`stiffness`; a
+        right side of low rank in the shift direction needs them for its
+        few factors only.
 
         On face-aligned partitions A and M are diagonal in the Kronecker
-        basis of ``tensor``, so each solve is two per-axis contractions and
-        a division by (lambda_i + theta_j).  Partial-facet partitions add
-        the capacitance correction of the pair's one ``kernel``, one r x r
-        Cholesky factor per shift; no shifted matrix is factored.
+        basis of ``tensor``, so each solve is a division by
+        (lambda_i + theta_j) and one per-axis contraction.  Partial-facet
+        partitions add the capacitance correction of the pair's one
+        ``kernel``, with one r x r inverse Cholesky factor per shift; no
+        shifted matrix is factored.
         """
         t = self.tensor
         if t is not None:
             denom = t.values[:, None] + theta[None, :]
-            return t.dual, lambda G: t.synthesize(G / denom)
+            return lambda G: t.synthesize(G / denom)
         k = self.kernel
         shifts = k.shifts(theta)
-        return k.dual, lambda G: k.synthesize(k.solve(G, shifts))
+        return lambda G: k.synthesize(k.solve(G, shifts))
+
+
+def _times_rows(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # d_i c_i for c of shape (n,) or (n, k)
+    return d.reshape((-1,) + (1,) * (c.ndim - 1)) * c
 
 
 def _assemble(partition: BoundaryPartition) -> OperatorPair:
@@ -349,20 +427,39 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
         if labels[facets].all():
             keep[axis][0 if side == 0 else -1] = False
 
-    bands_a, bands_m, lams, vecs = [], [], [], []
+    bands, lams, vecs, inverses = [], [], [], []
     for nd, hd, k in zip(mesh.n, mesh.spacing, keep):
         a, m = _line_bands(nd, hd, k)
-        lam, vec = scipy.linalg.eigh(_tridiagonal(a[:, 1], a[:-1, 2]),
-                                     _tridiagonal(m[:, 1], m[:-1, 2]))
-        bands_a.append(a)
-        bands_m.append(m)
+        m_dense = _tridiagonal(m[:, 1], m[:-1, 2])
+        lam, vec = _pencil_eigh(_tridiagonal(a[:, 1], a[:-1, 2]), m_dense)
+        bands.append((k, a, m))
         lams.append(lam)
         vecs.append(vec)
-    relaxed = TensorEigs(lams=tuple(lams), vecs=tuple(vecs))
+        inverses.append(vec.T @ m_dense)
+    relaxed = TensorEigs(lams=tuple(lams), vecs=tuple(vecs),
+                         inverses=tuple(inverses))
 
-    # A and M share the 3^N-point pattern of the relaxation's product grid:
-    # the stencil entries whose mass product is nonzero, the ones on the grid
-    shape = relaxed.shape
+    # the free nodes here, as positions in the relaxation's C-order free set
+    kept = ~partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)]
+    pos = np.flatnonzero(kept)
+    free = partition.free_nodes
+    aligned = len(pos) == math.prod(relaxed.shape)
+    return OperatorPair(
+        lumped=_trapezoid_weights(mesh)[free], free=free, mesh=mesh,
+        partition=partition, tensor=relaxed if aligned else None,
+        kernel=None if aligned else _CapacitanceKernel(relaxed, pos),
+        _bands=tuple(bands))
+
+
+def _sparse_pair(ops: OperatorPair) -> tuple:
+    # A and M as CSR matrices, filled from the 1-D bands on the 3^N-point
+    # pattern of the relaxation's product grid: the stencil entries whose
+    # mass product is nonzero, the ones on the grid
+    mesh = ops.mesh
+    keep = [k for k, _, _ in ops._bands]
+    bands_a = [a for _, a, _ in ops._bands]
+    bands_m = [m for _, _, m in ops._bands]
+    shape = tuple(int(k.sum()) for k in keep)
     n_r = math.prod(shape)
     idx = np.int32 if n_r * 3**mesh.dim < 2**31 else np.int64
     strides = [math.prod(shape[d + 1:]) for d in range(mesh.dim)]
@@ -371,8 +468,7 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
     m_vals = _stencil(bands_m, shape)
     entry = m_vals != 0
     col = np.arange(n_r, dtype=idx)[:, None] + shift
-    # the free nodes here, as positions in the relaxation's C-order free set
-    kept = ~partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)]
+    kept = ~ops.partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)]
     pos = np.flatnonzero(kept)
     if len(pos) < n_r:
         # keep the rows and columns of the partition's free nodes
@@ -395,13 +491,7 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
         a_vals += _stencil(factors, shape)
     stored = entry & (a_vals != 0)
     A = _csr(a_vals, stored, col[stored[entry]], pos)
-
-    free = partition.free_nodes
-    aligned = len(pos) == n_r
-    return OperatorPair(
-        A=A, M=M, lumped=_trapezoid_weights(mesh)[free], free=free, mesh=mesh,
-        partition=partition, tensor=relaxed if aligned else None,
-        kernel=None if aligned else _CapacitanceKernel(relaxed, pos))
+    return A, M
 
 
 def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair:
@@ -440,7 +530,9 @@ class SpectralBasis:
     and scaled by ``signs``, and each map costs per-axis contractions of
     n * sum(n_d) work instead of a dense n * m product.  Such a basis may
     be complete at any size.  Other partitions store V densely and the maps
-    multiply by it.
+    multiply by it; their coefficients are products with the eigenvectors'
+    own M-coordinates (:meth:`OperatorPair.coordinates`), formed on first
+    use, so M is never applied.
 
     Parameters
     ----------
@@ -535,9 +627,23 @@ class SpectralBasis:
         out *= self._signs[:, None]
         return out.reshape((self.m,) + f.shape[1:])
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        # coordinates of the dense eigenvectors, (n_R, m)
+        return self.ops.coordinates(self._vecs)
+
     def coefficients(self, values_free: np.ndarray) -> np.ndarray:
-        """M-inner products of a free-node vector with each eigenvector."""
-        return self.dual(self.ops.M @ values_free)
+        """M-inner products of a free-node vector with each eigenvector.
+
+        From the vector's coordinates (:meth:`OperatorPair.coordinates`),
+        so M is never applied: a Kronecker basis selects and signs them, a
+        dense basis takes their products with its eigenvectors' own
+        coordinates, formed once.
+        """
+        c = self.ops.coordinates(values_free)
+        if self._order is None:
+            return self._coords.T @ c
+        return _times_rows(self._signs, c[self._order])
 
     # the quotient's view of the operator, coefficientwise; shared with
     # ConstrainedOperator, and exact on the span of the basis
@@ -617,8 +723,11 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
     term, and c = Q [0; Y] for the eigenvectors Y of K.  Only Lambda_R
     enters, so a singular R (every face Neumann) is harmless.  Returns
     eigenvalues and eigenvectors over the partition's free nodes,
-    M-orthonormal.
+    M-orthonormal.  Imports scipy's LAPACK drivers on its first call, for
+    the compact-WY QR, the rank-2k update and the subset eigensolve.
     """
+    import scipy.linalg
+
     lam = kernel.lam
     n_r, r = len(lam), kernel.B_f.shape[0]
     # B^T is a fresh array, which dgeqrt may overwrite
@@ -656,28 +765,84 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
 def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a partial-facet partition by Lanczos, ascending.
 
-    Shift-invert at sigma = -theta_0, with theta_0 the second-lowest
-    eigenvalue of the relaxation R: positive, since R's null space holds
-    at most the constants.  The inverse (A + theta_0 M)^-1 that ``eigsh``
-    needs is the pair's one-shift solve (:meth:`OperatorPair.shifted`),
-    through its capacitance kernel, so A is never factored.  The columns
-    are M-orthonormal, as ``eigsh`` returns them for the generalized
-    problem.
+    In the eigen-coordinates of the relaxation R the partition's problem is
+    the standard one for Pi Lambda_R Pi on null(B), Euclidean product
+    included (see :class:`_CapacitanceKernel`).  Lanczos runs on its
+    shift-invert operator (Pi Lambda_R Pi + theta_0)^-1, one kernel solve
+    per step, at theta_0 the second-lowest eigenvalue of R: positive, since
+    R's null space holds at most the constants.  Each new Lanczos vector is
+    orthogonalized twice against all earlier ones, so no restart is needed:
+    a run stops once the k largest Ritz values mu of the inverse have
+    residuals of at most ``_LANCZOS_TOL`` mu, or once its Krylov space is
+    all that is left of null(B).  One Krylov space holds one direction of
+    each eigenspace, so a further run, on the complement of the Ritz
+    vectors found so far, looks for the copies of a multiple eigenvalue;
+    its pairs are merged in until a run finds none above the k-th.  Starts
+    are the coordinates of 1 + x on the free nodes, x fixed pseudo-random
+    in [0, 1), so that no symmetry of the partition hides a mode; a
+    breakdown continues from a fresh such vector.  Returns lambda = 1 / mu
+    - theta_0 and the Ritz vectors over the free nodes, M-orthonormal since
+    their coordinates are orthonormal.  A is never factored.
     """
+    kernel = ops.kernel
     n = ops.n_free
-    theta0 = float(np.partition(ops.kernel.lam, 1)[1])
-    dual, solve = ops.shifted(np.array([theta0]))
+    theta0 = float(np.partition(kernel.lam, 1)[1])
+    shifts = kernel.shifts(np.array([theta0]))
+    rng = np.random.default_rng(0)
 
-    def inverse(b: np.ndarray) -> np.ndarray:
-        return solve(dual(b.reshape(n, 1))).ravel()
+    def orthonormal(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+        # w orthogonalized twice against the rows of basis, then projected
+        # onto null(B) last: the round-off that takes w out of null(B)
+        # would grow from step to step by the division by its norm
+        for _ in range(2):
+            w -= basis.T @ (basis @ w)
+        w = kernel.project(w)
+        b = float(np.linalg.norm(w))
+        return w / b, b
 
-    # deterministic start vector; shift-invert targets the low end
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    lams, vecs = spla.eigsh(
-        ops.A, k=k, M=ops.M, sigma=-theta0, v0=v0,
-        OPinv=spla.LinearOperator((n, n), matvec=inverse, dtype=float))
-    order = np.argsort(lams)
-    return lams[order], vecs[:, order]
+    def run(X: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
+        # the want largest Ritz pairs of the inverse on the complement of
+        # the rows of X, descending
+        size = n - len(X)
+        Q = np.empty((len(X) + min(size, 2 * want + 32), X.shape[1]))
+        Q[:len(X)] = X
+        q0 = len(X)
+        Q[q0] = orthonormal(ops.coordinates(1.0 + rng.random(n)), X)[0]
+        alpha, beta = [], []
+        for j in range(size):
+            i = q0 + j
+            w = kernel.solve(Q[i][:, None], shifts)[:, 0]
+            alpha.append(Q[i] @ w)
+            w, b = orthonormal(w, Q[:i + 1])
+            mu, Y = np.linalg.eigh(_tridiagonal(np.array(alpha),
+                                                np.array(beta)))
+            top = slice(max(len(mu) - want, 0), None)
+            if j + 1 == size or (j + 1 >= want and np.all(
+                    np.abs(b * Y[-1, top]) <= _LANCZOS_TOL * mu[top])):
+                return mu[top][::-1], Q[q0:i + 1].T @ Y[:, top][:, ::-1]
+            if i + 1 == len(Q):
+                Q = np.concatenate([Q, np.empty((min(len(X) + size, 2 * len(Q))
+                                                 - len(Q), Q.shape[1]))])
+            if b > _LANCZOS_BREAKDOWN * mu[-1]:
+                beta.append(b)
+                Q[i + 1] = w
+            else:
+                # an invariant subspace: go on from a vector orthogonal to it
+                beta.append(0.0)
+                Q[i + 1] = orthonormal(ops.coordinates(1.0 + rng.random(n)),
+                                       Q[:i + 1])[0]
+
+    mu = np.empty(0)
+    X = np.empty((0, len(kernel.lam)))
+    while len(X) < n:
+        m, Y = run(X, k)
+        if len(mu) == k and m[0] <= mu[-1] * (1.0 + _LANCZOS_TOL):
+            break
+        mu = np.concatenate([mu, m])
+        X = np.concatenate([X, Y.T])
+        keep = np.argsort(-mu, kind="stable")[:k]
+        mu, X = mu[keep], X[keep]
+    return 1.0 / mu - theta0, kernel.synthesize(X.T)
 
 
 def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
@@ -760,13 +925,45 @@ _CG_TOL = 1e-13
 _CG_MAX_ITER = 2000
 
 
+# order up to which an inverse Cholesky factor is taken whole
+_CHOLESKY_BLOCK = 32
+# capacitance entries formed and factored at a time, over a block of shifts
+_SHIFT_BLOCK = 1 << 20
+
+
+def _inverse_cholesky(C: np.ndarray) -> np.ndarray:
+    """L^-1 for the lower Cholesky factor L of each matrix of C, (..., r, r).
+
+    C^-1 v is then applied as L^-T (L^-1 v), two products.  By halves, as
+    in a right-looking Cholesky factorization: with L11^-1 from C11, L21 =
+    C21 L11^-T, L22^-1 from the Schur complement C22 - L21 L21^T, and the
+    off-diagonal block of L^-1 is -L22^-1 L21 L11^-1; so nearly all of the
+    work is matrix products.  A matrix that is not positive definite
+    raises ``numpy.linalg.LinAlgError``.
+    """
+    r = C.shape[-1]
+    if r <= _CHOLESKY_BLOCK:
+        return np.linalg.inv(np.linalg.cholesky(C))
+    h = r // 2
+    out = np.zeros_like(C)
+    A = out[..., :h, :h] = _inverse_cholesky(C[..., :h, :h])
+    L21 = C[..., h:, :h] @ A.swapaxes(-1, -2)
+    D = out[..., h:, h:] = _inverse_cholesky(
+        C[..., h:, h:] - L21 @ L21.swapaxes(-1, -2))
+    out[..., h:, :h] = -D @ (L21 @ A)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _Shifts:
     """Shifts theta_j with 1 / (Lambda_R + theta_j) and inverse factors.
 
     ``H[:, j]`` is 1 / (Lambda_R + theta_j); ``Linv[j]`` is the inverse of
     the lower Cholesky factor of C_theta_j, so applying all r x r inverses
-    is two batched products.
+    is two batched products.  (One explicit C_theta^-1 per shift would make
+    it one product, but at the small shifts of a singular R it misses the
+    dense solve by up to 1e-11 relative, where the factors stay within
+    1e-13.)
     """
 
     theta: np.ndarray
@@ -810,10 +1007,11 @@ class _CapacitanceKernel:
     with v and one product with B_f.  So forming C_theta costs r^2 n_f and
     an apply O(n_R k + r n_f k) for k shifts, against r^2 n_R and r n_R k
     with B itself.  When D spans several faces the same code runs with
-    the trivial factorization v = [1], B_f = B.  (v, B_f) is the only form
-    of B kept; the QR of :func:`_constrained_eigh` reads B^T through it.
-    A partition assembles one kernel, which every consumer of the
-    partition shares.
+    the trivial factorization v = [1], B_f = B, and the C_theta of all
+    shifts come from one product of B's row pairs with their weights.  The
+    kernel uses numpy only.  (v, B_f) is the only form of B kept; the QR
+    of :func:`_constrained_eigh` reads B^T through it.  A partition
+    assembles one kernel, which every consumer of the partition shares.
     """
 
     def __init__(self, relaxed: TensorEigs, pos: np.ndarray) -> None:
@@ -842,8 +1040,8 @@ class _CapacitanceKernel:
             self.B_f = _kron_rows(relaxed.vecs, cut)
             self._layout = (1, 1, len(self.lam))
         # B B^T = (v . v) B_f B_f^T, factored once for the projector
-        self._gram = scipy.linalg.cholesky(
-            (self._v @ self._v) * (self.B_f @ self.B_f.T), lower=True)
+        self._gram = _inverse_cholesky(
+            (self._v @ self._v) * (self.B_f @ self.B_f.T))
 
     def _face_sum(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
         # sum_i v_i X[(p, i, q), :] for X of shape (n_R, k); (n_f, k)
@@ -864,26 +1062,53 @@ class _CapacitanceKernel:
     def project(self, c: np.ndarray) -> np.ndarray:
         """Pi c, the orthogonal projection onto null(B), (n_R,) or (n_R, k)."""
         X = c.reshape(len(self.lam), -1)
-        z, _ = scipy.linalg.lapack.dpotrs(self._gram, self._B(X), lower=1)
+        z = self._gram.T @ (self._gram @ self._B(X))
         return (X - self._Bt(z)).reshape(c.shape)
+
+    def _scatter(self, f: np.ndarray) -> np.ndarray:
+        # f at the partition's free nodes onto R's grid, zero on D; (n_R, k)
+        x = np.zeros((len(self.lam),) + f.shape[1:])
+        x[self.pos] = f
+        return x.reshape(len(self.lam), -1)
+
+    def coordinates(self, f: np.ndarray) -> np.ndarray:
+        """Pi U f~ = Pi V_R^T M_R f~, f given at the free nodes, (n,) or (n, k)."""
+        c = self.relaxed.coordinates(self._scatter(f))
+        return self.project(c).reshape((len(self.lam),) + f.shape[1:])
 
     def dual(self, f: np.ndarray) -> np.ndarray:
         """Pi V_R^T f, f given at the partition's free nodes, (n,) or (n, k)."""
-        x = np.zeros((len(self.lam),) + f.shape[1:])
-        x[self.pos] = f
-        g = self.relaxed.dual(x.reshape(len(self.lam), -1)).reshape(x.shape)
-        return self.project(g)
+        g = self.relaxed.dual(self._scatter(f))
+        return self.project(g).reshape((len(self.lam),) + f.shape[1:])
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """(V_R c) at the partition's free nodes, (n_R,) or (n_R, k)."""
         x = self.relaxed.synthesize(c.reshape(len(self.lam), -1))
         return x[self.pos].reshape((len(self.pos),) + c.shape[1:])
 
-    def _capacitance(self, H: np.ndarray):
-        # the lower triangle of C_theta_j = B_f diag(g_j) B_f^T for each
-        # column H[:, j] = 1 / (Lambda_R + theta_j); g_j > 0 for theta_j > 0
-        for g in self._face_sum(H, self._v**2).T:
-            yield scipy.linalg.blas.dsyrk(1.0, self.B_f * np.sqrt(g), lower=1)
+    def _capacitance(self, H: np.ndarray) -> np.ndarray:
+        # C_theta_j = B_f diag(g_j) B_f^T for each column H[:, j] = 1 /
+        # (Lambda_R + theta_j), g_j > 0 for theta_j > 0; (k, r, r)
+        g = self._face_sum(H, self._v**2)
+        r, n_f = self.B_f.shape
+        C = np.empty((g.shape[1], r, r))
+        if len(self._v) > 1:
+            # one partial face: B_f has the face's n_f columns, and each C
+            # is a product X X^T, which numpy takes to BLAS syrk
+            for j, gj in enumerate(g.T):
+                X = self.B_f * np.sqrt(gj)
+                C[j] = X @ X.T
+            return C
+        # D on several faces, B_f = B with all n_R columns: the entries (a,
+        # b), a >= b, of every shift come from one product of the row pairs
+        # B[a] B[b] with g, a block of pairs at a time
+        a, b = np.tril_indices(r)
+        step = max(1, _SHIFT_BLOCK // n_f)
+        for i in range(0, len(a), step):
+            ab = slice(i, i + step)
+            low = ((self.B_f[a[ab]] * self.B_f[b[ab]]) @ g).T
+            C[:, a[ab], b[ab]] = C[:, b[ab], a[ab]] = low
+        return C
 
     def shifts(self, theta: np.ndarray) -> _Shifts:
         """Factor C_theta for every shift in ``theta`` (all positive)."""
@@ -891,14 +1116,12 @@ class _CapacitanceKernel:
         H = 1.0 / (self.lam[:, None] + theta[None, :])
         r = self.B_f.shape[0]
         Linv = np.empty((len(theta), r, r))
-        for j, C in enumerate(self._capacitance(H)):
-            L, info = scipy.linalg.lapack.dpotrf(C, lower=1, overwrite_a=1)
-            if info == 0:
-                L, info = scipy.linalg.lapack.dtrtri(L, lower=1, overwrite_c=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"capacitance factor failed with info={info}")
-            Linv[j] = L
+        # a block of shifts at a time, so that their matrices, factors and
+        # inverses take a bounded amount of memory besides Linv itself
+        step = max(1, _SHIFT_BLOCK // (r * r))
+        for j in range(0, len(theta), step):
+            block = slice(j, j + step)
+            Linv[block] = _inverse_cholesky(self._capacitance(H[:, block]))
         return _Shifts(theta=theta, H=H, Linv=Linv)
 
     def solve(self, G: np.ndarray, sh: _Shifts) -> np.ndarray:
@@ -941,7 +1164,7 @@ def _gauss_jacobi(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     off_sq = (k - a) * (k + a - 1.0) / (2.0 * k - 1.0) ** 2
     if n > 1:
         off_sq[0] = 2.0 * a * (1.0 - a)
-    x, V = scipy.linalg.eigh_tridiagonal(diag, np.sqrt(off_sq))
+    x, V = np.linalg.eigh(_tridiagonal(diag, np.sqrt(off_sq)))
     return x, (math.pi / math.sin(math.pi * a)) * V[0] ** 2
 
 
@@ -1061,8 +1284,8 @@ class ConstrainedOperator:
         return self._kernel.synthesize(np.asarray(c, dtype=float))
 
     def coefficients(self, values_free: np.ndarray) -> np.ndarray:
-        """Coordinates of a free-node field."""
-        return self.dual(self.ops.M @ values_free)
+        """Coordinates of a free-node field (:meth:`OperatorPair.coordinates`)."""
+        return self.ops.coordinates(values_free)
 
     def _rule(self, a: float) -> _PowerRule:
         rule = self._rules.get(a)

@@ -370,6 +370,41 @@ def test_lanczos_matches_dense_eigh(square40_family, alpha):
     assert np.sqrt(d @ (ops.M @ d)) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.75, 0.125])
+def test_lanczos_matches_dense_eigh_at_32_modes(square40_family, alpha):
+    # the largest Lanczos request: eigenvalues to 1e-10, and each Lanczos
+    # vector in the M-span of the dense solve's lowest 33, so that a pair
+    # split across the cut at 32 cannot fail it
+    ops = _ops(square40_family[alpha])
+    lams, vecs = _lanczos(ops, 32)
+    mu, X = _constrained_eigh(ops.kernel, 33)
+    np.testing.assert_allclose(lams, mu[:32], rtol=1e-10)
+    M = ops.M
+    np.testing.assert_allclose(vecs.T @ (M @ vecs), np.eye(32), rtol=0,
+                               atol=1e-12)
+    off = vecs - X @ (X.T @ (M @ vecs))
+    assert np.max(np.sqrt(np.einsum("ij,ij->j", off, M @ off))) <= 1e-8
+
+
+def test_lanczos_finds_every_copy_of_a_multiple_eigenvalue():
+    # the cube with the central 2 x 2 facets of x = 0 Dirichlet is
+    # symmetric under quarter turns about the x-axis, which pairs
+    # eigenfunctions into double eigenvalues: one Krylov space holds one
+    # direction of each eigenspace, so each second copy comes from a
+    # further run
+    centre = [j in (1, 2) and k in (1, 2) for j in range(4) for k in range(4)]
+    part = _mixed_partition((4, 4, 4), {(0, 0): centre})
+    ops = _ops(part)
+    want = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray(),
+                             eigvals_only=True)
+    assert want[2] - want[1] < 1e-10 * want[2]
+    for k in (3, 8):
+        lams, vecs = _lanczos(ops, k)
+        np.testing.assert_allclose(lams, want[:k], rtol=1e-10)
+        np.testing.assert_allclose(vecs.T @ (ops.M @ vecs), np.eye(k),
+                                   rtol=0, atol=1e-12)
+
+
 def test_lanczos_builds_no_sparse_lu(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sparse LU factorization built")

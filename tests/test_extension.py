@@ -423,26 +423,30 @@ def test_x_norm_keeps_its_digits_on_a_graded_cylinder():
 
 
 @pytest.mark.parametrize("face_aligned", [True, False])
-def test_extend_maps_a_rank_two_right_side(face_aligned, monkeypatch):
-    # the right side -(A u) Mw[1:J, 0]^T - (M u) Aw[1:J, 0]^T has rank 2, so
-    # the base dual sees its two factors, never J - 1 columns
+def test_extend_maps_a_rank_one_right_side(face_aligned, monkeypatch):
+    # only interior level 1 couples to the trace, so in the y-eigenvectors
+    # the right side is g Z[0]: each call takes one coordinate column to the
+    # base, never J - 1, and forms no product with A or M
     params = fl.FracParams(s=S, N=2)
     mesh, part = _face_aligned_or_partial(face_aligned)
-    owner = fl.spectral.TensorEigs if face_aligned \
-        else fl.spectral._CapacitanceKernel
     columns = []
-    dual = owner.dual
+    coordinates = fl.OperatorPair.coordinates
 
-    def counting(self, X):
-        columns.append(X.shape[1])
-        return dual(self, X)
+    def counting(self, f):
+        columns.append(1 if np.ndim(f) == 1 else np.shape(f)[1])
+        return coordinates(self, f)
 
-    monkeypatch.setattr(owner, "dual", counting)
+    def refuse(self):
+        raise AssertionError("extend read A or M")
+
+    monkeypatch.setattr(fl.OperatorPair, "coordinates", counting)
+    for name in ("A", "M"):
+        monkeypatch.setattr(fl.OperatorPair, name, property(refuse))
     cyl = fl.build_cylinder(mesh, 4.0, 24, 2.0)
     u = fl.Field.from_callable(mesh, part, lambda x: np.sin(x[:, 0] + x[:, 1]))
     for calls in (1, 2, 3):
         fl.extend(cyl, part, params, u)
-        assert columns == [2] * calls
+        assert columns == [1] * calls
 
 
 def test_solve_path_builds_no_sparse_matrix(monkeypatch):
