@@ -75,6 +75,8 @@ _ITERATIVE_MAX = 32
 # vector's norm falls to this times the largest Ritz value
 _LANCZOS_TOL = 1e-13
 _LANCZOS_BREAKDOWN = 1e-10
+# the fractional part of the golden ratio, which spreads Lanczos starts
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # columns multiplied out at a time when a tensor basis needs them explicitly
 _COLUMN_CHUNK = 256
 
@@ -105,7 +107,8 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pencil_eigh(a: np.ndarray,
+                 m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric pencil (a, m), m positive definite.
 
     Jacobi scaling d = diag(m)^-1/2, the Cholesky factor L L^T = d m d and
@@ -283,7 +286,7 @@ class TensorEigs:
         return self._per_axis([V.T for V in self.vecs], X)
 
     def coordinates(self, X: np.ndarray) -> np.ndarray:
-        """V^T M X = V^-1 X, the Kronecker product of ``inverses``; X is (n, r)."""
+        """V^T M X = V^-1 X, with the Kronecker product of ``inverses``."""
         return self._per_axis(self.inverses, X)
 
     def synthesize(self, C: np.ndarray) -> np.ndarray:
@@ -348,7 +351,7 @@ class OperatorPair:
 
     @property
     def relaxed(self) -> TensorEigs:
-        """The relaxation R's per-axis eigenpairs; ``tensor`` when face-aligned."""
+        """R's per-axis eigenpairs; ``tensor`` on face-aligned partitions."""
         return self.tensor if self.kernel is None else self.kernel.relaxed
 
     @cached_property
@@ -468,7 +471,8 @@ def _sparse_pair(ops: OperatorPair) -> tuple:
     m_vals = _stencil(bands_m, shape)
     entry = m_vals != 0
     col = np.arange(n_r, dtype=idx)[:, None] + shift
-    kept = ~ops.partition.dirichlet_node_mask.reshape(mesh.shape)[np.ix_(*keep)]
+    mask = ops.partition.dirichlet_node_mask.reshape(mesh.shape)
+    kept = ~mask[np.ix_(*keep)]
     pos = np.flatnonzero(kept)
     if len(pos) < n_r:
         # keep the rows and columns of the partition's free nodes
@@ -778,8 +782,9 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     each eigenspace, so a further run, on the complement of the Ritz
     vectors found so far, looks for the copies of a multiple eigenvalue;
     its pairs are merged in until a run finds none above the k-th.  Starts
-    are the coordinates of 1 + x on the free nodes, x fixed pseudo-random
-    in [0, 1), so that no symmetry of the partition hides a mode; a
+    are the coordinates of 1 + x on the free nodes, x_i the fractional part
+    of (i + n t) phi for the t-th start and the golden ratio phi: fixed, and
+    without a symmetry of the partition that could hide a mode.  A
     breakdown continues from a fresh such vector.  Returns lambda = 1 / mu
     - theta_0 and the Ritz vectors over the free nodes, M-orthonormal since
     their coordinates are orthonormal.  A is never factored.
@@ -788,9 +793,10 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = ops.n_free
     theta0 = float(np.partition(kernel.lam, 1)[1])
     shifts = kernel.shifts(np.array([theta0]))
-    rng = np.random.default_rng(0)
+    starts = 0
 
-    def orthonormal(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    def orthonormal(w: np.ndarray,
+                    basis: np.ndarray) -> tuple[np.ndarray, float]:
         # w orthogonalized twice against the rows of basis, then projected
         # onto null(B) last: the round-off that takes w out of null(B)
         # would grow from step to step by the division by its norm
@@ -800,6 +806,12 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
         b = float(np.linalg.norm(w))
         return w / b, b
 
+    def start(basis: np.ndarray) -> np.ndarray:
+        nonlocal starts
+        x = 1.0 + ((np.arange(n) + n * starts) * _GOLDEN) % 1.0
+        starts += 1
+        return orthonormal(ops.coordinates(x), basis)[0]
+
     def run(X: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
         # the want largest Ritz pairs of the inverse on the complement of
         # the rows of X, descending
@@ -807,7 +819,7 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
         Q = np.empty((len(X) + min(size, 2 * want + 32), X.shape[1]))
         Q[:len(X)] = X
         q0 = len(X)
-        Q[q0] = orthonormal(ops.coordinates(1.0 + rng.random(n)), X)[0]
+        Q[q0] = start(X)
         alpha, beta = [], []
         for j in range(size):
             i = q0 + j
@@ -829,8 +841,7 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
             else:
                 # an invariant subspace: go on from a vector orthogonal to it
                 beta.append(0.0)
-                Q[i + 1] = orthonormal(ops.coordinates(1.0 + rng.random(n)),
-                                       Q[:i + 1])[0]
+                Q[i + 1] = start(Q[:i + 1])
 
     mu = np.empty(0)
     X = np.empty((0, len(kernel.lam)))
@@ -1072,7 +1083,7 @@ class _CapacitanceKernel:
         return x.reshape(len(self.lam), -1)
 
     def coordinates(self, f: np.ndarray) -> np.ndarray:
-        """Pi U f~ = Pi V_R^T M_R f~, f given at the free nodes, (n,) or (n, k)."""
+        """Pi U f~ = Pi V_R^T M_R f~ for free-node values f, (n,) or (n, k)."""
         c = self.relaxed.coordinates(self._scatter(f))
         return self.project(c).reshape((len(self.lam),) + f.shape[1:])
 
@@ -1284,7 +1295,7 @@ class ConstrainedOperator:
         return self._kernel.synthesize(np.asarray(c, dtype=float))
 
     def coefficients(self, values_free: np.ndarray) -> np.ndarray:
-        """Coordinates of a free-node field (:meth:`OperatorPair.coordinates`)."""
+        """Coordinates of a free-node field (``OperatorPair.coordinates``)."""
         return self.ops.coordinates(values_free)
 
     def _rule(self, a: float) -> _PowerRule:

@@ -73,11 +73,14 @@ config = {"domain": {"kind": "box", "extents": [[0, 1], [0, 1]],
                           {"fraction_of_lambda1s": 1.05}],
           "outdir": "runs"}
 Path("box.json").write_text(json.dumps(config))
+versions = {}
 for sub in ("move-boundary", "sweep-lambda"):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = fraclap.cli.main([sub, "--config", "box.json"])
     stages[sub] = loaded() if code == 0 else f"exit {code}"
-print(json.dumps(stages))
+    manifest = Path(json.loads(out.getvalue())["run_dir"]) / "manifest.json"
+    versions[sub] = sorted(json.loads(manifest.read_text())["versions"])
+print(json.dumps([stages, versions]))
 """
 
 
@@ -86,7 +89,10 @@ def test_workload_calls_load_no_scipy(tmp_path):
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    stages = json.loads(proc.stdout.splitlines()[-1])
+    stages, versions = json.loads(proc.stdout.splitlines()[-1])
     assert list(stages) == ["import", "cube-audit", "extend",
                             "move-boundary", "sweep-lambda"]
     assert stages == {name: [] for name in stages}
+    # a run that never loaded scipy records no scipy version
+    assert versions == {sub: ["fraclap", "numpy", "python"]
+                        for sub in ("move-boundary", "sweep-lambda")}
