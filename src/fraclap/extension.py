@@ -204,7 +204,7 @@ def extend(
     uf = u.free_values(ops)
     c = ops.coordinates(uf)
     g = a0 * c - eM0 * ops.stiffness(c)
-    W_int = solve(g[:, None] * Z[0]) @ Z.T
+    W_int = solve(np.multiply.outer(g, Z[0])) @ Z.T
 
     full = np.zeros((cyl.base.n_nodes, cyl.J + 1))
     full[ops.free, 0] = uf
@@ -267,9 +267,9 @@ def x_norm(
     ops = assemble_operators(cyl.base, w.partition)
     _, a, dM, eM = weighted_bands(cyl.y, params.s)
     C = ops.coordinates(w.values[ops.free, :])
-    LC = ops.relaxed.values[:, None] * C
+    lam = ops.relaxed.values
+    energy = dM @ np.einsum("i,ij,ij->j", lam, C, C)
+    energy += 2.0 * eM @ np.einsum("i,ij,ij->j", lam, C[:, :-1], C[:, 1:])
     dC = np.diff(C, axis=1)
-    energy = dM @ np.einsum("ij,ij->j", LC, C)
-    energy += 2.0 * eM @ np.einsum("ij,ij->j", LC[:, :-1], C[:, 1:])
     energy += a @ np.einsum("ij,ij->j", dC, dC)
     return float(np.sqrt(kappa * energy))

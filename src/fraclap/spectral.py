@@ -272,13 +272,20 @@ class TensorEigs:
         signs[signs == 0] = 1.0
         return signs
 
-    def _per_axis(self, mats, X: np.ndarray) -> np.ndarray:
-        # applies the Kronecker product of the square mats to each column
+    def _per_axis(self, mats, X: np.ndarray,
+                  work: np.ndarray | None = None) -> np.ndarray:
+        # applies the Kronecker product of the square mats to each column;
+        # given a C-contiguous X and a work array of its shape, the products
+        # alternate between the two, overwriting X, and allocate nothing
         r = X.shape[1]
         shape = self.shape
-        T = X
+        T, spare = X, work
         for d, op in enumerate(mats):
-            T = op @ T.reshape(math.prod(shape[:d]), shape[d], -1)
+            T = T.reshape(math.prod(shape[:d]), shape[d], -1)
+            if spare is None:
+                T = op @ T
+            else:
+                T, spare = np.matmul(op, T, out=spare.reshape(T.shape)), T
         return T.reshape(-1, r)
 
     def dual(self, X: np.ndarray) -> np.ndarray:
@@ -289,9 +296,14 @@ class TensorEigs:
         """V^T M X = V^-1 X, with the Kronecker product of ``inverses``."""
         return self._per_axis(self.inverses, X)
 
-    def synthesize(self, C: np.ndarray) -> np.ndarray:
-        """V C for V the Kronecker product of ``vecs``; C is (n, r)."""
-        return self._per_axis(self.vecs, C)
+    def synthesize(self, C: np.ndarray,
+                   work: np.ndarray | None = None) -> np.ndarray:
+        """V C for V the Kronecker product of ``vecs``; C is (n, r).
+
+        With a ``work`` array of C's shape (C C-contiguous) the result is
+        written into C or work, and C is overwritten.
+        """
+        return self._per_axis(self.vecs, C, work)
 
 
 @dataclass(frozen=True)
@@ -394,14 +406,16 @@ class OperatorPair:
 
         Returns ``solve``, which takes an array G with one column g_j =
         V_R^T b_j per shift (projected onto null(B) on partial facets) to
-        the free-node solutions x_j.  For b = M f that column is
-        :meth:`coordinates` of f, and for b = A f its :meth:`stiffness`; a
-        right side of low rank in the shift direction needs them for its
-        few factors only.
+        the free-node solutions x_j, and may overwrite G.  For b = M f that
+        column is :meth:`coordinates` of f, and for b = A f its
+        :meth:`stiffness`; a right side of low rank in the shift direction
+        needs them for its few factors only.
 
         On face-aligned partitions A and M are diagonal in the Kronecker
         basis of ``tensor``, so each solve is a division by
-        (lambda_i + theta_j) and one per-axis contraction.  Partial-facet
+        (lambda_i + theta_j) and one per-axis contraction, both in G and
+        one work array of its size: each n x k array a solve allocates is
+        one more set of fresh pages to fault in.  Partial-facet
         partitions add the capacitance correction of the pair's one
         ``kernel``, with one r x r inverse Cholesky factor per shift; no
         shifted matrix is factored.
@@ -409,7 +423,12 @@ class OperatorPair:
         t = self.tensor
         if t is not None:
             denom = t.values[:, None] + theta[None, :]
-            return lambda G: t.synthesize(G / denom)
+
+            def solve(G: np.ndarray) -> np.ndarray:
+                G /= denom
+                return t.synthesize(G, work=np.empty_like(G))
+
+            return solve
         k = self.kernel
         shifts = k.shifts(theta)
         return lambda G: k.synthesize(k.solve(G, shifts))
