@@ -957,7 +957,8 @@ _CG_MAX_ITER = 2000
 
 # order up to which an inverse Cholesky factor is taken whole
 _CHOLESKY_BLOCK = 32
-# capacitance entries formed and factored at a time, over a block of shifts
+# entries formed at a time: the capacitance matrices of a block of shifts,
+# or the row-pair products of a several-face B
 _SHIFT_BLOCK = 1 << 20
 
 
