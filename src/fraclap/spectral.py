@@ -958,7 +958,8 @@ _CG_MAX_ITER = 2000
 # order up to which an inverse Cholesky factor is taken whole
 _CHOLESKY_BLOCK = 32
 # entries formed at a time: the capacitance matrices of a block of shifts,
-# or the row-pair products of a several-face B
+# or the row-pair products of a several-face B; a block of rows of a rule's
+# sup sample takes a _RULE_SAMPLES-th of it
 _SHIFT_BLOCK = 1 << 20
 
 
@@ -989,12 +990,15 @@ def _inverse_cholesky(C: np.ndarray) -> np.ndarray:
 class _Shifts:
     """Shifts theta_j with 1 / (Lambda_R + theta_j) and inverse factors.
 
-    ``H[:, j]`` is 1 / (Lambda_R + theta_j); ``Linv[j]`` is the inverse of
-    the lower Cholesky factor of C_theta_j, so applying all r x r inverses
-    is two batched products.  (One explicit C_theta^-1 per shift would make
-    it one product, but at the small shifts of a singular R it misses the
-    dense solve by up to 1e-11 relative, where the factors stay within
-    1e-13.)
+    ``H[f, i, j]`` is 1 / (Lambda_R + theta_j) at R's eigen-index (p, i,
+    q), f = (p, q): the shifts' one n_R x k array, face-major in the
+    layout of the kernel that built it, which its solves read through a
+    (p, i, q, k) view and its weighted applies as n_f blocks (i, j).
+    ``Linv[j]`` is the inverse of the lower Cholesky factor of C_theta_j,
+    so applying all r x r inverses is two batched products.  (One
+    explicit C_theta^-1 per shift would make it one product, but at the
+    small shifts of a singular R it misses the dense solve by up to 1e-11
+    relative, where the factors stay within 1e-13.)
     """
 
     theta: np.ndarray
@@ -1070,19 +1074,25 @@ class _CapacitanceKernel:
             self._v = np.ones(1)
             self.B_f = _kron_rows(relaxed.vecs, cut)
             self._layout = (1, 1, len(self.lam))
+        # R's eigenvalues in face-major order (p q, i), the order of every
+        # _Shifts.H
+        self._lam_faces = np.ascontiguousarray(self._faces(self.lam))
         # B B^T = (v . v) B_f B_f^T, factored once for the projector
         self._gram = _inverse_cholesky(
             (self._v @ self._v) * (self.B_f @ self.B_f.T))
 
-    def _face_sum(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # sum_i v_i X[(p, i, q), :] for X of shape (n_R, k); (n_f, k)
+    def _faces(self, x: np.ndarray) -> np.ndarray:
+        # x of R's eigen-index (p, i, q) in face-major order; (p q, i)
         pre, n_a, post = self._layout
-        k = X.shape[1]
-        return (v @ X.reshape(pre, n_a, post * k)).reshape(pre * post, k)
+        return x.reshape(pre, n_a, post).transpose(0, 2, 1).reshape(
+            pre * post, n_a)
 
     def _B(self, X: np.ndarray) -> np.ndarray:
-        # B X for X of shape (n_R, k)
-        return self.B_f @ self._face_sum(X, self._v)
+        # B X for X of shape (n_R, k): B_f times sum_i v_i X[(p, i, q), :]
+        pre, n_a, post = self._layout
+        k = X.shape[1]
+        Y = self._v @ X.reshape(pre, n_a, post * k)
+        return self.B_f @ Y.reshape(pre * post, k)
 
     def _Bt(self, Z: np.ndarray) -> np.ndarray:
         # B^T Z for Z of shape (r, k)
@@ -1118,9 +1128,10 @@ class _CapacitanceKernel:
         return x[self.pos].reshape((len(self.pos),) + c.shape[1:])
 
     def _capacitance(self, H: np.ndarray) -> np.ndarray:
-        # C_theta_j = B_f diag(g_j) B_f^T for each column H[:, j] = 1 /
-        # (Lambda_R + theta_j), g_j > 0 for theta_j > 0; (k, r, r)
-        g = self._face_sum(H, self._v**2)
+        # C_theta_j = B_f diag(g_j) B_f^T for each shift j of a face-major
+        # H[f, i, j] = 1 / (Lambda_R + theta_j), g_j > 0 for theta_j > 0;
+        # (k, r, r)
+        g = np.matmul(self._v**2, H)
         r, n_f = self.B_f.shape
         C = np.empty((g.shape[1], r, r))
         if len(self._v) > 1:
@@ -1144,7 +1155,7 @@ class _CapacitanceKernel:
     def shifts(self, theta: np.ndarray) -> _Shifts:
         """Factor C_theta for every shift in ``theta`` (all positive)."""
         theta = np.asarray(theta, dtype=float)
-        H = 1.0 / (self.lam[:, None] + theta[None, :])
+        H = 1.0 / (self._lam_faces[:, :, None] + theta)
         r = self.B_f.shape[0]
         Linv = np.empty((len(theta), r, r))
         # a block of shifts at a time, so that their matrices, factors and
@@ -1152,31 +1163,36 @@ class _CapacitanceKernel:
         step = max(1, _SHIFT_BLOCK // (r * r))
         for j in range(0, len(theta), step):
             block = slice(j, j + step)
-            Linv[block] = _inverse_cholesky(self._capacitance(H[:, block]))
+            Linv[block] = _inverse_cholesky(self._capacitance(H[:, :, block]))
         return _Shifts(theta=theta, H=H, Linv=Linv)
 
     def solve(self, G: np.ndarray, sh: _Shifts) -> np.ndarray:
         """Column j of the result solves (Pi Lambda_R Pi + theta_j) c = Pi g_j."""
-        Z = sh.solve(self._B(G * sh.H))
-        return (G - self._Bt(Z)) * sh.H
+        pre, n_a, post = self._layout
+        n_r, k = G.shape
+        H = sh.H.reshape(pre, post, n_a, k).transpose(0, 2, 1, 3)
+        G = G.reshape(pre, n_a, post, k)
+        Z = sh.solve(self._B((G * H).reshape(n_r, k)))
+        return ((G - self._Bt(Z).reshape(G.shape)) * H).reshape(n_r, k)
 
     def weighted(self, g: np.ndarray, rule: _PowerRule) -> np.ndarray:
         """sum_j w_j (Pi Lambda_R Pi + theta_j)^-1 Pi g for one vector g.
 
         The weights w_j and shifts theta_j are the rule's.  Both products
-        with B are taken in the (p, i, q) split of R's eigen-index, so no
-        n_R x k intermediate is formed besides the rule's own.
+        with B are matrix products batched over the face index f of the
+        shifts' face-major H: B X takes g v_i times each face's block
+        H[f] (n_a x k), and B^T Z takes each block times the face's row of
+        E = B_f^T Z scaled by the weights, a small n_f x k array.  So no
+        n_R x k array is formed besides the shifts' own H.
         """
         sh = rule.shifts
         pre, n_a, post = self._layout
-        k = len(sh.theta)
-        H = sh.H.reshape(pre, n_a, post, k)
-        gv = g.reshape(pre, n_a, post) * self._v[:, None]
-        Y = np.einsum("piq,piqj->pqj", gv, H).reshape(pre * post, k)
-        E = (self.B_f.T @ sh.solve(self.B_f @ Y)).reshape(pre, post, k)
-        out = np.einsum("piqj,pqj->piq",
-                        rule.H_weighted.reshape(pre, n_a, post, k), E)
-        return g * rule.H_sum - (out * self._v[:, None]).ravel()
+        gf = self._faces(g)
+        Y = np.matmul((gf * self._v)[:, None, :], sh.H)[:, 0]
+        E = (self.B_f.T @ sh.solve(self.B_f @ Y)) * rule.weights
+        out = (gf * rule.H_sum
+               - np.matmul(sh.H, E[:, :, None])[:, :, 0] * self._v)
+        return out.reshape(pre, post, n_a).transpose(0, 2, 1).ravel()
 
 
 def _gauss_jacobi(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1201,24 +1217,44 @@ def _gauss_jacobi(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _PowerRule:
-    """L^-a ~ sum_j w_j (L + theta_j)^-1 with its measured relative error."""
+    """L^-a ~ sum_j w_j (L + theta_j)^-1 with its measured relative error.
+
+    The rule holds one n_R x k array, its shifts' face-major H; an apply
+    scales the kernel's small n_f x k intermediate by the weights.
+    """
 
     weights: np.ndarray = field(repr=False)
     shifts: _Shifts
     error: float
 
-    # the products with the shifts' H = 1 / (Lambda_R + theta_j) that every
-    # apply of the rule needs; fixed per rule, so formed once
-
-    @cached_property
-    def H_weighted(self) -> np.ndarray:
-        """H w_j, column j scaled by its weight."""
-        return self.shifts.H * self.weights
-
     @cached_property
     def H_sum(self) -> np.ndarray:
-        """H w, the sum of those columns."""
+        """H w, sum_j w_j / (Lambda_R + theta_j), face-major (n_f, n_a)."""
         return self.shifts.H @ self.weights
+
+
+def _rule_error(weights: np.ndarray, theta: np.ndarray, a: float,
+                grid: np.ndarray) -> float:
+    """max over the grid of |f(lam) lam^a - 1|, f = sum_j w_j / (. + theta_j).
+
+    The len(grid) x n sample is taken a block of rows at a time, in one
+    buffer of at most ``_SHIFT_BLOCK / _RULE_SAMPLES`` entries, small
+    enough to stay in cache; only a rule of about 20 nodes or fewer forms
+    its sample whole.  Each row is summed whole, so the sup is bit for bit
+    that of the full sample.
+    """
+    n = len(theta)
+    rows = max(1, _SHIFT_BLOCK // (_RULE_SAMPLES * n))
+    buf = np.empty((min(rows, len(grid)), n))
+    error = 0.0
+    for i in range(0, len(grid), rows):
+        lam = grid[i:i + rows]
+        t = buf[:len(lam)]
+        np.add(lam[:, None], theta, out=t)
+        np.divide(weights, t, out=t)
+        f = t.sum(axis=1)
+        error = max(error, float(np.max(np.abs(f * lam**a - 1.0))))
+    return error
 
 
 def _power_rule(kernel: _CapacitanceKernel, a: float, lam1: float) -> _PowerRule:
@@ -1245,9 +1281,8 @@ def _power_rule(kernel: _CapacitanceKernel, a: float, lam1: float) -> _PowerRule
         theta = tau * (1.0 - x) / (1.0 + x)
         weights = (2.0 * math.sin(math.pi * a) / math.pi
                    * tau ** (1.0 - a) * omega / (1.0 + x))
-        grid = np.geomspace(lam1, lam_max, _RULE_SAMPLES * n)
-        f = (weights / (grid[:, None] + theta[None, :])).sum(axis=1)
-        error = float(np.max(np.abs(f * grid**a - 1.0)))
+        error = _rule_error(
+            weights, theta, a, np.geomspace(lam1, lam_max, _RULE_SAMPLES * n))
         if error <= _RULE_TOL:
             return _PowerRule(weights=weights,
                               shifts=kernel.shifts(theta), error=error)

@@ -123,6 +123,41 @@ def test_power_rule_error_against_mpmath(square_partial, a):
                                        op._rule(1 - S).error)
 
 
+def _sup_sample_error(rule, a, lam1, lam_max):
+    # the rule's sup sample as one 50n x n array
+    theta, w = rule.shifts.theta, rule.weights
+    grid = np.geomspace(lam1, lam_max, spectral._RULE_SAMPLES * len(theta))
+    f = (w / (grid[:, None] + theta[None, :])).sum(axis=1)
+    return float(np.max(np.abs(f * grid**a - 1.0)))
+
+
+@pytest.mark.parametrize("block", [None, 4096], ids=["default", "small"])
+@pytest.mark.parametrize("alpha", [None, 0.25])
+@pytest.mark.parametrize("a", [1 - S, S])
+def test_power_rule_error_is_the_whole_sample_sup(
+        monkeypatch, square_partial, square40_family, alpha, a, block):
+    # the blocked sample gives the sup of the whole one, bit for bit, also
+    # when each block is a single row
+    if block is not None:
+        monkeypatch.setattr(spectral, "_SHIFT_BLOCK", block)
+    ops = square_partial if alpha is None else _ops(square40_family[alpha])
+    op = ConstrainedOperator(ops)
+    rule = op._rule(a)
+    want = _sup_sample_error(rule, a, op.lam1, float(op._kernel.lam.max()))
+    assert rule.error == want
+
+
+def test_rule_holds_one_n_r_by_k_array(square_partial):
+    op = ConstrainedOperator(square_partial)
+    rule = op._rule(S)
+    op.inverse_power(np.ones(len(op._kernel.lam)), S)
+    size = len(op._kernel.lam) * len(rule.shifts.theta)
+    held = [x for obj in (rule, rule.shifts) for x in vars(obj).values()
+            if isinstance(x, np.ndarray) and x.size == size]
+    assert len(held) == 1 and held[0] is rule.shifts.H
+    assert not hasattr(rule, "H_weighted")
+
+
 @pytest.mark.parametrize("ops_name", ["square_partial", "cube_partial"])
 def test_constrained_operator_matches_dense_basis(request, ops_name):
     ops = request.getfixturevalue(ops_name)
@@ -249,14 +284,19 @@ def _assert_factored_kernel_matches_dense_b(ops, seed=0):
     n_r = len(lam)
     rng = np.random.default_rng(seed)
     H = 1.0 / (lam[:, None] + THETAS[None, :])
-    for C, h in zip(kernel._capacitance(H), H.T):
+    sh = kernel.shifts(THETAS)
+    # the shifts keep H in face-major order (p q, i, k)
+    pre, n_a, post = kernel._layout
+    np.testing.assert_array_equal(
+        sh.H, H.reshape(pre, n_a, post, -1).transpose(0, 2, 1, 3).reshape(
+            pre * post, n_a, -1))
+    for C, h in zip(kernel._capacitance(sh.H), H.T):
         _assert_close(np.tril(C), np.tril(_dense_c(B, h)))
 
     def dense_solve(g, h):
         z = np.linalg.solve(_dense_c(B, h), B @ (g * h))
         return (g - B.T @ z) * h
 
-    sh = kernel.shifts(THETAS)
     G = rng.standard_normal((n_r, len(THETAS)))
     _assert_close(kernel.solve(G, sh),
                   np.stack([dense_solve(g, h) for g, h in zip(G.T, H.T)], 1))
@@ -295,6 +335,28 @@ def test_factored_kernel_matches_dense_b(ops):
     # D lies on one face, so the kernel holds B_f with fewer columns than B
     assert ops.kernel._layout[1] > 1
     assert ops.kernel.B_f.shape[1] < _dense_b(ops.kernel).shape[1]
+    _assert_factored_kernel_matches_dense_b(ops)
+
+
+@pytest.mark.parametrize("ops, layout", [
+    # D on part of y = 0 in 3-d: R's eigen-index splits as (p, i, q) with p
+    # and q both nontrivial, so the face-major H is a true transpose
+    pytest.param(lambda: _ops(_mixed_partition(
+        (4, 5, 6), {(1, 0): [True] * 12 + [False] * 12})), (5, 6, 7),
+        id="3d-middle-axis"),
+    # D on parts of two faces: v = [1] and B_f = B
+    pytest.param(lambda: _ops(_mixed_partition(
+        (6, 5), {(0, 0): [True] * 2 + [False] * 3,
+                 (1, 1): [False] * 3 + [True] * 3})), (1, 1, 42),
+        id="2d-x0-and-y1"),
+    pytest.param(lambda: _ops(_mixed_partition(
+        (4, 3, 5), {(0, 0): [True] * 5 + [False] * 10,
+                    (2, 1): [False] * 6 + [True] * 6})), (1, 1, 120),
+        id="3d-x0-and-z1"),
+])
+def test_factored_kernel_matches_dense_b_in_each_layout(ops, layout):
+    ops = ops()
+    assert ops.tensor is None and ops.kernel._layout == layout
     _assert_factored_kernel_matches_dense_b(ops)
 
 
