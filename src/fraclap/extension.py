@@ -9,7 +9,8 @@ toward 0 where the solution carries a y^(2s) boundary layer.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,9 +88,22 @@ def build_cylinder(mesh: Mesh, Y: float, J: int, gamma: float) -> CylinderMesh:
     return CylinderMesh(base=mesh, y=y, Y=float(Y), J=int(J), gamma=float(gamma))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ExtensionField:
-    """Nodal values on base nodes x y-levels, zero on the lateral Dirichlet part.
+    """Values on base nodes x y-levels, zero on the lateral Dirichlet part.
+
+    A field holds its levels in the form it was made in and forms the other
+    on first need, once.  An extension from :func:`extend` holds the
+    M-coordinates C of every level in the face-aligned relaxation's
+    eigenbasis (:meth:`~fraclap.spectral.OperatorPair.coordinates`, n_R x
+    (J+1)), which :func:`x_norm` reads as they are; its nodal ``values``
+    are synthesized on first read (:meth:`~fraclap.spectral.OperatorPair.
+    synthesize`, J - 1 interior columns) and kept, and :func:`dtn`
+    synthesizes only levels 1 and 2 if they are not there yet.  A field
+    made from nodal values, by this constructor or :meth:`perturbed`, takes
+    C from them when :func:`x_norm` first needs it.  The constructor copies
+    ``values``, and ``values`` is read-only, so the two forms cannot drift
+    apart.
 
     Attributes
     ----------
@@ -99,40 +113,84 @@ class ExtensionField:
     partition : BoundaryPartition
     """
 
-    values: np.ndarray = field(repr=False)
     cyl: CylinderMesh
     partition: BoundaryPartition
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        want = (self.cyl.base.n_nodes, self.cyl.J + 1)
+    def __init__(self, values: np.ndarray, cyl: CylinderMesh,
+                 partition: BoundaryPartition) -> None:
+        v = np.array(values, dtype=float)
+        want = (cyl.base.n_nodes, cyl.J + 1)
         if v.shape != want:
             raise ValueError(f"expected values of shape {want}")
         if not np.all(np.isfinite(v)):
             raise ValueError("extension has non-finite entries")
-        mask = self.partition.dirichlet_node_mask
-        if np.any(v[mask] != 0.0):
+        if np.any(v[partition.dirichlet_node_mask] != 0.0):
             raise ValueError("extension must vanish on the lateral Dirichlet part")
-        object.__setattr__(self, "values", v)
+        v.flags.writeable = False
+        self._hold(cyl, partition, v[:, 0], values=v)
+
+    @classmethod
+    def _from_coordinates(cls, C: np.ndarray, trace: np.ndarray,
+                          cyl: CylinderMesh,
+                          partition: BoundaryPartition) -> ExtensionField:
+        # an extension held as its level coordinates C and its nodal trace
+        w = cls.__new__(cls)
+        w._hold(cyl, partition, trace, _coordinates=C)
+        return w
+
+    def _hold(self, cyl, partition, trace, **forms) -> None:
+        object.__setattr__(self, "cyl", cyl)
+        object.__setattr__(self, "partition", partition)
+        # the forms are the cached properties below, filled in advance
+        self.__dict__.update(forms, _trace=trace)
+
+    @property
+    def _ops(self):
+        return assemble_operators(self.cyl.base, self.partition)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Nodal values, (n_base_nodes, J+1), read-only."""
+        J = self.cyl.J
+        v = np.zeros((self.cyl.base.n_nodes, J + 1))
+        v[:, 0] = self._trace
+        self._ops.synthesize(self._coordinates[:, 1:J], out=v[:, 1:J])
+        v.flags.writeable = False
+        return v
+
+    @cached_property
+    def _coordinates(self) -> np.ndarray:
+        ops = self._ops
+        return ops.coordinates(self.values[ops.free, :])
+
+    def _first_levels(self) -> np.ndarray:
+        # nodal values of levels 0, 1 and 2, (n_base_nodes, 3)
+        if "values" in self.__dict__:
+            return self.values[:, :3]
+        v = np.zeros((self.cyl.base.n_nodes, 3))
+        v[:, 0] = self._trace
+        self._ops.synthesize(self._coordinates[:, 1:3], out=v[:, 1:])
+        return v
 
     def trace(self) -> Field:
         """Restriction to the base plane y = 0."""
-        return Field(values=self.values[:, 0].copy(), mesh=self.cyl.base,
+        return Field(values=self._trace.copy(), mesh=self.cyl.base,
                      partition=self.partition)
 
     def perturbed(self, delta: np.ndarray) -> ExtensionField:
         """Same trace, interior levels shifted by delta (test competitor)."""
-        d = np.asarray(delta, dtype=float)
         v = self.values.copy()
-        v[:, 1:-1] += d
+        v[:, 1:-1] += np.asarray(delta, dtype=float)
         v[self.partition.dirichlet_node_mask] = 0.0
-        return replace(self, values=v)
+        return ExtensionField(values=v, cyl=self.cyl, partition=self.partition)
 
 
 def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     # y-direction eigenpairs plus the base shifted solves of
     # OperatorPair.shifted, built once per partition and s and kept on the
-    # cylinder
+    # cylinder: the pair, the trace couplings a_0 and eM_0, and
+    # interior(g, out), which writes the coordinates of interior levels 1
+    # to J - 1 for the right side g Z[0] into out
     solver = cyl._solvers.get((partition, s))
     if solver is not None:
         return solver
@@ -145,7 +203,20 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     # the trace couples to the interior through column 0 of Mw and Aw, whose
     # one interior entry is row 1: eM_0 and -a_0, which the y-eigenvectors
     # turn into the row Z[0]
-    solver = (ops, Z, a[0], eM[0], ops.shifted(theta))
+    solve = ops.shifted(theta)
+    if ops.tensor is not None:
+        # the shifted solves are divisions, so row i of the interior
+        # coordinates is g_i times the y-profile of eigenvalue lambda_i,
+        # P = (Z[0] / (lambda_i + theta)) Z^T, formed once
+        P = solve(np.tile(Z[0], (len(ops.relaxed.values), 1))) @ Z.T
+
+        def interior(g: np.ndarray, out: np.ndarray) -> None:
+            np.multiply(g[:, None], P, out=out)
+    else:
+        def interior(g: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(solve(np.multiply.outer(g, Z[0])), Z.T, out=out)
+
+    solver = (ops, a[0], eM[0], interior)
     cyl._solvers[partition, s] = solver
     return solver
 
@@ -167,13 +238,20 @@ def extend(
     eM_0 Lambda c in the base coordinates, where c are the M-coordinates
     of u (:meth:`~fraclap.spectral.OperatorPair.coordinates`) and Lambda c
     those of A u.  So one coordinate column is formed per call, and no
-    product with A or M.  On face-aligned partitions (every face wholly
-    Dirichlet or wholly Neumann) the shifted systems are solved in the
-    Kronecker basis of 1-D eigenvectors, with no factorization; on other
-    partitions the same solves get a capacitance correction at the nodes
-    that the face-aligned relaxation frees, from the partition's one
+    product with A or M.  The result is held in the same coordinates: C =
+    [c, (G / (Lambda + theta)) Z^T, 0] for G = g Z[0], n_R x (J+1), with
+    nothing synthesized; the field's nodal ``values`` are formed on first
+    read (:class:`ExtensionField`).
+
+    On face-aligned partitions (every face wholly Dirichlet or wholly
+    Neumann) the shifted systems are divisions in the Kronecker basis of
+    1-D eigenvectors, so row i of the interior coordinates is g_i times the
+    y-profile (Z[0] / (lambda_i + theta)) Z^T of eigenvalue lambda_i, and
+    the profiles are formed once: a repeat call is one scaling of them.  On
+    other partitions the same solves get a capacitance correction at the
+    nodes that the face-aligned relaxation frees, from the partition's one
     capacitance kernel (``OperatorPair.kernel``), with one small r x r
-    inverse per theta_j.
+    inverse per theta_j, and the product with Z^T follows.
     The solver is built by the first call with a given partition and s and
     kept on the cylinder, so repeat calls only solve.  No base-operator
     spectrum is involved either way.
@@ -200,16 +278,18 @@ def extend(
             "first y-cell too coarse for the boundary layer; increase J or gamma",
             RuntimeWarning, stacklevel=2)
 
-    ops, Z, a0, eM0, solve = _interior_solver(partition, cyl, s)
+    ops, a0, eM0, interior = _interior_solver(partition, cyl, s)
     uf = u.free_values(ops)
     c = ops.coordinates(uf)
     g = a0 * c - eM0 * ops.stiffness(c)
-    W_int = solve(np.multiply.outer(g, Z[0])) @ Z.T
-
-    full = np.zeros((cyl.base.n_nodes, cyl.J + 1))
-    full[ops.free, 0] = uf
-    full[ops.free, 1:cyl.J] = W_int
-    return ExtensionField(values=full, cyl=cyl, partition=partition)
+    J = cyl.J
+    C = np.empty((len(c), J + 1))
+    C[:, 0] = c
+    C[:, J] = 0.0
+    interior(g, C[:, 1:J])
+    trace = np.zeros(cyl.base.n_nodes)
+    trace[ops.free] = uf
+    return ExtensionField._from_coordinates(C, trace, cyl, partition)
 
 
 def _check_grid(cyl: CylinderMesh, w: ExtensionField) -> None:
@@ -228,16 +308,24 @@ def dtn(
 
     Returns -kappa * lim_{y->0+} y^(1-2s) dw/dy as a Field; for the true
     extension of u this is the fractional operator applied to u.  The limit
-    comes from the two-point boundary-layer fit of :mod:`_weighted1d`.
-    ``w`` must have been built on ``cyl``'s grid.
+    comes from the two-point boundary-layer fit of :mod:`_weighted1d`,
+    which reads levels 0, 1 and 2 only: a field from :func:`extend` whose
+    ``values`` were not read yet synthesizes those two interior levels
+    from its coordinates, not all J - 1.  ``w`` must have been built on
+    ``cyl``'s grid.
     """
     _check_grid(cyl, w)
+    levels = w._first_levels()
     limit = weighted_slope_limit(
-        w.values[:, 1] - w.values[:, 0], w.values[:, 2] - w.values[:, 0],
+        levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 0],
         cyl.y[1], cyl.y[2], params.s)
     vals = -kappa * limit
     vals[w.partition.dirichlet_node_mask] = 0.0
     return Field(values=vals, mesh=cyl.base, partition=w.partition)
+
+
+# entries of level differences x_norm forms at a time
+_DIFF_BLOCK = 1 << 15
 
 
 def x_norm(
@@ -252,24 +340,34 @@ def x_norm(
     discrete quadratic form uses the same exactly-integrated weight as the
     solve, so the match is limited only by discretization.  It is the form
     kappa W^T (kron(A, Mw) + kron(M, Aw)) W of any field W, taken from the
-    M-coordinates C_j of every level W_j in one contraction
+    M-coordinates C_j of every level W_j, which a field from :func:`extend`
+    holds and any other field forms once in one contraction
     (:meth:`~fraclap.spectral.OperatorPair.coordinates`), so that
     <A W_j, W_k> = <Lambda C_j, C_k> and <M W_j, W_k> = <C_j, C_k>: the Mw
     part from the two bands of the tridiagonal Mw as products of adjacent
     levels, sum_j d_j <Lambda C_j, C_j> + 2 sum_j e_j <Lambda C_j, C_j+1>,
     and the Aw part in conductance-difference form, sum_c a_c |C_c+1 -
-    C_c|^2 with a_c the cell conductances.  The rows of Aw sum to zero
-    while its entries grow like y_1^(-2s), so the difference form keeps the
-    digits that W^T Aw W would lose to cancellation.  ``w`` must have been
-    built on ``cyl``'s grid.
+    C_c|^2 with a_c the cell conductances, a block of rows at a time.
+    The rows of Aw sum to zero while its entries grow like y_1^(-2s), so
+    the difference form keeps the digits that W^T Aw W would lose to
+    cancellation.  ``w`` must have been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)
-    ops = assemble_operators(cyl.base, w.partition)
     _, a, dM, eM = weighted_bands(cyl.y, params.s)
-    C = ops.coordinates(w.values[ops.free, :])
-    lam = ops.relaxed.values
+    C = w._coordinates
+    lam = w._ops.relaxed.values
     energy = dM @ np.einsum("i,ij,ij->j", lam, C, C)
     energy += 2.0 * eM @ np.einsum("i,ij,ij->j", lam, C[:, :-1], C[:, 1:])
-    dC = np.diff(C, axis=1)
-    energy += a @ np.einsum("ij,ij->j", dC, dC)
+    # the Aw part a block of rows at a time, each difference scaled by
+    # sqrt(a_c), so that a block is one dot product and no n_R x J array
+    # is formed
+    root_a = np.sqrt(a)
+    step = max(1, _DIFF_BLOCK // cyl.J)
+    work = np.empty((min(step, len(C)), cyl.J))
+    for i in range(0, len(C), step):
+        rows = C[i:i + step]
+        d = work[:len(rows)]
+        np.subtract(rows[:, 1:], rows[:, :-1], out=d)
+        d *= root_a
+        energy += d.ravel() @ d.ravel()
     return float(np.sqrt(kappa * energy))

@@ -138,17 +138,18 @@ def _pairing(mesh: Mesh, axis: int, side: int, x0: tuple) -> float:
     return (1.0 if side == 1 else -1.0) * (mesh.extents[axis][side] - x0[axis])
 
 
-def _cell_corners(x: np.ndarray, dim: int) -> np.ndarray:
-    """Values at the 2^dim corners of every cell, corners first.
+def _pair_means(x: np.ndarray, axes) -> np.ndarray:
+    """Mean of each pair of adjacent entries along every axis in ``axes``.
 
-    ``x`` holds node values on its first ``dim`` axes.  Corners come in C
-    order of their offsets, which is ascending flat node order.
+    Along all of a cell's axes this is the mean over its 2^k corners, taken
+    one axis at a time, so each temporary is at most the size of ``x``.
     """
-    out = []
-    for offsets in np.ndindex(*(2,) * dim):
-        out.append(x[tuple(slice(o, x.shape[d] - 1 + o)
-                           for d, o in enumerate(offsets))])
-    return np.stack(out)
+    for e in axes:
+        lo = [slice(None)] * x.ndim
+        hi = list(lo)
+        lo[e], hi[e] = slice(None, -1), slice(1, None)
+        x = 0.5 * (x[tuple(lo)] + x[tuple(hi)])
+    return x
 
 
 def _lateral_strips(slab: np.ndarray, spacing, y: np.ndarray,
@@ -164,15 +165,12 @@ def _lateral_strips(slab: np.ndarray, spacing, y: np.ndarray,
     Returns one value per facet, C-ordered over the transverse cells.
     """
     dim = slab.ndim - 1
-    corners = _cell_corners(slab, dim)
-    by_offset = corners.reshape((2,) * dim + corners.shape[1:])
     per_cell = 0.0
     for d in range(dim):
-        hi = np.take(by_offset, 1, axis=d).reshape((-1,) + corners.shape[1:])
-        lo = np.take(by_offset, 0, axis=d).reshape(hi.shape)
-        g = (hi - lo).mean(axis=0) / spacing[d]
+        g = _pair_means(np.diff(slab, axis=d),
+                        [e for e in range(dim) if e != d]) / spacing[d]
         per_cell = per_cell + (0.5 * (g[..., :-1] + g[..., 1:])) ** 2
-    mean = corners.mean(axis=0)
+    mean = _pair_means(slab, range(dim))
     g_y = (mean[..., 1:] - mean[..., :-1]) / np.diff(y)
     per_cell = per_cell + g_y ** 2
     return (per_cell * y_moment0).sum(axis=-1).ravel()
@@ -248,7 +246,7 @@ def pohozaev_terms(
         if not is_dir.all():
             layer[a] = slice(0, 1) if side == 0 else slice(-1, None)
             face_F = np.moveaxis(spec.F(U[tuple(layer)]), a, -1)
-            f_mean = _cell_corners(face_F, mesh.dim - 1).mean(axis=0).ravel()
+            f_mean = _pair_means(face_F, range(mesh.dim - 1)).ravel()
             bdry = f_mean[~is_dir] * measure * pairing
             bdry_neu = np.cumsum(np.r_[bdry_neu, bdry])[-1]
     lat_neu, lat_dir, bdry_neu = float(lat_neu), float(lat_dir), float(bdry_neu)

@@ -273,20 +273,26 @@ class TensorEigs:
         return signs
 
     def _per_axis(self, mats, X: np.ndarray,
-                  work: np.ndarray | None = None) -> np.ndarray:
-        # applies the Kronecker product of the square mats to each column;
-        # given a C-contiguous X and a work array of its shape, the products
-        # alternate between the two, overwriting X, and allocate nothing
+                  out: np.ndarray | None = None) -> np.ndarray:
+        # applies the Kronecker product of the square mats to each column.
+        # Given out, of shape self.shape + (r,) and any strides, the
+        # products alternate between out and one work array, so that the
+        # last lands in out: each is a batch of n_d x n_d times n_d x r
+        # products over the other axes, which strided operands allow
         r = X.shape[1]
         shape = self.shape
-        T, spare = X, work
+        if out is None:
+            T = X
+            for d, op in enumerate(mats):
+                T = op @ T.reshape(math.prod(shape[:d]), shape[d], -1)
+            return T.reshape(-1, r)
+        src = X.reshape(shape + (r,))
+        spare = np.empty(shape + (r,)) if len(mats) > 1 else None
         for d, op in enumerate(mats):
-            T = T.reshape(math.prod(shape[:d]), shape[d], -1)
-            if spare is None:
-                T = op @ T
-            else:
-                T, spare = np.matmul(op, T, out=spare.reshape(T.shape)), T
-        return T.reshape(-1, r)
+            dst = out if (len(mats) - 1 - d) % 2 == 0 else spare
+            np.matmul(op, np.moveaxis(src, d, -2), out=np.moveaxis(dst, d, -2))
+            src = dst
+        return out
 
     def dual(self, X: np.ndarray) -> np.ndarray:
         """V^T X for V the Kronecker product of ``vecs``; X is (n, r)."""
@@ -297,13 +303,14 @@ class TensorEigs:
         return self._per_axis(self.inverses, X)
 
     def synthesize(self, C: np.ndarray,
-                   work: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None) -> np.ndarray:
         """V C for V the Kronecker product of ``vecs``; C is (n, r).
 
-        With a ``work`` array of C's shape (C C-contiguous) the result is
-        written into C or work, and C is overwritten.
+        Given ``out``, an array of shape ``shape + (r,)`` with any strides,
+        the result is written into it with one work array of C's size, and
+        ``out`` is returned.
         """
-        return self._per_axis(self.vecs, C, work)
+        return self._per_axis(self.vecs, C, out)
 
 
 @dataclass(frozen=True)
@@ -395,6 +402,36 @@ class OperatorPair:
             return self.kernel.coordinates(f)
         return self.tensor.coordinates(f.reshape(len(f), -1)).reshape(f.shape)
 
+    def synthesize(self, c: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Free-node values f = V_R c of coordinates c, (n_R,) or (n_R, k).
+
+        The inverse of :meth:`coordinates` on coordinates in null(B): the
+        per-axis contraction with the 1-D eigenvectors, restricted to the
+        partition's free nodes on partial facets (the kernel's
+        ``synthesize``).  Returns f, (n,) or (n, k).  Given ``out``, a 2-D
+        array over all of the mesh's nodes, (n_nodes, k) with any strides,
+        f goes to its free rows, its other rows are left as they are, and
+        ``out`` is returned.  On face-aligned partitions the free rows are
+        a strided block of ``out``, which the last per-axis product writes
+        directly, after one work array of f's size.
+        """
+        c = np.asarray(c, dtype=float)
+        if self.kernel is not None:
+            f = self.kernel.synthesize(c)
+            if out is None:
+                return f
+            out[self.free] = f.reshape(len(f), -1)
+            return out
+        t = self.tensor
+        if out is None:
+            return t.synthesize(c.reshape(len(c), -1)).reshape(c.shape)
+        ends = (np.flatnonzero(keep)[[0, -1]] for keep, _, _ in self._bands)
+        block = out.reshape(self.mesh.shape + out.shape[1:])[
+            tuple(slice(lo, hi + 1) for lo, hi in ends)]
+        t.synthesize(c.reshape(len(c), -1), out=block)
+        return out
+
     def stiffness(self, c: np.ndarray) -> np.ndarray:
         """V^T A f from the coordinates c of f: Lambda_R c, projected onto
         null(B) on partial facets."""
@@ -406,19 +443,18 @@ class OperatorPair:
 
         Returns ``solve``, which takes an array G with one column g_j =
         V_R^T b_j per shift (projected onto null(B) on partial facets) to
-        the free-node solutions x_j, and may overwrite G.  For b = M f that
-        column is :meth:`coordinates` of f, and for b = A f its
+        the coordinates of the solutions x_j, (n_R, k), and may overwrite
+        G; :meth:`synthesize` takes them to free-node values.  For b = M f
+        that column is :meth:`coordinates` of f, and for b = A f its
         :meth:`stiffness`; a right side of low rank in the shift direction
         needs them for its few factors only.
 
         On face-aligned partitions A and M are diagonal in the Kronecker
         basis of ``tensor``, so each solve is a division by
-        (lambda_i + theta_j) and one per-axis contraction, both in G and
-        one work array of its size: each n x k array a solve allocates is
-        one more set of fresh pages to fault in.  Partial-facet
-        partitions add the capacitance correction of the pair's one
-        ``kernel``, with one r x r inverse Cholesky factor per shift; no
-        shifted matrix is factored.
+        (lambda_i + theta_j), in place in G.  Partial-facet partitions add
+        the capacitance correction of the pair's one ``kernel``, with one
+        r x r inverse Cholesky factor per shift; no shifted matrix is
+        factored.
         """
         t = self.tensor
         if t is not None:
@@ -426,12 +462,12 @@ class OperatorPair:
 
             def solve(G: np.ndarray) -> np.ndarray:
                 G /= denom
-                return t.synthesize(G, work=np.empty_like(G))
+                return G
 
             return solve
         k = self.kernel
         shifts = k.shifts(theta)
-        return lambda G: k.synthesize(k.solve(G, shifts))
+        return lambda G: k.solve(G, shifts)
 
 
 def _times_rows(d: np.ndarray, c: np.ndarray) -> np.ndarray:

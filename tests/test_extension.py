@@ -483,3 +483,129 @@ def test_solve_path_builds_no_sparse_matrix(monkeypatch):
     square = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
     half = fl.moving_family(square, [0.5])[0]
     assert fl.assemble_operators(square, half).kernel is not None
+
+
+def _extension_cases():
+    # face-aligned 2-D and 3-D (the 3-D one Dirichlet on a middle-axis
+    # face), partial-facet 16^2 at alpha = 1/2 and a 3-D partial facet
+    square = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [16, 16])
+    cube = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [6, 6, 6])
+    return {
+        "square": (square, fl.partition_boundary(square, [(0, 0)])),
+        "cube-middle-face": (cube, fl.partition_boundary(cube, [(1, 0)])),
+        "square-half": (square, fl.moving_family(square, [0.5])[0]),
+        "cube-half": (cube, fl.moving_family(cube, [0.5])[0]),
+    }
+
+
+def _extension_of(mesh, part, J=32):
+    params = fl.FracParams(s=S, N=mesh.dim)
+    cyl = fl.build_cylinder(mesh, 4.0, J, 3.0)
+    u = fl.Field.from_callable(
+        mesh, part, lambda x: np.cos(x[:, 0]) * (1.0 + x[:, 1] ** 2))
+    return params, cyl, u, fl.extend(cyl, part, params, u)
+
+
+def _eager_values(cyl, ops, params, u):
+    # the nodal extension formed eagerly: every shifted solve synthesized
+    # to nodal values first, then the product with Z^T
+    from fraclap.spectral import _pencil_eigh, _tridiagonal
+
+    dA, a, dM, eM = weighted_bands(cyl.y, params.s)
+    J = cyl.J
+    theta, Z = _pencil_eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
+                            _tridiagonal(dM[1:J], eM[1:J - 1]))
+    uf = u.free_values(ops)
+    c = ops.coordinates(uf)
+    g = a[0] * c - eM[0] * ops.stiffness(c)
+    X = ops.shifted(theta)(np.multiply.outer(g, Z[0]))
+    full = np.zeros((cyl.base.n_nodes, J + 1))
+    full[ops.free, 0] = uf
+    full[ops.free, 1:J] = ops.synthesize(X) @ Z.T
+    return full
+
+
+@pytest.mark.parametrize("case", list(_extension_cases()))
+def test_extension_from_coordinates_matches_its_nodal_copy(case):
+    # an extension holds the coordinates of its levels and synthesizes
+    # values on demand; the same field rebuilt from those values must give
+    # the same x_norm and, up to the synthesis round-off, the same dtn
+    mesh, part = _extension_cases()[case]
+    ops = fl.assemble_operators(mesh, part)
+    assert (ops.tensor is None) == case.endswith("half")
+    params, cyl, u, w = _extension_of(mesh, part)
+    kap = fl.kappa_s(params)
+    flux = fl.dtn(cyl, params, w, kap).values
+    norm = fl.x_norm(cyl, params, w, kap)
+
+    eager = _eager_values(cyl, ops, params, u)
+    scale = np.max(np.abs(eager))
+    assert np.max(np.abs(w.values - eager)) <= 1e-13 * scale
+    assert np.array_equal(w.values[:, 0], u.values)
+    assert np.all(w.values[:, -1] == 0.0)
+    assert np.all(w.values[part.dirichlet_node_mask] == 0.0)
+
+    nodal = fl.ExtensionField(values=w.values, cyl=cyl, partition=part)
+    assert fl.x_norm(cyl, params, nodal, kap) == pytest.approx(norm, rel=1e-13)
+    # dtn reads w(y_1) - w(0), so the two syntheses of level 1 (two
+    # columns against J - 1) differ by its round-off floor: at most
+    # 1.1e-11 of the largest flux on these cases
+    want = fl.dtn(cyl, params, nodal, kap).values
+    assert np.max(np.abs(flux - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_extension_values_are_read_only_copies():
+    mesh, part = _extension_cases()["square"]
+    params, cyl, u, w = _extension_of(mesh, part)
+    with pytest.raises(ValueError):
+        w.values[0, 1] = 1.0
+    given = w.values.copy()
+    nodal = fl.ExtensionField(values=given, cyl=cyl, partition=part)
+    given[~part.dirichlet_node_mask, 1] += 1.0
+    assert np.array_equal(nodal.values, w.values)
+    with pytest.raises(ValueError):
+        nodal.values[0, 1] = 1.0
+    # a perturbed field is the field made from its values
+    kap = fl.kappa_s(params)
+    delta = 1e-2 * np.random.default_rng(5).standard_normal(
+        (mesh.n_nodes, cyl.J - 1))
+    v = w.values.copy()
+    v[:, 1:-1] += delta
+    v[part.dirichlet_node_mask] = 0.0
+    made = fl.ExtensionField(values=v, cyl=cyl, partition=part)
+    assert (fl.x_norm(cyl, params, w.perturbed(delta), kap)
+            == fl.x_norm(cyl, params, made, kap))
+
+
+def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
+    # extend, dtn and x_norm stay in coordinates: one coordinate column (the
+    # trace), two synthesized interior levels (dtn's); reading values
+    # synthesizes the J - 1 interior levels once
+    coordinated, synthesized = [], []
+    coordinates = fl.OperatorPair.coordinates
+    synthesize = fl.OperatorPair.synthesize
+
+    def columns(a):
+        return 1 if np.ndim(a) == 1 else np.shape(a)[1]
+
+    def counting_coordinates(self, f):
+        coordinated.append(columns(f))
+        return coordinates(self, f)
+
+    def counting_synthesize(self, c, out=None):
+        synthesized.append(columns(c))
+        return synthesize(self, c, out)
+
+    monkeypatch.setattr(fl.OperatorPair, "coordinates", counting_coordinates)
+    monkeypatch.setattr(fl.OperatorPair, "synthesize", counting_synthesize)
+    mesh, part = _extension_cases()["square"]
+    params, cyl, u, w = _extension_of(mesh, part, J=32)
+    kap = fl.kappa_s(params)
+    fl.dtn(cyl, params, w, kap)
+    fl.x_norm(cyl, params, w, kap)
+    assert coordinated == [1]
+    assert sum(synthesized) <= 2
+    synthesized.clear()
+    first = w.values
+    assert w.values is first
+    assert synthesized == [cyl.J - 1]
