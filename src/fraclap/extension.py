@@ -93,17 +93,18 @@ class ExtensionField:
     """Values on base nodes x y-levels, zero on the lateral Dirichlet part.
 
     A field holds its levels in the form it was made in and forms the other
-    on first need, once.  An extension from :func:`extend` holds the
+    on first need.  An extension from :func:`extend` holds the
     M-coordinates C of every level in the face-aligned relaxation's
     eigenbasis (:meth:`~fraclap.spectral.OperatorPair.coordinates`, n_R x
-    (J+1)), which :func:`x_norm` reads as they are; its nodal ``values``
-    are synthesized on first read (:meth:`~fraclap.spectral.OperatorPair.
-    synthesize`, J - 1 interior columns) and kept, and :func:`dtn`
-    synthesizes only levels 1 and 2 if they are not there yet.  A field
-    made from nodal values, by this constructor or :meth:`perturbed`, takes
-    C from them when :func:`x_norm` first needs it.  The constructor copies
-    ``values``, and ``values`` is read-only, so the two forms cannot drift
-    apart.
+    (J+1)), which :func:`x_norm` reads as they are, and :func:`dtn`
+    synthesizes only levels 1 and 2 from them.  Its nodal ``values`` are
+    synthesized on first read (:meth:`~fraclap.spectral.OperatorPair.
+    synthesize`, J - 1 interior columns) and kept in place of C, so that
+    it holds one form at a time.  A field made from nodal values, by this
+    constructor or :meth:`perturbed`, or one whose values were read,
+    takes C from them when :func:`x_norm` first needs it, and keeps it.
+    The constructor copies ``values``, and ``values`` is read-only, so the
+    two forms cannot drift apart.
 
     Attributes
     ----------
@@ -156,6 +157,8 @@ class ExtensionField:
         v[:, 0] = self._trace
         self._ops.synthesize(self._coordinates[:, 1:J], out=v[:, 1:J])
         v.flags.writeable = False
+        # held in place of C, which x_norm forms again from them if needed
+        del self.__dict__["_coordinates"]
         return v
 
     @cached_property

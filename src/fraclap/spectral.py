@@ -10,15 +10,15 @@ partly Dirichlet face made Neumann.  R's free nodes form a product set
 containing the partition's, R's A is a Kronecker sum and M a Kronecker
 product of restricted 1-D matrices, and R's eigenpairs are sums and
 Kronecker products of 1-D eigenpairs (Lynch, Rice & Thomas 1964).
-Assembly takes each axis's generalized eigenpairs from the dense
-tridiagonals of its 1-D stiffness and mass bands (:func:`_pencil_eigh`)
-and keeps U_d = V_d^T M_d with them.  A field's M-coordinates V_R^T M_R f
+Assembly takes each axis's generalized eigenpairs from its dense
+tridiagonal 1-D stiffness and mass (:func:`_pencil_eigh`) and keeps
+U_d = V_d^T M_d with them.  A field's M-coordinates V_R^T M_R f
 are then one per-axis contraction with the U_d, and they give every
 product with A or M the library needs: V^T M f, |f|_M^2 and V^T A f =
 Lambda_R V^T M f (:meth:`OperatorPair.coordinates`).  So no library path
 forms A or M, and the package imports no scipy module: A and M exist as
-CSR matrices for checks only, filled from the same bands on R's 3^N-point
-stencil when first read.
+CSR matrices for checks only, each built on its first read as
+``scipy.sparse.kron`` products of the same 1-D matrices.
 
 When every face is wholly Dirichlet or wholly Neumann, the partition is
 its own relaxation.  It never needs a dense n x n eigensolve, its bases
@@ -81,30 +81,25 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _COLUMN_CHUNK = 256
 
 
-def _line_bands(n: int, h: float,
-                keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-D P1 stiffness and consistent mass bands on n uniform cells.
-
-    Row i of each (len, 3) array holds the entries (i, i-1), (i, i) and
-    (i, i+1) over the kept nodes ``keep``, zero past the kept ends.
-    """
-    inv, sixth = 1.0 / h, h / 6.0
-    a = np.tile([-inv, 2.0 * inv, -inv], (n + 1, 1))
-    m = np.tile([sixth, 4.0 * sixth, sixth], (n + 1, 1))
-    a[[0, -1], 1] = inv
-    m[[0, -1], 1] = 2.0 * sixth
-    a, m = a[keep], m[keep]
-    for band in (a, m):
-        band[0, 0] = band[-1, 2] = 0.0
-    return a, m
-
-
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Dense symmetric tridiagonal matrix from its diagonal and off-diagonal."""
     out = np.diag(diag)
     i = np.arange(len(off))
     out[i, i + 1] = out[i + 1, i] = off
     return out
+
+
+def _line_matrices(n: int, h: float,
+                   keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 1-D P1 stiffness and consistent mass on n uniform cells,
+    over the kept nodes ``keep``."""
+    inv, sixth = 1.0 / h, h / 6.0
+    a = _tridiagonal(np.full(n + 1, 2.0 * inv), np.full(n, -inv))
+    m = _tridiagonal(np.full(n + 1, 4.0 * sixth), np.full(n, sixth))
+    a[0, 0] = a[-1, -1] = inv
+    m[0, 0] = m[-1, -1] = 2.0 * sixth
+    kept = np.ix_(keep, keep)
+    return a[kept], m[kept]
 
 
 def _pencil_eigh(a: np.ndarray,
@@ -122,36 +117,6 @@ def _pencil_eigh(a: np.ndarray,
     return lam, d[:, None] * (Linv.T @ Y)
 
 
-def _csr(vals: np.ndarray, sel: np.ndarray, col: np.ndarray, rows: np.ndarray):
-    # square CSR matrix of the stencil values at the entries sel, whose
-    # column indices are col, over the stencil rows ``rows``
-    import scipy.sparse as sp
-
-    indptr = np.zeros(len(rows) + 1, dtype=col.dtype)
-    np.cumsum(np.count_nonzero(sel, axis=1)[rows], dtype=col.dtype,
-              out=indptr[1:])
-    return sp.csr_matrix((vals[sel], col, indptr), shape=(len(rows),) * 2)
-
-
-def _stencil(bands, shape: tuple[int, ...]) -> np.ndarray:
-    """Kronecker product of per-axis bands on the 3^N-point stencil.
-
-    Row k (C order over ``shape``) holds the products for the neighbours
-    k + sum_d o_d stride_d, the offsets o in {-1, 0, 1}^N in lexicographic,
-    hence column, order; a neighbour off the grid gets a zero factor.  The
-    factors multiply left to right, ((b_0 b_1) b_2), as ``scipy.sparse.kron``
-    multiplies them.
-    """
-    dim = len(shape)
-    out = None
-    for d, band in enumerate(bands):
-        spread = [1] * (2 * dim)
-        spread[d], spread[dim + d] = shape[d], 3
-        factor = band.reshape(spread)
-        out = factor if out is None else out * factor
-    return out.reshape(math.prod(shape), 3**dim)
-
-
 def _trapezoid_weights(mesh: Mesh) -> np.ndarray:
     """Trapezoid weights at every mesh node, flat in C order.
 
@@ -164,6 +129,17 @@ def _trapezoid_weights(mesh: Mesh) -> np.ndarray:
         wd[0] = wd[-1] = 0.5 * h
         w = np.multiply.outer(w, wd)
     return w.ravel()
+
+
+def _kron(mats):
+    # Kronecker product of the dense square mats as a CSR matrix, multiplied
+    # left to right
+    import scipy.sparse as sp
+
+    out = sp.csr_matrix(mats[0])
+    for a in mats[1:]:
+        out = sp.kron(out, a, format="csr")
+    return out
 
 
 def _kron_rows(mats, flat: np.ndarray) -> np.ndarray:
@@ -313,7 +289,7 @@ class TensorEigs:
         return self._per_axis(self.vecs, C, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
     """Stiffness/mass pair restricted to free nodes.
 
@@ -335,10 +311,12 @@ class OperatorPair:
     ----------
     A, M : scipy.sparse.csr_matrix
         Symmetric stiffness and consistent mass over free nodes, with
-        sorted column indices and no stored zeros.  Filled from the 1-D
-        bands on R's 3^N-point stencil on first read, which imports
-        ``scipy.sparse``; a reference for checks, read by no library
-        function.
+        sorted column indices and no stored zeros.  Each is built on its
+        own first read, which imports ``scipy.sparse``: M is the Kronecker
+        product of R's dense 1-D masses and A the sum over axes of the
+        products with one 1-D stiffness in place of the mass, multiplied
+        left to right, restricted to the free nodes on partial facets.  A
+        reference for checks, read by no library function.
     lumped : numpy.ndarray
         Trapezoid weights at the free nodes (the row sums of the full
         consistent mass); the positive quadrature weights of nodal p-norms.
@@ -358,11 +336,10 @@ class OperatorPair:
     free: np.ndarray = field(repr=False)
     mesh: Mesh
     partition: BoundaryPartition
-    tensor: TensorEigs | None = field(default=None, repr=False, compare=False)
-    kernel: _CapacitanceKernel | None = field(default=None, repr=False,
-                                              compare=False)
-    # per axis: R's kept end nodes and the 1-D stiffness and mass bands
-    _bands: tuple = field(default=(), repr=False, compare=False)
+    tensor: TensorEigs | None = field(default=None, repr=False)
+    kernel: _CapacitanceKernel | None = field(default=None, repr=False)
+    # per axis: the nodes R keeps
+    _keep: tuple = field(default=(), repr=False)
 
     @property
     def n_free(self) -> int:
@@ -373,17 +350,29 @@ class OperatorPair:
         """R's per-axis eigenpairs; ``tensor`` on face-aligned partitions."""
         return self.tensor if self.kernel is None else self.kernel.relaxed
 
+    def _lines(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # R's dense 1-D stiffness and mass per axis, as assembly formed
+        # them; formed again here, so that the pair does not keep them
+        return [_line_matrices(nd, hd, k) for nd, hd, k
+                in zip(self.mesh.n, self.mesh.spacing, self._keep)]
+
+    def _free_block(self, X):
+        # R's matrix X restricted to the partition's free nodes
+        if self.kernel is None:
+            return X
+        pos = self.kernel.pos
+        return X[pos][:, pos]
+
     @cached_property
-    def _sparse(self) -> tuple:
-        return _sparse_pair(self)
-
-    @property
     def A(self):
-        return self._sparse[0]
+        lines = self._lines()
+        terms = (_kron([a if k == d else m for k, (a, m) in enumerate(lines)])
+                 for d in range(len(lines)))
+        return self._free_block(sum(terms, next(terms)))
 
-    @property
+    @cached_property
     def M(self):
-        return self._sparse[1]
+        return self._free_block(_kron([m for _, m in self._lines()]))
 
     def coordinates(self, f: np.ndarray) -> np.ndarray:
         """c = V_R^T M_R f~ for free-node values f, (n,) or (n, k).
@@ -426,7 +415,7 @@ class OperatorPair:
         t = self.tensor
         if out is None:
             return t.synthesize(c.reshape(len(c), -1)).reshape(c.shape)
-        ends = (np.flatnonzero(keep)[[0, -1]] for keep, _, _ in self._bands)
+        ends = (np.flatnonzero(keep)[[0, -1]] for keep in self._keep)
         block = out.reshape(self.mesh.shape + out.shape[1:])[
             tuple(slice(lo, hi + 1) for lo, hi in ends)]
         t.synthesize(c.reshape(len(c), -1), out=block)
@@ -485,15 +474,13 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
         if labels[facets].all():
             keep[axis][0 if side == 0 else -1] = False
 
-    bands, lams, vecs, inverses = [], [], [], []
+    lams, vecs, inverses = [], [], []
     for nd, hd, k in zip(mesh.n, mesh.spacing, keep):
-        a, m = _line_bands(nd, hd, k)
-        m_dense = _tridiagonal(m[:, 1], m[:-1, 2])
-        lam, vec = _pencil_eigh(_tridiagonal(a[:, 1], a[:-1, 2]), m_dense)
-        bands.append((k, a, m))
+        a, m = _line_matrices(nd, hd, k)
+        lam, vec = _pencil_eigh(a, m)
         lams.append(lam)
         vecs.append(vec)
-        inverses.append(vec.T @ m_dense)
+        inverses.append(vec.T @ m)
     relaxed = TensorEigs(lams=tuple(lams), vecs=tuple(vecs),
                          inverses=tuple(inverses))
 
@@ -506,51 +493,7 @@ def _assemble(partition: BoundaryPartition) -> OperatorPair:
         lumped=_trapezoid_weights(mesh)[free], free=free, mesh=mesh,
         partition=partition, tensor=relaxed if aligned else None,
         kernel=None if aligned else _CapacitanceKernel(relaxed, pos),
-        _bands=tuple(bands))
-
-
-def _sparse_pair(ops: OperatorPair) -> tuple:
-    # A and M as CSR matrices, filled from the 1-D bands on the 3^N-point
-    # pattern of the relaxation's product grid: the stencil entries whose
-    # mass product is nonzero, the ones on the grid
-    mesh = ops.mesh
-    keep = [k for k, _, _ in ops._bands]
-    bands_a = [a for _, a, _ in ops._bands]
-    bands_m = [m for _, _, m in ops._bands]
-    shape = tuple(int(k.sum()) for k in keep)
-    n_r = math.prod(shape)
-    idx = np.int32 if n_r * 3**mesh.dim < 2**31 else np.int64
-    strides = [math.prod(shape[d + 1:]) for d in range(mesh.dim)]
-    shift = np.array([sum((o - 1) * st for o, st in zip(offs, strides))
-                      for offs in np.ndindex(*(3,) * mesh.dim)], dtype=idx)
-    m_vals = _stencil(bands_m, shape)
-    entry = m_vals != 0
-    col = np.arange(n_r, dtype=idx)[:, None] + shift
-    mask = ops.partition.dirichlet_node_mask.reshape(mesh.shape)
-    kept = ~mask[np.ix_(*keep)]
-    pos = np.flatnonzero(kept)
-    if len(pos) < n_r:
-        # keep the rows and columns of the partition's free nodes
-        kept = kept.ravel()
-        entry &= kept[:, None]
-        entry[entry] = kept[col[entry]]
-        col = (np.cumsum(kept, dtype=idx) - 1)[col[entry]]
-    else:
-        col = col[entry]
-    M = _csr(m_vals, entry, col, pos)
-    del m_vals
-
-    # A is a Kronecker sum, its terms added left to right; entries that
-    # cancel exactly are dropped, as a sparse sum drops them (on a 3-D grid
-    # of cubic cells, every face-neighbour entry)
-    terms = ([bands_a[k] if k == d else bands_m[k] for k in range(mesh.dim)]
-             for d in range(mesh.dim))
-    a_vals = _stencil(next(terms), shape)
-    for factors in terms:
-        a_vals += _stencil(factors, shape)
-    stored = entry & (a_vals != 0)
-    A = _csr(a_vals, stored, col[stored[entry]], pos)
-    return A, M
+        _keep=tuple(keep))
 
 
 def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair:

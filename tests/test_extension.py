@@ -577,6 +577,20 @@ def test_extension_values_are_read_only_copies():
             == fl.x_norm(cyl, params, made, kap))
 
 
+@pytest.mark.parametrize("case", ["square", "square-half"])
+def test_extension_holds_one_form_after_values_are_read(case):
+    # reading values drops the coordinates they came from; x_norm forms
+    # them again from the values, as for a field made from nodal values
+    mesh, part = _extension_cases()[case]
+    params, cyl, u, w = _extension_of(mesh, part)
+    kap = fl.kappa_s(params)
+    before = fl.x_norm(cyl, params, w, kap)
+    assert "_coordinates" in w.__dict__
+    w.values
+    assert "_coordinates" not in w.__dict__
+    assert fl.x_norm(cyl, params, w, kap) == pytest.approx(before, rel=1e-13)
+
+
 def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
     # extend, dtn and x_norm stay in coordinates: one coordinate column (the
     # trace), two synthesized interior levels (dtn's); reading values

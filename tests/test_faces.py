@@ -191,7 +191,7 @@ def _random_partitions(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(part=_random_partitions())
-def test_stencil_assembly_matches_sparse_kronecker_oracle(part):
+def test_assembly_matches_sparse_kronecker_oracle(part):
     ops = fl.assemble_operators(part.mesh, part)
     A, M, lumped = _oracle_full_kronecker_then_slice(part)
     for got, want in ((ops.A, A), (ops.M, M)):

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -334,6 +335,33 @@ def test_assembly_kept_after_many_other_partitions(square_ops):
         fl.assemble_operators(mesh, fl.BoundaryPartition(mesh, labels))
     again = fl.assemble_operators(square_ops.mesh, square_ops.partition)
     assert again is square_ops
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5], ids=["aligned", "half"])
+def test_reference_matrices_are_built_one_at_a_time(alpha):
+    # A and M are built on first read, each without the other, so a check
+    # that reads only M never holds A's Kronecker terms
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [6, 5])
+    for first, other in (("M", "A"), ("A", "M")):
+        part = (fl.partition_boundary(mesh, [(0, 0)]) if alpha is None
+                else fl.moving_family(mesh, [alpha])[0])
+        ops = fl.assemble_operators(mesh, part)
+        assert "A" not in ops.__dict__ and "M" not in ops.__dict__
+        got = getattr(ops, first)
+        assert getattr(ops, first) is got
+        assert other not in ops.__dict__
+        held = [v for v in ops.__dict__.values() if scipy.sparse.issparse(v)]
+        assert len(held) == 1 and held[0] is got
+
+
+def test_operator_pairs_compare_by_identity():
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [4, 4])
+    one, two = (fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
+                for _ in range(2))
+    assert one is not two
+    assert one != two and one == one
+    keyed = {one: 1, two: 2}
+    assert keyed[one] == 1 and keyed[two] == 2
 
 
 def test_dropped_partition_frees_its_operators():
