@@ -41,14 +41,16 @@ through the face's own Kronecker eigenvectors (Proskurowski & Widlund
 1976).  Each partial-facet pair holds one ``_CapacitanceKernel`` as
 ``OperatorPair.kernel``, and the dense eigensolve, the Lanczos inverse,
 ``extend`` and :class:`ConstrainedOperator` all use it.  A Gauss-Jacobi
-rule for the Balakrishnan integral (Aceto & Novati 2017) turns L^-a into
-one kernel call over all its shifts, so :class:`ConstrainedOperator`
+rule for the Balakrishnan integral (Aceto & Novati 2017), taken in t =
+tau s^2 (Hale, Higham & Trefethen 2008), turns L^-a into one kernel call
+over its few dozen shifts, so :class:`ConstrainedOperator`
 gives L^s and (L^s - lam)^-1 with only lambda_1 and phi_1 computed, at
 any size; :func:`quotient_operator` chooses it or a complete basis by the
 partition's shape.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -934,12 +936,30 @@ _CG_TOL = 1e-13
 _CG_MAX_ITER = 2000
 
 
-# order up to which an inverse Cholesky factor is taken whole
+# order up to which a matrix is factored whole before its factor is inverted
 _CHOLESKY_BLOCK = 32
 # entries formed at a time: the capacitance matrices of a block of shifts,
 # or the row-pair products of a several-face B; a block of rows of a rule's
 # sup sample takes a _RULE_SAMPLES-th of it
 _SHIFT_BLOCK = 1 << 20
+
+
+def _inverse_lower(L: np.ndarray) -> np.ndarray:
+    """L^-1 for each lower triangular matrix of L, (..., r, r).
+
+    By halves down to order 1: L = [[A, 0], [B, D]] has the inverse [[A^-1,
+    0], [-D^-1 B A^-1, D^-1]], so all of the work is batched matrix
+    products, with no pivoting and none of a general inverse's LU.
+    """
+    r = L.shape[-1]
+    if r == 1:
+        return 1.0 / L
+    h = r // 2
+    out = np.zeros_like(L)
+    A = out[..., :h, :h] = _inverse_lower(L[..., :h, :h])
+    D = out[..., h:, h:] = _inverse_lower(L[..., h:, h:])
+    out[..., h:, :h] = -D @ (L[..., h:, :h] @ A)
+    return out
 
 
 def _inverse_cholesky(C: np.ndarray) -> np.ndarray:
@@ -949,12 +969,14 @@ def _inverse_cholesky(C: np.ndarray) -> np.ndarray:
     in a right-looking Cholesky factorization: with L11^-1 from C11, L21 =
     C21 L11^-T, L22^-1 from the Schur complement C22 - L21 L21^T, and the
     off-diagonal block of L^-1 is -L22^-1 L21 L11^-1; so nearly all of the
-    work is matrix products.  A matrix that is not positive definite
-    raises ``numpy.linalg.LinAlgError``.
+    work is matrix products.  A block of order ``_CHOLESKY_BLOCK`` or less
+    is factored whole and its factor inverted by :func:`_inverse_lower`.
+    A matrix that is not positive definite raises
+    ``numpy.linalg.LinAlgError``.
     """
     r = C.shape[-1]
     if r <= _CHOLESKY_BLOCK:
-        return np.linalg.inv(np.linalg.cholesky(C))
+        return _inverse_lower(np.linalg.cholesky(C))
     h = r // 2
     out = np.zeros_like(C)
     A = out[..., :h, :h] = _inverse_cholesky(C[..., :h, :h])
@@ -1175,31 +1197,34 @@ class _CapacitanceKernel:
 
 
 def _gauss_jacobi(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for the weight (1 - x)^-a (1 + x)^(a-1) on (-1, 1).
+    """n-point Gauss rule for the weight (1 - x)^b (1 + x)^-b, b = 1 - 2a.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    monic Jacobi recurrence with alpha = -a, beta = a - 1 (alpha + beta =
-    -1, where the textbook coefficients for k = 0 and 1 are 0/0 and are
-    taken in the limit), the weights mu_0 times the squared first
-    eigenvector components, mu_0 = Gamma(1 - a) Gamma(a) = pi / sin(pi a).
+    monic Jacobi recurrence with alpha = b, beta = -b.  As alpha + beta = 0
+    its diagonal is -b at k = 0 and 0 after, its squared off-diagonal (k^2
+    - b^2) / (4k^2 - 1), and the weights are mu_0 times the squared first
+    eigenvector components, mu_0 = 2 Gamma(1 + b) Gamma(1 - b) = 2 pi b /
+    sin(pi b), which is 2 at b = 0.
     """
+    b = 1.0 - 2.0 * a
     k = np.arange(1, n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = 2.0 * a - 1.0
-    diag[1:] = (1.0 - 2.0 * a) / ((2.0 * k - 1.0) * (2.0 * k + 1.0))
-    off_sq = (k - a) * (k + a - 1.0) / (2.0 * k - 1.0) ** 2
-    if n > 1:
-        off_sq[0] = 2.0 * a * (1.0 - a)
+    diag = np.zeros(n)
+    diag[0] = -b
+    off_sq = (k * k - b * b) / (4.0 * k * k - 1.0)
     x, V = np.linalg.eigh(_tridiagonal(diag, np.sqrt(off_sq)))
-    return x, (math.pi / math.sin(math.pi * a)) * V[0] ** 2
+    mu0 = 2.0 * math.pi * b / math.sin(math.pi * b) if b else 2.0
+    return x, mu0 * V[0] ** 2
 
 
 @dataclass(frozen=True, eq=False)
 class _PowerRule:
     """L^-a ~ sum_j w_j (L + theta_j)^-1 with its measured relative error.
 
-    The rule holds one n_R x k array, its shifts' face-major H; an apply
-    scales the kernel's small n_f x k intermediate by the weights.
+    The k shifts theta_j = tau ((1 - x_j) / (1 + x_j))^2 come from the
+    Gauss-Jacobi nodes x_j of :func:`_power_rule`, a few dozen on 2-D and
+    3-D moving families.  The rule holds one n_R x k array, its shifts'
+    face-major H; an apply scales the kernel's small n_f x k intermediate
+    by the weights.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -1239,27 +1264,35 @@ def _rule_error(weights: np.ndarray, theta: np.ndarray, a: float,
 def _power_rule(kernel: _CapacitanceKernel, a: float, lam1: float) -> _PowerRule:
     """Gauss-Jacobi quadrature of the Balakrishnan integral for L^-a.
 
-    L^-a = sin(pi a)/pi int_0^inf t^-a (L + t)^-1 dt.  With t = tau (1 - x)
-    / (1 + x) and tau = sqrt(lam_1 lam_max), the integrand is the Jacobi
-    weight (1 - x)^-a (1 + x)^(a-1) times a function smooth on [-1, 1]
-    (Aceto & Novati 2017), so Gauss-Jacobi nodes x_j give the shifts
-    theta_j = tau (1 - x_j) / (1 + x_j).  Nodes are added until the sup of
-    |f(lam) lam^a - 1| over [lam_1, lam_max], sampled densely on a
-    logarithmic grid, is at most ``_RULE_TOL``; lam_max is the relaxation's
-    largest eigenvalue, which bounds the partition's.  The error falls
-    like rho^(-2n), rho = x* + sqrt(x*^2 - 1) for the integrand's nearest
-    pole x* = (tau + lam_1) / (tau - lam_1), which sizes each increase of n.
+    L^-a = sin(pi a)/pi int_0^inf t^-a (L + t)^-1 dt.  With t = tau s^2, s
+    = (1 - x) / (1 + x) and tau = sqrt(lam_1 lam_max), the integrand is the
+    Jacobi weight (1 - x)^b (1 + x)^-b, b = 1 - 2a, times 1 / (L (1 + x)^2
+    + tau (1 - x)^2), which is smooth on [-1, 1] (the square-root change
+    of variables of Hale, Higham & Trefethen 2008).  So Gauss-Jacobi nodes
+    x_j give the shifts theta_j = tau ((1 - x_j) / (1 + x_j))^2 and the
+    weights 4 sin(pi a)/pi tau^(1-a) omega_j / (1 + x_j)^2.  Nodes are
+    added until the sup of |f(lam) lam^a - 1| over [lam_1, lam_max],
+    sampled densely on a logarithmic grid, is at most ``_RULE_TOL``;
+    lam_max is the relaxation's largest eigenvalue, which bounds the
+    partition's.  The error falls like rho^(-2n), rho = |x* + sqrt(x*^2 -
+    1)| on the larger branch, for the integrand's nearest poles x* = (1 -+
+    i sigma) / (1 +- i sigma), sigma = sqrt(lam_1 / tau), which lie on the
+    unit circle; rho sizes each increase of n.  On the 40^2 moving family
+    a rule takes 32-44 shifts, against 72-108 with t = tau (1 - x) / (1 +
+    x), whose pole sits at 1 + O(kappa^-1/2), kappa = lam_max / lam_1.
     """
     lam_max = float(kernel.lam.max())
     tau = math.sqrt(lam1 * lam_max)
-    pole = (tau + lam1) / (tau - lam1)
-    log_rho = math.log(pole + math.sqrt(pole * pole - 1.0))
+    sigma = math.sqrt(lam1 / tau)
+    pole = (1.0 - 1j * sigma) / (1.0 + 1j * sigma)
+    root = cmath.sqrt(pole * pole - 1.0)
+    log_rho = math.log(max(abs(pole + root), abs(pole - root)))
     n = 16
     while True:
         x, omega = _gauss_jacobi(a, n)
-        theta = tau * (1.0 - x) / (1.0 + x)
-        weights = (2.0 * math.sin(math.pi * a) / math.pi
-                   * tau ** (1.0 - a) * omega / (1.0 + x))
+        theta = tau * ((1.0 - x) / (1.0 + x)) ** 2
+        weights = (4.0 * math.sin(math.pi * a) / math.pi
+                   * tau ** (1.0 - a) * omega / (1.0 + x) ** 2)
         error = _rule_error(
             weights, theta, a, np.geomspace(lam1, lam_max, _RULE_SAMPLES * n))
         if error <= _RULE_TOL:
@@ -1284,10 +1317,12 @@ class ConstrainedOperator:
     coordinate vector has R's n_R entries.  Only lambda_1 and phi_1 are
     computed, by shift-invert Lanczos whose inverse is one kernel solve
     (see :func:`_lanczos`), so A is never factored.  L^-a (0 < a < 1) is
-    a Gauss-Jacobi sum of shifted solves, each apply one
-    capacitance-corrected kernel call for all shifts; L^s c = Pi (Lambda_R
-    L^-(1-s) c); (L^s - lam)^-1 is L^-s at lam = 0 and CG on (I - lam L^-s) otherwise, whose condition
-    number is at most 1 / (1 - lam / lambda_1^s).  Rules are built on
+    a Gauss-Jacobi sum of shifted solves in the variable t = tau s^2 of
+    :func:`_power_rule`, 32-48 shifts on the 40^2 and 64^2 moving
+    families, each apply one capacitance-corrected kernel call for all
+    shifts; L^s c = Pi (Lambda_R L^-(1-s) c); (L^s - lam)^-1 is L^-s at
+    lam = 0 and CG on (I - lam L^-s) otherwise, whose condition number is
+    at most 1 / (1 - lam / lambda_1^s).  Rules are built on
     first use, one per power; the kernel is the pair's own ``ops.kernel``.
 
     Parameters

@@ -15,6 +15,7 @@ from fraclap.spectral import (
     _CapacitanceKernel,
     _constrained_eigh,
     _gauss_jacobi,
+    _inverse_cholesky,
     _kron_rows,
     _lanczos,
     _PowerRule,
@@ -77,16 +78,39 @@ def test_capacitance_kernel_matches_sparse_solve_on_random_labelings(part):
     _assert_kernel_matches_spsolve(ops, seed=1)
 
 
+@pytest.mark.parametrize("r", [1, 2, 11, 32, 33, 70])
+def test_inverse_cholesky_matches_inverse_of_the_factor(r):
+    # halving down to order 1 inverts the factor as the general inverse
+    # does, batched; orders above 32 also take the Schur complement path
+    X = np.random.default_rng(r).standard_normal((5, r, 2 * r))
+    C = X @ X.transpose(0, 2, 1)
+    want = np.linalg.inv(np.linalg.cholesky(C))
+    got = _inverse_cholesky(C)
+    assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r", [3, 40])
+def test_inverse_cholesky_refuses_an_indefinite_matrix(r):
+    # the negative eigenvalue sits in the last entry, which at r = 40 only
+    # the Schur complement of the second half sees
+    C = np.eye(r)[None].copy()
+    C[0, -1, -1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse_cholesky(C)
+
+
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9])
 def test_gauss_jacobi_rule_matches_mpmath(a):
-    # the n-point rule for (1 - x)^-a (1 + x)^(a - 1) integrates every
-    # polynomial of degree below 2n exactly; exact moments from mpmath
+    # the n-point rule for (1 - x)^(1 - 2a) (1 + x)^(2a - 1) integrates
+    # every polynomial of degree below 2n exactly; exact moments from mpmath
     n = 10
     x, w = _gauss_jacobi(a, n)
     assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
     assert np.all(w > 0)
     mpmath.mp.dps = 50
-    alpha, beta = -mpmath.mpf(a), mpmath.mpf(a) - 1
+    alpha = 1 - 2 * mpmath.mpf(a)
+    beta = -alpha
     for k in range(2 * n):
         # x = 2y - 1 turns each moment into a sum of Beta integrals
         want = sum(mpmath.binomial(k, i) * 2**i * (-1) ** (k - i)
@@ -107,7 +131,7 @@ def cube_partial():
     return fl.assemble_operators(part.mesh, part)
 
 
-@pytest.mark.parametrize("a", [1 - S, S])
+@pytest.mark.parametrize("a", [1 - S, S, 0.05, 0.95])
 def test_power_rule_error_against_mpmath(square_partial, a):
     op = ConstrainedOperator(square_partial)
     rule = op._rule(a)
@@ -145,6 +169,28 @@ def test_power_rule_error_is_the_whole_sample_sup(
     rule = op._rule(a)
     want = _sup_sample_error(rule, a, op.lam1, float(op._kernel.lam.max()))
     assert rule.error == want
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.125])
+@pytest.mark.parametrize("a", [0.25, 0.75])
+def test_power_rule_is_short_and_sized_in_two_samples(
+        monkeypatch, square40_family, alpha, a):
+    # t = tau s^2 puts the integrand's poles on the unit circle, so a rule
+    # here needs at most 45 shifts, and the poles' rate sizes it from its
+    # first sample
+    samples = []
+    measure = spectral._rule_error
+
+    def counted(*args):
+        samples.append(len(args[1]))
+        return measure(*args)
+
+    monkeypatch.setattr(spectral, "_rule_error", counted)
+    op = ConstrainedOperator(_ops(square40_family[alpha]))
+    rule = op._rule(a)
+    assert len(rule.shifts.theta) <= 45
+    assert 0 < rule.error <= 1e-12
+    assert len(samples) <= 2 and samples[-1] == len(rule.shifts.theta)
 
 
 def test_rule_holds_one_n_r_by_k_array(square_partial):
