@@ -11,13 +11,15 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from ._weighted1d import graded_grid, weighted_bands, weighted_slope_limit
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
-from .spectral import _pencil_eigh, _tridiagonal, assemble_operators
+from .spectral import (OperatorPair, _pencil_eigh, _tridiagonal,
+                       assemble_operators)
 
 __all__ = [
     "CylinderMesh",
@@ -96,15 +98,18 @@ class ExtensionField:
     on first need.  An extension from :func:`extend` holds the
     M-coordinates C of every level in the face-aligned relaxation's
     eigenbasis (:meth:`~fraclap.spectral.OperatorPair.coordinates`, n_R x
-    (J+1)), which :func:`x_norm` reads as they are, and :func:`dtn`
-    synthesizes only levels 1 and 2 from them.  Its nodal ``values`` are
-    synthesized on first read (:meth:`~fraclap.spectral.OperatorPair.
-    synthesize`, J - 1 interior columns) and kept in place of C, so that
-    it holds one form at a time.  A field made from nodal values, by this
-    constructor or :meth:`perturbed`, or one whose values were read,
-    takes C from them when :func:`x_norm` first needs it, and keeps it.
-    The constructor copies ``values``, and ``values`` is read-only, so the
-    two forms cannot drift apart.
+    (J+1)): on a face-aligned partition as the two columns c and g and the
+    solver with the y-profile P, where C = [c, g P, 0] is formed only when
+    ``values`` are read, elsewhere as C itself.  :func:`x_norm` reads that
+    form as it is, and :func:`dtn` synthesizes only levels 1 and 2 from it.
+    Its nodal ``values`` are synthesized on first read
+    (:meth:`~fraclap.spectral.OperatorPair.synthesize`, J - 1 interior
+    columns) and kept in place of the coordinate form, so that it holds
+    one form at a time.  A field made from nodal values, by this
+    constructor or :meth:`perturbed`, or one whose values were read, takes
+    C from them when :func:`x_norm` first needs it, and keeps it.  The
+    constructor copies ``values``, and ``values`` is read-only, so the two
+    forms cannot drift apart.
 
     Attributes
     ----------
@@ -131,12 +136,12 @@ class ExtensionField:
         self._hold(cyl, partition, v[:, 0], values=v)
 
     @classmethod
-    def _from_coordinates(cls, C: np.ndarray, trace: np.ndarray,
-                          cyl: CylinderMesh,
-                          partition: BoundaryPartition) -> ExtensionField:
-        # an extension held as its level coordinates C and its nodal trace
+    def _held(cls, trace: np.ndarray, cyl: CylinderMesh,
+              partition: BoundaryPartition, **form) -> ExtensionField:
+        # an extension held as its nodal trace and one coordinate form:
+        # _coordinates=C, or _modes=(c, g, solver) with C = [c, g P, 0]
         w = cls.__new__(cls)
-        w._hold(cyl, partition, trace, _coordinates=C)
+        w._hold(cyl, partition, trace, **form)
         return w
 
     def _hold(self, cyl, partition, trace, **forms) -> None:
@@ -155,10 +160,12 @@ class ExtensionField:
         J = self.cyl.J
         v = np.zeros((self.cyl.base.n_nodes, J + 1))
         v[:, 0] = self._trace
-        self._ops.synthesize(self._coordinates[:, 1:J], out=v[:, 1:J])
+        self._ops.synthesize(self._levels()[:, 1:J], out=v[:, 1:J])
         v.flags.writeable = False
-        # held in place of C, which x_norm forms again from them if needed
-        del self.__dict__["_coordinates"]
+        # held in place of the coordinates, which x_norm forms again from
+        # them if needed
+        self.__dict__.pop("_coordinates", None)
+        self.__dict__.pop("_modes", None)
         return v
 
     @cached_property
@@ -166,13 +173,25 @@ class ExtensionField:
         ops = self._ops
         return ops.coordinates(self.values[ops.free, :])
 
+    def _levels(self) -> np.ndarray:
+        # C of every level, formed from the per-mode form if that is held
+        if "_modes" in self.__dict__:
+            c, g, solver = self._modes
+            return solver.levels(c, g)
+        return self._coordinates
+
     def _first_levels(self) -> np.ndarray:
         # nodal values of levels 0, 1 and 2, (n_base_nodes, 3)
         if "values" in self.__dict__:
             return self.values[:, :3]
+        if "_modes" in self.__dict__:
+            _, g, solver = self._modes
+            first = g[:, None] * solver.profile[:, :2]
+        else:
+            first = self._coordinates[:, 1:3]
         v = np.zeros((self.cyl.base.n_nodes, 3))
         v[:, 0] = self._trace
-        self._ops.synthesize(self._coordinates[:, 1:3], out=v[:, 1:])
+        self._ops.synthesize(first, out=v[:, 1:])
         return v
 
     def trace(self) -> Field:
@@ -188,12 +207,57 @@ class ExtensionField:
         return ExtensionField(values=v, cyl=self.cyl, partition=self.partition)
 
 
-def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
+@dataclass(frozen=True, eq=False)
+class _InteriorSolver:
+    """The extension solver of one partition and power s on one cylinder.
+
+    ``interior(g, out)`` writes the coordinates of interior levels 1 to J
+    - 1 for the right side g Z[0] into ``out``; a0, dM0 and eM0 are the
+    trace's conductance and mass entries of Aw and Mw.  On face-aligned
+    partitions row i of those coordinates is g_i times the y-profile P[i]
+    of eigenvalue lambda_i, and the solver also keeps the per-mode sums
+    of :func:`x_norm` over the interior levels, with P_iJ = 0 at the cap:
+    sigma_i = sum_j>=1 (dM_j P_ij^2 + 2 eM_j P_ij P_i,j+1), the Mw part,
+    and tau_i = sum_c>=1 a_c (P_i,c+1 - P_ic)^2, the Aw part in
+    conductance-difference form; all three are None on other partitions.
+    """
+
+    ops: OperatorPair
+    s: float
+    J: int
+    a0: float
+    dM0: float
+    eM0: float
+    interior: Callable[[np.ndarray, np.ndarray], None]
+    profile: np.ndarray | None = None
+    sigma: np.ndarray | None = None
+    tau: np.ndarray | None = None
+
+    def levels(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """C = [c, interior coordinates, 0], n_R x (J+1)."""
+        J = self.J
+        C = np.empty((len(c), J + 1))
+        C[:, 0] = c
+        C[:, J] = 0.0
+        self.interior(g, C[:, 1:J])
+        return C
+
+    def energy(self, c: np.ndarray, g: np.ndarray) -> float:
+        """x_norm^2 / kappa of C = [c, g P, 0], one sum over the modes."""
+        lam = self.ops.relaxed.values
+        first = g * self.profile[:, 0]
+        g2 = g * g
+        mass = lam @ (self.dM0 * (c * c) + 2.0 * self.eM0 * (c * first)
+                      + g2 * self.sigma)
+        step = first - c
+        return float(mass + self.a0 * (step @ step) + g2 @ self.tau)
+
+
+def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh,
+                     s: float) -> _InteriorSolver:
     # y-direction eigenpairs plus the base shifted solves of
     # OperatorPair.shifted, built once per partition and s and kept on the
-    # cylinder: the pair, the trace couplings a_0 and eM_0, and
-    # interior(g, out), which writes the coordinates of interior levels 1
-    # to J - 1 for the right side g Z[0] into out
+    # cylinder
     solver = cyl._solvers.get((partition, s))
     if solver is not None:
         return solver
@@ -207,6 +271,7 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
     # one interior entry is row 1: eM_0 and -a_0, which the y-eigenvectors
     # turn into the row Z[0]
     solve = ops.shifted(theta)
+    common = dict(ops=ops, s=s, J=J, a0=a[0], dM0=dM[0], eM0=eM[0])
     if ops.tensor is not None:
         # the shifted solves are divisions, so row i of the interior
         # coordinates is g_i times the y-profile of eigenvalue lambda_i,
@@ -215,11 +280,20 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh, s: float):
 
         def interior(g: np.ndarray, out: np.ndarray) -> None:
             np.multiply(g[:, None], P, out=out)
+
+        sigma = (np.einsum("ij,j,ij->i", P, dM[1:J], P)
+                 + 2.0 * np.einsum("ij,j,ij->i", P[:, :-1], eM[1:J - 1],
+                                   P[:, 1:]))
+        step = np.diff(P, axis=1)
+        tau = (np.einsum("ij,j,ij->i", step, a[1:J - 1], step)
+               + a[J - 1] * P[:, -1] ** 2)
+        solver = _InteriorSolver(**common, interior=interior, profile=P,
+                                 sigma=sigma, tau=tau)
     else:
         def interior(g: np.ndarray, out: np.ndarray) -> None:
             np.matmul(solve(np.multiply.outer(g, Z[0])), Z.T, out=out)
 
-    solver = (ops, a[0], eM[0], interior)
+        solver = _InteriorSolver(**common, interior=interior)
     cyl._solvers[partition, s] = solver
     return solver
 
@@ -241,23 +315,26 @@ def extend(
     eM_0 Lambda c in the base coordinates, where c are the M-coordinates
     of u (:meth:`~fraclap.spectral.OperatorPair.coordinates`) and Lambda c
     those of A u.  So one coordinate column is formed per call, and no
-    product with A or M.  The result is held in the same coordinates: C =
-    [c, (G / (Lambda + theta)) Z^T, 0] for G = g Z[0], n_R x (J+1), with
-    nothing synthesized; the field's nodal ``values`` are formed on first
-    read (:class:`ExtensionField`).
+    product with A or M.  The level coordinates are C = [c, (G / (Lambda
+    + theta)) Z^T, 0] for G = g Z[0], n_R x (J+1), and nothing is
+    synthesized; the field's nodal ``values`` are formed on first read
+    (:class:`ExtensionField`).
 
     On face-aligned partitions (every face wholly Dirichlet or wholly
     Neumann) the shifted systems are divisions in the Kronecker basis of
     1-D eigenvectors, so row i of the interior coordinates is g_i times the
-    y-profile (Z[0] / (lambda_i + theta)) Z^T of eigenvalue lambda_i, and
-    the profiles are formed once: a repeat call is one scaling of them.  On
-    other partitions the same solves get a capacitance correction at the
-    nodes that the face-aligned relaxation frees, from the partition's one
+    y-profile P[i] = (Z[0] / (lambda_i + theta)) Z^T of eigenvalue
+    lambda_i, and the profiles are formed once, with the per-mode sums
+    that :func:`x_norm` reads.  So C = [c, g P, 0] carries nothing beyond
+    c and g: the field holds those two columns and the solver, and a
+    repeat call costs O(n_R) besides the coordinates of u.  On other
+    partitions the same solves get a capacitance correction at the nodes
+    that the face-aligned relaxation frees, from the partition's one
     capacitance kernel (``OperatorPair.kernel``), with one small r x r
-    inverse per theta_j, and the product with Z^T follows.
-    The solver is built by the first call with a given partition and s and
-    kept on the cylinder, so repeat calls only solve.  No base-operator
-    spectrum is involved either way.
+    inverse per theta_j, and the product with Z^T follows; the field holds
+    C.  The solver is built by the first call with a given partition and
+    s and kept on the cylinder, so repeat calls only solve.  No
+    base-operator spectrum is involved either way.
 
     Parameters
     ----------
@@ -281,23 +358,23 @@ def extend(
             "first y-cell too coarse for the boundary layer; increase J or gamma",
             RuntimeWarning, stacklevel=2)
 
-    ops, a0, eM0, interior = _interior_solver(partition, cyl, s)
+    solver = _interior_solver(partition, cyl, s)
+    ops = solver.ops
     uf = u.free_values(ops)
     c = ops.coordinates(uf)
-    g = a0 * c - eM0 * ops.stiffness(c)
-    J = cyl.J
-    C = np.empty((len(c), J + 1))
-    C[:, 0] = c
-    C[:, J] = 0.0
-    interior(g, C[:, 1:J])
+    g = solver.a0 * c - solver.eM0 * ops.stiffness(c)
     trace = np.zeros(cyl.base.n_nodes)
     trace[ops.free] = uf
-    return ExtensionField._from_coordinates(C, trace, cyl, partition)
+    if solver.profile is not None:
+        return ExtensionField._held(trace, cyl, partition,
+                                    _modes=(c, g, solver))
+    return ExtensionField._held(trace, cyl, partition,
+                                _coordinates=solver.levels(c, g))
 
 
 def _check_grid(cyl: CylinderMesh, w: ExtensionField) -> None:
     # dtn and x_norm read the y-grid of cyl, so it must be the one w is on
-    if w.cyl.grid_key() != cyl.grid_key():
+    if w.cyl is not cyl and w.cyl.grid_key() != cyl.grid_key():
         raise ValueError("extension lives on another cylinder grid")
 
 
@@ -314,8 +391,8 @@ def dtn(
     comes from the two-point boundary-layer fit of :mod:`_weighted1d`,
     which reads levels 0, 1 and 2 only: a field from :func:`extend` whose
     ``values`` were not read yet synthesizes those two interior levels
-    from its coordinates, not all J - 1.  ``w`` must have been built on
-    ``cyl``'s grid.
+    from their coordinates (g P[:, :2] on face-aligned partitions), not
+    all J - 1.  ``w`` must have been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)
     levels = w._first_levels()
@@ -343,21 +420,30 @@ def x_norm(
     discrete quadratic form uses the same exactly-integrated weight as the
     solve, so the match is limited only by discretization.  It is the form
     kappa W^T (kron(A, Mw) + kron(M, Aw)) W of any field W, taken from the
-    M-coordinates C_j of every level W_j, which a field from :func:`extend`
-    holds and any other field forms once in one contraction
-    (:meth:`~fraclap.spectral.OperatorPair.coordinates`), so that
-    <A W_j, W_k> = <Lambda C_j, C_k> and <M W_j, W_k> = <C_j, C_k>: the Mw
-    part from the two bands of the tridiagonal Mw as products of adjacent
-    levels, sum_j d_j <Lambda C_j, C_j> + 2 sum_j e_j <Lambda C_j, C_j+1>,
-    and the Aw part in conductance-difference form, sum_c a_c |C_c+1 -
-    C_c|^2 with a_c the cell conductances, a block of rows at a time.
-    The rows of Aw sum to zero while its entries grow like y_1^(-2s), so
-    the difference form keeps the digits that W^T Aw W would lose to
-    cancellation.  ``w`` must have been built on ``cyl``'s grid.
+    M-coordinates C_j of every level W_j, which a partial-facet field from
+    :func:`extend` holds and a field made from nodal values forms once in
+    one contraction (:meth:`~fraclap.spectral.OperatorPair.coordinates`),
+    so that <A W_j, W_k> = <Lambda C_j, C_k> and <M W_j, W_k> = <C_j, C_k>:
+    the Mw part from the two bands of the tridiagonal Mw as products of
+    adjacent levels, sum_j d_j <Lambda C_j, C_j> + 2 sum_j e_j <Lambda C_j,
+    C_j+1>, and the Aw part in conductance-difference form, sum_c a_c
+    |C_c+1 - C_c|^2 with a_c the cell conductances, a block of rows at a
+    time.  The rows of Aw sum to zero while its entries grow like
+    y_1^(-2s), so the difference form keeps the digits that W^T Aw W would
+    lose to cancellation.  A face-aligned field from :func:`extend`, C =
+    [c, g P, 0], at the power it was solved with, takes the same sums of
+    each profile P[i] from its solver, sigma_i (Mw) and tau_i (Aw), so the
+    form is kappa sum_i [lambda_i (dM_0 c_i^2 + 2 eM_0 c_i g_i P_i1 + g_i^2
+    sigma_i) + a_0 (g_i P_i1 - c_i)^2 + g_i^2 tau_i], O(n_R) work.  ``w``
+    must have been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)
+    if "_modes" in w.__dict__:
+        c, g, solver = w._modes
+        if solver.s == params.s:
+            return float(np.sqrt(kappa * solver.energy(c, g)))
     _, a, dM, eM = weighted_bands(cyl.y, params.s)
-    C = w._coordinates
+    C = w._levels()
     lam = w._ops.relaxed.values
     energy = dM @ np.einsum("i,ij,ij->j", lam, C, C)
     energy += 2.0 * eM @ np.einsum("i,ij,ij->j", lam, C[:, :-1], C[:, 1:])

@@ -962,7 +962,7 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_cholesky(C: np.ndarray) -> np.ndarray:
+def _inverse_cholesky(C: np.ndarray, _leaf=_inverse_lower) -> np.ndarray:
     """L^-1 for the lower Cholesky factor L of each matrix of C, (..., r, r).
 
     C^-1 v is then applied as L^-T (L^-1 v), two products.  By halves, as
@@ -970,21 +970,34 @@ def _inverse_cholesky(C: np.ndarray) -> np.ndarray:
     C21 L11^-T, L22^-1 from the Schur complement C22 - L21 L21^T, and the
     off-diagonal block of L^-1 is -L22^-1 L21 L11^-1; so nearly all of the
     work is matrix products.  A block of order ``_CHOLESKY_BLOCK`` or less
-    is factored whole and its factor inverted by :func:`_inverse_lower`.
-    A matrix that is not positive definite raises
+    is factored whole, and its factor inverted by :func:`_inverse_lower`,
+    whose batched products win on a batch of several matrices.  The
+    blocks of a single larger matrix are a batch of one, where the
+    halving's recursion costs about 9x ``numpy.linalg.inv`` of the
+    factor, so they take that instead.  A single matrix of block order or
+    less, such as a 2-D kernel's Gram matrix, formed once per kernel,
+    keeps the halving: there the difference is a few hundred
+    microseconds.  A matrix that is not positive definite raises
     ``numpy.linalg.LinAlgError``.
     """
     r = C.shape[-1]
     if r <= _CHOLESKY_BLOCK:
-        return _inverse_lower(np.linalg.cholesky(C))
+        return _leaf(np.linalg.cholesky(C))
+    if C.size == r * r:
+        _leaf = _inverse_factor
     h = r // 2
     out = np.zeros_like(C)
-    A = out[..., :h, :h] = _inverse_cholesky(C[..., :h, :h])
+    A = out[..., :h, :h] = _inverse_cholesky(C[..., :h, :h], _leaf)
     L21 = C[..., h:, :h] @ A.swapaxes(-1, -2)
     D = out[..., h:, h:] = _inverse_cholesky(
-        C[..., h:, h:] - L21 @ L21.swapaxes(-1, -2))
+        C[..., h:, h:] - L21 @ L21.swapaxes(-1, -2), _leaf)
     out[..., h:, :h] = -D @ (L21 @ A)
     return out
+
+
+def _inverse_factor(L: np.ndarray) -> np.ndarray:
+    # L^-1 of one lower triangular matrix, its upper triangle exactly zero
+    return np.tril(np.linalg.inv(L))
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,6 +90,32 @@ def test_inverse_cholesky_matches_inverse_of_the_factor(r):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("r", [11, 32, 33, 70])
+def test_inverse_cholesky_of_a_single_matrix(r, monkeypatch):
+    # a matrix above the block order, alone or in a batch of one, inverts
+    # the factors of its blocks with numpy.linalg.inv; a batch of several,
+    # or one matrix of block order or less, halves them
+    inverted = []
+    inverse_factor = spectral._inverse_factor
+
+    def counting(L):
+        inverted.append(L.shape)
+        return inverse_factor(L)
+
+    monkeypatch.setattr(spectral, "_inverse_factor", counting)
+    X = np.random.default_rng(r).standard_normal((r, 2 * r))
+    C = X @ X.T
+    want = np.linalg.inv(np.linalg.cholesky(C))
+    for batch in (C, C[None]):
+        got = _inverse_cholesky(batch)
+        assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert bool(inverted) == (r > spectral._CHOLESKY_BLOCK)
+    inverted.clear()
+    _inverse_cholesky(np.stack([C, C]))
+    assert not inverted
+
+
 @pytest.mark.parametrize("r", [3, 40])
 def test_inverse_cholesky_refuses_an_indefinite_matrix(r):
     # the negative eigenvalue sits in the last entry, which at r = 40 only

@@ -259,7 +259,7 @@ def test_extend_rejects_foreign_trace(interval_cylinder, params1):
         fl.extend(interval_cylinder, part, params1, u)
 
 
-def test_dtn_and_x_norm_refuse_another_cylinder(params2):
+def test_dtn_and_x_norm_refuse_another_cylinder(params2, monkeypatch):
     # both read the y-grid of their cylinder argument, so it must be the
     # grid the extension was solved on
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])
@@ -270,6 +270,14 @@ def test_dtn_and_x_norm_refuse_another_cylinder(params2):
     w = fl.extend(cyl, part, params2, fl.mode_field(basis, 1))
     assert fl.x_norm(cyl, params2, w, kap) > 0.0
     assert np.all(np.isfinite(fl.dtn(cyl, params2, w, kap).values))
+    # a cylinder equal to w's grid is accepted, w's own one without
+    # hashing the grid
+    same = fl.build_cylinder(mesh, cyl.Y, 32, 3.0)
+    assert fl.x_norm(same, params2, w, kap) == fl.x_norm(cyl, params2, w, kap)
+    with monkeypatch.context() as m:
+        m.delattr(fl.Mesh, "key")
+        fl.x_norm(cyl, params2, w, kap)
+        fl.dtn(cyl, params2, w, kap)
     for other in (fl.build_cylinder(mesh, 1.0, 32, 3.0),
                   fl.build_cylinder(mesh, cyl.Y, 48, 3.0)):
         with pytest.raises(ValueError, match="another cylinder"):
@@ -378,6 +386,9 @@ def test_x_norm_is_the_assembled_quadratic_form(face_aligned):
     Aw, Mw = _weighted_matrices(cyl.y, S)
     K = sp.kron(ops.A, Mw) + sp.kron(ops.M, Aw)
     kap = fl.kappa_s(params)
+    # the extension in the form extend returns it, before perturbed reads
+    # its values
+    unperturbed = fl.x_norm(cyl, params, w, kap)
     rng = np.random.default_rng(11)
     for scale in (0.0, 1e-3, 1.0):
         delta = scale * rng.standard_normal((mesh.n_nodes, cyl.J - 1))
@@ -386,6 +397,8 @@ def test_x_norm_is_the_assembled_quadratic_form(face_aligned):
         want = math.sqrt(kap * (vec @ (K @ vec)))
         got = fl.x_norm(cyl, params, field, kap)
         assert got == pytest.approx(want, rel=1e-12)
+        if scale == 0.0:
+            assert unperturbed == pytest.approx(want, rel=1e-12)
 
 
 def test_x_norm_keeps_its_digits_on_a_graded_cylinder():
@@ -579,16 +592,65 @@ def test_extension_values_are_read_only_copies():
 
 @pytest.mark.parametrize("case", ["square", "square-half"])
 def test_extension_holds_one_form_after_values_are_read(case):
-    # reading values drops the coordinates they came from; x_norm forms
-    # them again from the values, as for a field made from nodal values
+    # an extension holds one coordinate form: on a face-aligned partition
+    # its per-mode trace coordinates c and right side g with the solver,
+    # on a partial facet the coordinates C of every level.  Reading values
+    # drops that form, and x_norm forms C again from the values, as for a
+    # field made from nodal values
+    forms = {"_coordinates", "_modes"}
     mesh, part = _extension_cases()[case]
     params, cyl, u, w = _extension_of(mesh, part)
     kap = fl.kappa_s(params)
     before = fl.x_norm(cyl, params, w, kap)
-    assert "_coordinates" in w.__dict__
+    held = "_coordinates" if case.endswith("half") else "_modes"
+    assert forms & set(w.__dict__) == {held}
     w.values
-    assert "_coordinates" not in w.__dict__
+    assert not forms & set(w.__dict__)
     assert fl.x_norm(cyl, params, w, kap) == pytest.approx(before, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", list(_extension_cases()))
+def test_extension_reads_as_the_coordinates_it_stands_for(case):
+    # a face-aligned extension held per mode gives the same values and dtn,
+    # bit for bit, as the field holding its level coordinates C = [c, g P,
+    # 0]; at a power other than its own, x_norm reads C as well
+    mesh, part = _extension_cases()[case]
+    params, cyl, u, w = _extension_of(mesh, part)
+    kap = fl.kappa_s(params)
+    levels = fl.ExtensionField._held(w._trace, cyl, part,
+                                     _coordinates=w._levels())
+    assert np.array_equal(fl.dtn(cyl, params, w, kap).values,
+                          fl.dtn(cyl, params, levels, kap).values)
+    assert (fl.x_norm(cyl, params, w, kap)
+            == pytest.approx(fl.x_norm(cyl, params, levels, kap), rel=1e-13))
+    other = fl.FracParams(s=0.6, N=mesh.dim)
+    assert (fl.x_norm(cyl, other, w, kap)
+            == fl.x_norm(cyl, other, levels, kap))
+    assert np.array_equal(w.values, levels.values)
+
+
+def test_repeat_extension_allocates_no_level_array():
+    # with the solver warm, a repeat extend, its dtn and its x_norm on a
+    # face-aligned partition work per mode and on three nodal levels: all
+    # of it takes less memory than one n_R x (J+1) array of coordinates
+    import tracemalloc
+
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [32, 32])
+    part = fl.partition_boundary(mesh, [(0, 0)])
+    params, cyl, u, w = _extension_of(mesh, part, J=64)
+    kap = fl.kappa_s(params)
+    fl.dtn(cyl, params, w, kap)
+    fl.x_norm(cyl, params, w, kap)
+    n_R = len(fl.assemble_operators(mesh, part).relaxed.values)
+    tracemalloc.start()
+    try:
+        w = fl.extend(cyl, part, params, u)
+        fl.dtn(cyl, params, w, kap)
+        fl.x_norm(cyl, params, w, kap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_R * (cyl.J + 1) * np.dtype(float).itemsize
 
 
 def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
