@@ -1,8 +1,7 @@
 """One-dimensional building blocks for the weighted cylinder direction.
 
 Graded grids, exact per-cell moments of the degenerate weight y^(1-2s),
-the bands of the weighted stiffness and mass matrices, a one-mode profile
-solver, and the boundary-layer slope extraction.
+and the bands of the weighted stiffness and mass matrices.
 
 The stiffness uses per-cell harmonic conductances (closed-form integral
 of the reciprocal weight): in one dimension a tridiagonal stiffness is a
@@ -10,7 +9,7 @@ two-point flux scheme, and harmonic conductances make nodal values of
 local weight-harmonic solutions (span of 1 and y^(2s)) exact.  With
 arithmetic cell averages the first cells at the degenerate end carry an
 O(1) conductance bias (Cauchy-Schwarz defect 1/((2-2s) 2s) on the first
-cell), which pollutes any nodal slope extraction by a grading-dependent
+cell), which pollutes the flux at the degenerate end by a grading-dependent
 constant that refinement never removes.  The mass matrix stays the exact
 Galerkin one built from the weight moments.
 """
@@ -80,80 +79,3 @@ def weighted_bands(y: np.ndarray, s: float):
     dM[:-1] += M00
     dM[1:] += M11
     return dA, a, dM, M01
-
-
-def solve_mode_deviation(y: np.ndarray, s: float, mu: float) -> np.ndarray:
-    """Deviation v = w - 1 of the one-mode profile, solved directly.
-
-    w solves the weighted two-point problem with w(0) = 1 and w(Y) = 0;
-    working in the deviation keeps the boundary-layer values v(y_j), of
-    size y_j^(2s) near the degenerate end, free of the catastrophic
-    cancellation that extracting w - 1 from w would suffer.
-
-    Returns
-    -------
-    ndarray, shape (J+1,)
-        v at every node; v[0] = 0, v[-1] = -1.
-
-    Notes
-    -----
-    Imports ``scipy.linalg`` for its banded solver on the first call; only
-    the one-mode calibration of :func:`~fraclap.fractional.constants_report`
-    runs it.
-    """
-    from scipy.linalg import solve_banded
-
-    if mu <= 0:
-        raise ValueError("mode number must be positive")
-    dA, a, dM, eM = weighted_bands(y, s)
-    # K = A + mu M; K v = -mu M 1 on the interior, with v0 = 0 and vJ = -1
-    # eliminated (each row of M 1 summed left to right)
-    diag = dA + mu * dM
-    off = -a + mu * eM
-    rhs = -mu * ((eM[:-1] + dM[1:-1]) + eM[1:])
-    rhs[-1] += off[-1]
-    ab = np.zeros((3, len(rhs)))
-    ab[0, 1:] = off[1:-1]
-    ab[1, :] = diag[1:-1]
-    ab[2, :-1] = off[1:-1]
-    vi = solve_banded((1, 1), ab, rhs)
-    return np.concatenate([[0.0], vi, [-1.0]])
-
-
-def solve_mode_profile(y: np.ndarray, s: float, mu: float) -> np.ndarray:
-    """One-mode profile w with w(0) = 1, w(Y) = 0; see the deviation form."""
-    return 1.0 + solve_mode_deviation(y, s, mu)
-
-
-def weighted_slope_limit(
-    d1: float, d2: float, y1: float, y2: float, s: float
-) -> float:
-    """Boundary-layer limit of y^(1-2s) dw/dy at y = 0 from two deviations.
-
-    The local expansion w = w(0) + c y^(2s) + d y^2 + ... gives the limit
-    2s c.  A two-point fit in the layer coordinate t = y^(2s) eliminates
-    the y^2 term: with deviations d_i = w(y_i) - w(0),
-
-        c = (d1 y2^2 - d2 y1^2) / (t1 y2^2 - t2 y1^2).
-
-    The factor 2s is the chain rule of t = y^(2s); dropping it would bias
-    the limit by exactly 2s.
-
-    Parameters
-    ----------
-    d1, d2 : float
-        Deviations from the boundary value at the first two nodes.
-    y1, y2 : float
-        The node heights, 0 < y1 < y2.
-    s : float
-
-    Returns
-    -------
-    float
-    """
-    if not 0 < y1 < y2:
-        raise ValueError("need 0 < y1 < y2")
-    t1 = y1 ** (2.0 * s)
-    t2 = y2 ** (2.0 * s)
-    c = (d1 * y2**2 - d2 * y1**2) / (t1 * y2**2 - t2 * y1**2)
-    return 2.0 * s * c

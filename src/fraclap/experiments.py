@@ -178,8 +178,8 @@ def _versions() -> dict:
 
     out = {"python": platform.python_version(), "numpy": np.__version__}
     # scipy only when the run loaded it (a dense partial-facet basis of more
-    # than 32 modes, or the kappa calibration); reading its installed
-    # version would cost every run more than most of them compute
+    # than 32 modes); reading its installed version would cost every run
+    # more than most of them compute
     scipy = sys.modules.get("scipy")
     if scipy is not None:
         out["scipy"] = scipy.__version__

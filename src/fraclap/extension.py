@@ -3,8 +3,9 @@
 Realizes the fractional operator without touching the spectrum: solve
 div(y^(1-2s) grad w) = 0 on Omega x (0, Y) with w(.,0) = u, zero on the
 lateral Dirichlet part and on the artificial cap y = Y, natural elsewhere;
-then read the weighted normal derivative at y = 0.  The y-grid is graded
-toward 0 where the solution carries a y^(2s) boundary layer.
+then take the weighted normal derivative at y = 0 as the discrete Neumann
+flux of the same weak form.  The y-grid is graded toward 0 where the
+solution carries a y^(2s) boundary layer.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._weighted1d import graded_grid, weighted_bands, weighted_slope_limit
+from ._weighted1d import graded_grid, weighted_bands
 from .fractional import Field, FracParams
 from .mesh import BoundaryPartition, Mesh
 from .spectral import (OperatorPair, _pencil_eigh, _tridiagonal,
@@ -101,7 +102,8 @@ class ExtensionField:
     (J+1)): on a face-aligned partition as the two columns c and g and the
     solver with the y-profile P, where C = [c, g P, 0] is formed only when
     ``values`` are read, elsewhere as C itself.  :func:`x_norm` reads that
-    form as it is, and :func:`dtn` synthesizes only levels 1 and 2 from it.
+    form as it is, and :func:`dtn` takes the coordinates of levels 0 and 1
+    from it and synthesizes one column, its flux.
     Its nodal ``values`` are synthesized on first read
     (:meth:`~fraclap.spectral.OperatorPair.synthesize`, J - 1 interior
     columns) and kept in place of the coordinate form, so that it holds
@@ -109,7 +111,8 @@ class ExtensionField:
     constructor or :meth:`perturbed`, or one whose values were read, takes
     C from them when :func:`x_norm` first needs it, and keeps it.  The
     constructor copies ``values``, and ``values`` is read-only, so the two
-    forms cannot drift apart.
+    forms cannot drift apart.  ``partition`` must belong to the
+    cylinder's base mesh.
 
     Attributes
     ----------
@@ -124,6 +127,8 @@ class ExtensionField:
 
     def __init__(self, values: np.ndarray, cyl: CylinderMesh,
                  partition: BoundaryPartition) -> None:
+        if partition.mesh != cyl.base:
+            raise ValueError("partition does not belong to this mesh")
         v = np.array(values, dtype=float)
         want = (cyl.base.n_nodes, cyl.J + 1)
         if v.shape != want:
@@ -180,19 +185,17 @@ class ExtensionField:
             return solver.levels(c, g)
         return self._coordinates
 
-    def _first_levels(self) -> np.ndarray:
-        # nodal values of levels 0, 1 and 2, (n_base_nodes, 3)
-        if "values" in self.__dict__:
-            return self.values[:, :3]
+    def _first_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        # C of levels 0 and 1, read from the form held
         if "_modes" in self.__dict__:
-            _, g, solver = self._modes
-            first = g[:, None] * solver.profile[:, :2]
+            c, g, solver = self._modes
+            return c, g * solver.profile[:, 0]
+        if "_coordinates" in self.__dict__:
+            C = self._coordinates
         else:
-            first = self._coordinates[:, 1:3]
-        v = np.zeros((self.cyl.base.n_nodes, 3))
-        v[:, 0] = self._trace
-        self._ops.synthesize(first, out=v[:, 1:])
-        return v
+            ops = self._ops
+            C = ops.coordinates(self.values[ops.free, :2])
+        return C[:, 0], C[:, 1]
 
     def trace(self) -> Field:
         """Restriction to the base plane y = 0."""
@@ -387,21 +390,31 @@ def dtn(
     """Weighted Dirichlet-to-Neumann trace of an extension.
 
     Returns -kappa * lim_{y->0+} y^(1-2s) dw/dy as a Field; for the true
-    extension of u this is the fractional operator applied to u.  The limit
-    comes from the two-point boundary-layer fit of :mod:`_weighted1d`,
-    which reads levels 0, 1 and 2 only: a field from :func:`extend` whose
-    ``values`` were not read yet synthesizes those two interior levels
-    from their coordinates (g P[:, :2] on face-aligned partitions), not
-    all J - 1.  ``w`` must have been built on ``cyl``'s grid.
+    extension of u this is the fractional operator applied to u.  The
+    limit is the discrete Neumann flux of the cylinder's weak form: the
+    residual at y = 0 of kron(A, Mw) + kron(M, Aw), whose trace row reads
+    only levels 0 and 1 (Mw row 0 is [dM_0, eM_0], Aw row 0 is [a_0,
+    -a_0]), so in the M-coordinates C_0 = c, C_1 of those levels the
+    Riesz representative of the flux has coordinates
+
+        F = Pi (Lambda (dM_0 c + eM_0 C_1)) + a_0 (c - C_1)
+
+    (:meth:`~fraclap.spectral.OperatorPair.stiffness`, Pi the projection
+    onto the partition's space on partial facets), and one column kappa F
+    is synthesized.  A face-aligned field from :func:`extend` takes C_1 =
+    g P[:, 0] from its per-mode form, a partial-facet one C_1 from the
+    coordinates it holds, and a field whose ``values`` were read the
+    coordinates of its first two levels.  For an extension the interior
+    rows of the weak form vanish, so <u, dtn(w)>_M = x_norm(w)^2 up to
+    round-off.  ``w`` must have been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)
-    levels = w._first_levels()
-    limit = weighted_slope_limit(
-        levels[:, 1] - levels[:, 0], levels[:, 2] - levels[:, 0],
-        cyl.y[1], cyl.y[2], params.s)
-    vals = -kappa * limit
-    vals[w.partition.dirichlet_node_mask] = 0.0
-    return Field(values=vals, mesh=cyl.base, partition=w.partition)
+    _, a, dM, eM = weighted_bands(cyl.y, params.s)
+    c, c1 = w._first_coordinates()
+    ops = w._ops
+    flux = ops.stiffness(dM[0] * c + eM[0] * c1)
+    flux += a[0] * (c - c1)
+    return Field.from_free(ops, ops.synthesize(kappa * flux))
 
 
 # entries of level differences x_norm forms at a time

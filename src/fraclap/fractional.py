@@ -6,8 +6,8 @@ take coordinates, apply ``power``, resynthesize.  On a
 lambda_j**s; a :class:`~fraclap.spectral.ConstrainedOperator` applies L^s
 with no spectrum beyond lambda_1.  The power s lives strictly between 1/2
 and 1.  Constants: the critical Sobolev constant and the extension coupling
-constant from their Gamma-function formulas; a one-mode ODE calibration of
-the coupling constant is kept as the constants report's cross-check.
+constant from their Gamma-function formulas, and the attainment threshold
+built from the two.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _weighted1d
 from .mesh import BoundaryPartition, Mesh
 from .spectral import Operator, OperatorPair, SpectralBasis, assemble_operators
 
@@ -102,6 +101,8 @@ class Field:
     partition: BoundaryPartition
 
     def __post_init__(self) -> None:
+        if self.partition.mesh != self.mesh:
+            raise ValueError("partition does not belong to this mesh")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.mesh.n_nodes,):
             raise ValueError(f"expected {self.mesh.n_nodes} nodal values")
@@ -255,8 +256,7 @@ def kappa_s(params: FracParams) -> float:
     decaying solution of -(y^(1-2s) w')' + mu y^(1-2s) w = 0 with w(0) = 1
     has -lim_{y->0} y^(1-2s) w'(y) = mu^s / kappa_s for every mu > 0, so
     :func:`~fraclap.extension.dtn` returns L^s u.  Finite on all of
-    1/2 < s < 1; :func:`constants_report` cross-checks it against a
-    numerical one-mode calibration.
+    1/2 < s < 1.
     """
     s = params.s
     return 2.0 ** (2 * s - 1) * math.gamma(s) / math.gamma(1 - s)
@@ -289,52 +289,16 @@ class ConstantsReport:
         return asdict(self)
 
 
-def _calibration_grid(s: float) -> tuple[int, float]:
-    # The slope fit separates y^(2s) from y^2; as s -> 1 the exponents
-    # collide and the grid must grow ahead of the conditioning.
-    if s <= 0.8:
-        return 2000, 4.0
-    if s <= 0.9:
-        return 8000, 5.2
-    return 16000, 7.0
-
-
-def _calibrate_kappa(s: float, mus: tuple[float, ...]) -> list[float]:
-    # mu^s / (-lim y^(1-2s) w') per mu from the one-mode ODE profile, the
-    # quantity the closed form should reproduce for every mu
-    y = _weighted1d.graded_grid(40.0, *_calibration_grid(s))
-    values = []
-    for mu in mus:
-        v = _weighted1d.solve_mode_deviation(y, s, mu)
-        limit = _weighted1d.weighted_slope_limit(v[1], v[2], y[1], y[2], s)
-        values.append(mu**s / -float(limit))
-    return values
-
-
-def constants_report(
-    params: FracParams, mus: tuple[float, ...] = (1.0, 4.0),
-) -> ConstantsReport:
+def constants_report(params: FracParams) -> ConstantsReport:
     """Compute the Sobolev constant, coupling constant, and threshold.
 
-    ``kappa`` and ``threshold`` use the closed form :func:`kappa_s`.  The
-    notes audit it against a one-mode ODE calibration run at every decay
-    rate in ``mus``: the per-mu values, their relative spread (the result
-    should not depend on mu) and the relative difference of the first one
-    from the closed form.  The calibration's fit of y^(2s) against y^2
-    degrades as s -> 1, so both figures grow there; they are reported,
-    never enforced.
+    All three come from their closed forms (:func:`sobolev_constant`,
+    :func:`kappa_s`, :func:`attainment_threshold`); the notes record the
+    definition of ``kappa``.
     """
     kappa = kappa_s(params)
-    values = _calibrate_kappa(params.s, tuple(mus))
     notes = {
-        "kappa_calibration_mus": list(mus),
-        "kappa_calibration_values": values,
-        "kappa_calibration_spread": (max(values) - min(values)) / min(values),
-        "kappa_closed_form": kappa,
-        "kappa_closed_form_rel_diff": abs(values[0] - kappa) / kappa,
-        "kappa_definition": (
-            "closed form 2^(2s-1) Gamma(s)/Gamma(1-s) (normative); one-mode "
-            "ODE calibration listed as a cross-check"),
+        "kappa_definition": "closed form 2^(2s-1) Gamma(s)/Gamma(1-s)",
     }
     return ConstantsReport(
         s=params.s, N=params.N, sobolev=sobolev_constant(params),

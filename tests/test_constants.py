@@ -8,6 +8,8 @@ import pytest
 import fraclap as fl
 from fraclap.fractional import FracParams
 
+import kappa_oracle
+
 # 2^(2s-1) Gamma(s) / Gamma(1-s) at s = 3/4 from mpmath at 60 digits,
 # 0.47798879748612499536...
 KAPPA_075 = 0.47798879748612500
@@ -55,25 +57,30 @@ def test_kappa_matches_high_precision_closed_form(s):
                                                             rel=1e-14)
 
 
+def _calibration_rel_diff(s: float) -> float:
+    # the first calibrated value (mu = 1) against the library's closed form
+    kappa = fl.kappa_s(FracParams(s=s, N=3))
+    return abs(kappa_oracle.calibrate_kappa(s)[0] - kappa) / kappa
+
+
 def test_kappa_calibration_reproduces_closed_form():
-    notes = fl.constants_report(FracParams(s=0.75, N=3)).notes
-    assert notes["kappa_closed_form"] == pytest.approx(KAPPA_075, rel=1e-14)
-    assert notes["kappa_closed_form_rel_diff"] <= 1e-10
+    rep = fl.constants_report(FracParams(s=0.75, N=3))
+    assert rep.kappa == pytest.approx(KAPPA_075, rel=1e-14)
+    assert _calibration_rel_diff(0.75) <= 1e-10
 
 
 @pytest.mark.parametrize("s,rel", [(0.6, 1e-6), (0.85, 1e-6), (0.95, 5e-5)])
 def test_kappa_calibration_other_powers(s, rel):
     # the calibration grid follows s; its accuracy degrades as the y^(2s)
     # and y^2 fit exponents approach each other
-    rep = fl.constants_report(FracParams(s=s, N=3))
-    assert rep.notes["kappa_closed_form_rel_diff"] <= rel
+    assert _calibration_rel_diff(s) <= rel
 
 
 def test_kappa_mu_independent_within_tolerance():
     # a third mu triple-checks the calibration against itself
-    rep = fl.constants_report(FracParams(s=0.75, N=3), mus=(1.0, 2.0, 9.0))
-    assert len(rep.notes["kappa_calibration_values"]) == 3
-    assert rep.notes["kappa_calibration_spread"] <= 1e-6
+    values = kappa_oracle.calibrate_kappa(0.75, mus=(1.0, 2.0, 9.0))
+    assert len(values) == 3
+    assert kappa_oracle.spread(values) <= 1e-6
 
 
 def test_attainment_threshold_value_and_formula(params3):
@@ -92,14 +99,14 @@ def test_constants_report_contents(params3):
     assert rep.s == 0.75 and rep.N == 3
     assert rep.kappa == pytest.approx(KAPPA_075, rel=1e-14)
     assert rep.threshold == pytest.approx(THRESHOLD_075_3, rel=1e-13)
-    notes = rep.notes
-    assert notes["kappa_calibration_spread"] < 1e-6
-    assert len(notes["kappa_calibration_values"]) == len(
-        notes["kappa_calibration_mus"])
+    # every constant comes from its closed form; no calibration is run
+    assert list(rep.notes) == ["kappa_definition"]
+    assert "closed form" in rep.notes["kappa_definition"]
     d = rep.as_dict()
     assert d["sobolev"] == rep.sobolev
-    with pytest.raises(TypeError):
-        fl.constants_report(params3, bogus=1)
+    for bad in ({"bogus": 1}, {"mus": (1.0, 4.0)}):
+        with pytest.raises(TypeError):
+            fl.constants_report(params3, **bad)
 
 
 def test_threshold_below_whole_space_level(params3):
@@ -114,11 +121,11 @@ def test_weighted_profile_matches_bessel_closed_form():
     # w(y) = 2^(1-s)/Gamma(s) (sqrt(mu) y)^s K_s(sqrt(mu) y)
     from scipy.special import kv
 
-    from fraclap._weighted1d import graded_grid, solve_mode_profile
+    from fraclap._weighted1d import graded_grid
 
     s, mu = 0.75, 4.0
     y = graded_grid(Y=20.0, J=400, gamma=4.0)
-    w = solve_mode_profile(y, s, mu)
+    w = kappa_oracle.solve_mode_profile(y, s, mu)
     z = np.sqrt(mu) * y[1:-1]
     exact = 2.0 ** (1 - s) / math.gamma(s) * z**s * kv(s, z)
     keep = y[1:-1] < 5.0 / math.sqrt(mu)

@@ -14,14 +14,16 @@ from fraclap._weighted1d import (
     cell_moments,
     graded_grid,
     harmonic_conductances,
-    solve_mode_deviation,
-    solve_mode_profile,
     weighted_bands,
-    weighted_slope_limit,
 )
 from fraclap.extension import MIN_Y_CELLS
 
 from conftest import m_norm
+from kappa_oracle import (
+    solve_mode_deviation,
+    solve_mode_profile,
+    weighted_slope_limit,
+)
 
 S = 0.75
 
@@ -190,6 +192,13 @@ def test_extension_field_validation(interval_cylinder, interval_ops):
     pinned[part.dirichlet_node_mask, 2] = 1.0
     with pytest.raises(ValueError):
         fl.ExtensionField(values=pinned, cyl=cyl, partition=part)
+    # a partition of another mesh, with equal node counts (a longer
+    # interval) and with different ones
+    for other in (fl.build_tensor_mesh(1, [(0.0, 2.0)], [128]),
+                  fl.build_tensor_mesh(1, [(0.0, 1.0)], [32])):
+        foreign = fl.partition_boundary(other, [(0, 0)])
+        with pytest.raises(ValueError, match="does not belong"):
+            fl.ExtensionField(values=good, cyl=cyl, partition=foreign)
 
 
 def test_extend_trace_cap_and_clamping(interval_cylinder, interval_ops, params1):
@@ -297,6 +306,50 @@ def test_dtn_matches_spectral_per_mode(interval_cylinder, interval_ops,
         want = interval_basis.lams[k - 1] ** params1.s
         err = m_norm(ops, g.free_values(ops) - want * phi.free_values(ops))
         assert err / want < 5e-3
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75, 0.9, 0.97, 0.99])
+def test_dtn_first_mode_holds_as_s_nears_one(interval_ops, interval_basis, s):
+    # the discrete Neumann flux keeps the first-mode error near 1e-4 on the
+    # default cylinder (Y = 6 / sqrt(lambda_1), J = 32, gamma = 3) up to
+    # s = 0.99, where a fit of y^(2s) against y^2 reads 0.10
+    ops = interval_ops
+    params = fl.FracParams(s=s, N=1)
+    phi = fl.mode_field(interval_basis, 1)
+    lam1 = float(interval_basis.lams[0])
+    cyl = fl.build_cylinder(ops.mesh, 6.0 / math.sqrt(lam1), 32, 3.0)
+    w = fl.extend(cyl, ops.partition, params, phi)
+    g = fl.dtn(cyl, params, w, fl.kappa_s(params))
+    want = lam1 ** s
+    err = m_norm(ops, g.free_values(ops) - want * phi.free_values(ops))
+    assert err / want <= 1e-3
+
+
+@pytest.mark.parametrize("form", ["per-mode", "partial-facet", "values-read"])
+def test_dtn_pairs_with_the_trace_to_the_energy(form):
+    # the interior rows of the weak form vanish on an extension and its
+    # cap level is zero, so W^T K W = <u, dtn(w)>_M / kappa: the flux
+    # paired with the trace is x_norm^2, whichever form w is held in.  It
+    # holds to 2.8e-10 here; reading C_0 for C_1 in the mass term, a
+    # change below the discretization error, moves it to 6e-7
+    # (partial facet 4.3e-7)
+    case = "square-half" if form == "partial-facet" else "square"
+    mesh, part = _extension_cases()[case]
+    ops = fl.assemble_operators(mesh, part)
+    params, cyl, u, w = _extension_of(mesh, part)
+    held = {"per-mode": "_modes", "partial-facet": "_coordinates"}
+    if form == "values-read":
+        w.values
+        assert not {"_modes", "_coordinates"} & set(w.__dict__)
+    else:
+        assert held[form] in w.__dict__
+    kap = fl.kappa_s(params)
+    g = fl.dtn(cyl, params, w, kap)
+    c = ops.coordinates(np.column_stack([u.free_values(ops),
+                                         g.free_values(ops)]))
+    paired = float(c[:, 0] @ c[:, 1])
+    assert paired == pytest.approx(fl.x_norm(cyl, params, w, kap) ** 2,
+                                   rel=1e-8)
 
 
 def test_dtn_error_shrinks_with_finer_grid(interval_ops, interval_basis,
@@ -560,11 +613,13 @@ def test_extension_from_coordinates_matches_its_nodal_copy(case):
 
     nodal = fl.ExtensionField(values=w.values, cyl=cyl, partition=part)
     assert fl.x_norm(cyl, params, nodal, kap) == pytest.approx(norm, rel=1e-13)
-    # dtn reads w(y_1) - w(0), so the two syntheses of level 1 (two
-    # columns against J - 1) differ by its round-off floor: at most
-    # 1.1e-11 of the largest flux on these cases
+    # dtn reads C_0 - C_1, which the extension holds in coordinates and
+    # the nodal copy takes back from its synthesized level 1: that level's
+    # round-off, a few eps |u|, times the first-cell conductance a_0 =
+    # 1.1e6 is the floor, at most 2.1e-10 of the largest flux on these
+    # cases (3.8e-11 on the squares)
     want = fl.dtn(cyl, params, nodal, kap).values
-    assert np.max(np.abs(flux - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(flux - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_extension_values_are_read_only_copies():
@@ -655,7 +710,7 @@ def test_repeat_extension_allocates_no_level_array():
 
 def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
     # extend, dtn and x_norm stay in coordinates: one coordinate column (the
-    # trace), two synthesized interior levels (dtn's); reading values
+    # trace) and one synthesized column (dtn's flux); reading values
     # synthesizes the J - 1 interior levels once
     coordinated, synthesized = [], []
     coordinates = fl.OperatorPair.coordinates
@@ -680,7 +735,7 @@ def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
     fl.dtn(cyl, params, w, kap)
     fl.x_norm(cyl, params, w, kap)
     assert coordinated == [1]
-    assert sum(synthesized) <= 2
+    assert synthesized == [1]
     synthesized.clear()
     first = w.values
     assert w.values is first

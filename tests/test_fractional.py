@@ -68,6 +68,16 @@ def test_field_arithmetic(square_ops):
         u + w
 
 
+def test_field_refuses_a_partition_of_another_mesh(square_ops):
+    # with equal node counts (a stretched square) and with different ones
+    mesh = square_ops.mesh
+    for other in (fl.build_tensor_mesh(2, [(0.0, 2.0), (0.0, 1.0)], [12, 12]),
+                  fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [5, 5])):
+        part = fl.partition_boundary(other, [(0, 0)])
+        with pytest.raises(ValueError, match="does not belong"):
+            Field(values=np.zeros(mesh.n_nodes), mesh=mesh, partition=part)
+
+
 def test_field_from_another_partition_is_refused(params2):
     # same mesh, two partitions: a field is read only through its own
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [16, 16])

@@ -1,8 +1,9 @@
-"""The benchmarked calls and ``import fraclap`` load no scipy module.
+"""The benchmarked calls, ``fraclap constants`` and ``import fraclap`` load
+no scipy module.
 
 Any scipy submodule costs a process about 0.2 s and 25 MB on import, more
 than most runs compute, so every call of the three benchmark workloads is
-numpy only.  The calls run in a fresh interpreter, since this one has
+numpy only, and so are the constants, which come from closed forms.  The calls run in a fresh interpreter, since this one has
 loaded scipy for the reference checks of other tests.
 """
 import json
@@ -63,8 +64,8 @@ for _ in range(2):
     fl.x_norm(cyl, params, w, kappa)
 stages["extend"] = loaded()
 
-# move-boundary (a partial-facet partition at alpha = 1/2) and
-# sweep-lambda through the command line
+# move-boundary (a partial-facet partition at alpha = 1/2), sweep-lambda
+# and constants through the command line
 config = {"domain": {"kind": "box", "extents": [[0, 1], [0, 1]],
                      "n": [8, 8]},
           "partition": {"dirichlet_faces": [[0, 0]]},
@@ -74,7 +75,7 @@ config = {"domain": {"kind": "box", "extents": [[0, 1], [0, 1]],
           "outdir": "runs"}
 Path("box.json").write_text(json.dumps(config))
 versions = {}
-for sub in ("move-boundary", "sweep-lambda"):
+for sub in ("move-boundary", "sweep-lambda", "constants"):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = fraclap.cli.main([sub, "--config", "box.json"])
     stages[sub] = loaded() if code == 0 else f"exit {code}"
@@ -91,8 +92,9 @@ def test_workload_calls_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     stages, versions = json.loads(proc.stdout.splitlines()[-1])
     assert list(stages) == ["import", "cube-audit", "extend",
-                            "move-boundary", "sweep-lambda"]
+                            "move-boundary", "sweep-lambda", "constants"]
     assert stages == {name: [] for name in stages}
     # a run that never loaded scipy records no scipy version
     assert versions == {sub: ["fraclap", "numpy", "python"]
-                        for sub in ("move-boundary", "sweep-lambda")}
+                        for sub in ("move-boundary", "sweep-lambda",
+                                    "constants")}
