@@ -106,10 +106,12 @@ class ExtensionField:
     from it and synthesizes one column, its flux.
     Its nodal ``values`` are synthesized on first read
     (:meth:`~fraclap.spectral.OperatorPair.synthesize`, J - 1 interior
-    columns) and kept in place of the coordinate form, so that it holds
-    one form at a time.  A field made from nodal values, by this
-    constructor or :meth:`perturbed`, or one whose values were read, takes
-    C from them when :func:`x_norm` first needs it, and keeps it.  The
+    columns, level 1 as the trace less the synthesized C_0 - C_1, the
+    difference :func:`dtn` weighs by a_0) and kept in place of the
+    coordinate form, so that it holds one form at a time.  A field made
+    from nodal values, by this constructor or :meth:`perturbed`, or one
+    whose values were read, takes C from them when :func:`x_norm` first
+    needs it, and keeps it.  The
     constructor copies ``values``, and ``values`` is read-only, so the two
     forms cannot drift apart.  ``partition`` must belong to the
     cylinder's base mesh.
@@ -163,9 +165,16 @@ class ExtensionField:
     def values(self) -> np.ndarray:
         """Nodal values, (n_base_nodes, J+1), read-only."""
         J = self.cyl.J
+        C = self._levels()
+        # level 1 is synthesized as the trace less its deviation C_0 - C_1,
+        # so that the values keep that first-cell difference, which dtn
+        # weighs by a_0, free of the synthesis round-off of the trace
+        X = C[:, 1:J] if "_modes" in self.__dict__ else C[:, 1:J].copy()
+        np.subtract(C[:, 0], X[:, 0], out=X[:, 0])
         v = np.zeros((self.cyl.base.n_nodes, J + 1))
         v[:, 0] = self._trace
-        self._ops.synthesize(self._levels()[:, 1:J], out=v[:, 1:J])
+        self._ops.synthesize(X, out=v[:, 1:J])
+        v[:, 1] = v[:, 0] - v[:, 1]
         v.flags.writeable = False
         # held in place of the coordinates, which x_norm forms again from
         # them if needed

@@ -330,7 +330,7 @@ def test_dtn_pairs_with_the_trace_to_the_energy(form):
     # the interior rows of the weak form vanish on an extension and its
     # cap level is zero, so W^T K W = <u, dtn(w)>_M / kappa: the flux
     # paired with the trace is x_norm^2, whichever form w is held in.  It
-    # holds to 2.8e-10 here; reading C_0 for C_1 in the mass term, a
+    # holds to 5e-11 here; reading C_0 for C_1 in the mass term, a
     # change below the discretization error, moves it to 6e-7
     # (partial facet 4.3e-7)
     case = "square-half" if form == "partial-facet" else "square"
@@ -613,13 +613,13 @@ def test_extension_from_coordinates_matches_its_nodal_copy(case):
 
     nodal = fl.ExtensionField(values=w.values, cyl=cyl, partition=part)
     assert fl.x_norm(cyl, params, nodal, kap) == pytest.approx(norm, rel=1e-13)
-    # dtn reads C_0 - C_1, which the extension holds in coordinates and
-    # the nodal copy takes back from its synthesized level 1: that level's
-    # round-off, a few eps |u|, times the first-cell conductance a_0 =
-    # 1.1e6 is the floor, at most 2.1e-10 of the largest flux on these
-    # cases (3.8e-11 on the squares)
+    # dtn weighs C_0 - C_1 by the first-cell conductance a_0 = 1.1e6; the
+    # extension holds it in coordinates and the nodal copy takes it back
+    # from level 1, which values synthesize as the trace less that
+    # deviation, so the two differ by its round-off: at most 1.6e-11 of
+    # the largest flux on these cases
     want = fl.dtn(cyl, params, nodal, kap).values
-    assert np.max(np.abs(flux - want)) <= 1e-9 * np.max(np.abs(want))
+    assert np.max(np.abs(flux - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_extension_values_are_read_only_copies():
