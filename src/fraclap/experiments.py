@@ -535,8 +535,7 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
     sink = _Sink(work)
     manifest = RunManifest(
         subcommand=subcommand, config_hash=digest, run_dir=str(work),
-        versions=_versions(), overrides=list(overrides or []),
-        threads=_threads())
+        overrides=list(overrides or []), threads=_threads())
     try:
         t0 = time.perf_counter()
         sink.write_json("config.json", resolved)
@@ -545,6 +544,8 @@ def run(subcommand: str, resolved: dict, overrides=None) -> RunManifest:
         t0 = time.perf_counter()
         _DISPATCH[subcommand](resolved, params, sink)
         manifest.timings["compute"] = time.perf_counter() - t0
+        # read after the run, which may have loaded scipy
+        manifest.versions = _versions()
 
         t0 = time.perf_counter()
         manifest.run_dir = str(run_dir)

@@ -100,10 +100,12 @@ class ExtensionField:
     M-coordinates C of every level in the face-aligned relaxation's
     eigenbasis (:meth:`~fraclap.spectral.OperatorPair.coordinates`, n_R x
     (J+1)): on a face-aligned partition as the two columns c and g and the
-    solver with the y-profile P, where C = [c, g P, 0] is formed only when
-    ``values`` are read, elsewhere as C itself.  :func:`x_norm` reads that
-    form as it is, and :func:`dtn` takes the coordinates of levels 0 and 1
-    from it and synthesizes one column, its flux.
+    solver, where C = [c, g P, 0] and the solver's y-profile P are formed
+    only when ``values`` are read, elsewhere as C itself.  :func:`x_norm`
+    reads that form as it is, the per-mode one through the solver's
+    per-mode energy, and :func:`dtn` takes the coordinates of levels 0 and
+    1 from it (C_1 = g P_1 per mode) and synthesizes one column, its
+    flux.
     Its nodal ``values`` are synthesized on first read
     (:meth:`~fraclap.spectral.OperatorPair.synthesize`, J - 1 interior
     columns, level 1 as the trace less the synthesized C_0 - C_1, the
@@ -198,7 +200,7 @@ class ExtensionField:
         # C of levels 0 and 1, read from the form held
         if "_modes" in self.__dict__:
             c, g, solver = self._modes
-            return c, g * solver.profile[:, 0]
+            return c, g * solver.first
         if "_coordinates" in self.__dict__:
             C = self._coordinates
         else:
@@ -223,89 +225,119 @@ class ExtensionField:
 class _InteriorSolver:
     """The extension solver of one partition and power s on one cylinder.
 
-    ``interior(g, out)`` writes the coordinates of interior levels 1 to J
-    - 1 for the right side g Z[0] into ``out``; a0, dM0 and eM0 are the
-    trace's conductance and mass entries of Aw and Mw.  On face-aligned
-    partitions row i of those coordinates is g_i times the y-profile P[i]
-    of eigenvalue lambda_i, and the solver also keeps the per-mode sums
-    of :func:`x_norm` over the interior levels, with P_iJ = 0 at the cap:
-    sigma_i = sum_j>=1 (dM_j P_ij^2 + 2 eM_j P_ij P_i,j+1), the Mw part,
-    and tau_i = sum_c>=1 a_c (P_i,c+1 - P_ic)^2, the Aw part in
-    conductance-difference form; all three are None on other partitions.
+    a, dM and eM are the cylinder's bands of Aw and Mw at s.  On
+    face-aligned partitions row i of the coordinates of interior levels 1
+    to J - 1 is g_i P_i, P_i = K_i^-1 e_1 for K_i = Aw + lambda_i Mw on
+    those levels; one elimination of the K_i (:func:`_eliminate`) gives
+    ``first`` = P_i1 = 1/d_1 and ``mode_energy`` = lambda_i sigma_i + tau_i
+    = P_i^T K_i P_i - a_0 P_i1^2 = e_1/d_1^2, the Mw and Aw sums of P_i,
+    and ``profile`` is formed only when the levels are read.  On other
+    partitions ``interior(g, out)`` writes those coordinates for the right
+    side g Z[0] into ``out``.
     """
 
     ops: OperatorPair
     s: float
-    J: int
-    a0: float
-    dM0: float
-    eM0: float
-    interior: Callable[[np.ndarray, np.ndarray], None]
-    profile: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    tau: np.ndarray | None = None
+    a: np.ndarray
+    dM: np.ndarray
+    eM: np.ndarray
+    interior: Callable[[np.ndarray, np.ndarray], None] | None = None
+    first: np.ndarray | None = None
+    mode_energy: np.ndarray | None = None
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """P_ik at row k - 1, (J - 1) x n_R; row 0 is ``first``."""
+        # the ratios rho_k = P_k+1 / P_k in row k, then a row at a time
+        P = np.empty((len(self.a) - 1, len(self.first)))
+        _eliminate(self.ops.relaxed.values, self.a, self.dM, self.eM,
+                   ratios=P)
+        P[0] = self.first
+        for k in range(1, len(P)):
+            P[k] *= P[k - 1]
+        return P
 
     def levels(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
         """C = [c, interior coordinates, 0], n_R x (J+1)."""
-        J = self.J
+        J = len(self.a)
         C = np.empty((len(c), J + 1))
         C[:, 0] = c
         C[:, J] = 0.0
-        self.interior(g, C[:, 1:J])
+        if self.interior is None:
+            np.multiply(g[:, None], self.profile.T, out=C[:, 1:J])
+        else:
+            self.interior(g, C[:, 1:J])
         return C
 
     def energy(self, c: np.ndarray, g: np.ndarray) -> float:
         """x_norm^2 / kappa of C = [c, g P, 0], one sum over the modes."""
         lam = self.ops.relaxed.values
-        first = g * self.profile[:, 0]
-        g2 = g * g
-        mass = lam @ (self.dM0 * (c * c) + 2.0 * self.eM0 * (c * first)
-                      + g2 * self.sigma)
+        first = g * self.first
+        mass = lam @ (self.dM[0] * (c * c) + 2.0 * self.eM[0] * (c * first))
         step = first - c
-        return float(mass + self.a0 * (step @ step) + g2 @ self.tau)
+        return float(mass + self.a[0] * (step @ step)
+                     + (g * g) @ self.mode_energy)
+
+
+def _eliminate(lam: np.ndarray, a: np.ndarray, dM: np.ndarray,
+               eM: np.ndarray, ratios: np.ndarray | None = None):
+    # Gaussian elimination of every K_i = Aw + lambda_i Mw on levels
+    # 1..J-1 from the cap down, in place in n_R buffers.  It carries e_k =
+    # d_k - a_k-1, the pivot less the conductance below, so that no
+    # conductance cancels: e_J-1 = a_J-1 + lambda dM_J-1, d_k+1 = a_k +
+    # e_k+1, e_k = lambda dM_k + [a_k e_k+1 + lambda eM_k (2 a_k - lambda
+    # eM_k)] / d_k+1.  Returns d_1 and e_1, and writes rho_k = (a_k -
+    # lambda eM_k) / d_k+1 to ratios[k] if given.
+    J = len(a)
+    e = lam * dM[J - 1]
+    e += a[J - 1]
+    d, t, u = np.empty((3, len(e)))
+    for k in range(J - 2, 0, -1):
+        np.add(e, a[k], out=d)
+        np.multiply(lam, eM[k], out=t)
+        if ratios is not None:
+            np.subtract(a[k], t, out=ratios[k])
+            ratios[k] /= d
+        np.subtract(2.0 * a[k], t, out=u)
+        u *= t
+        e *= a[k]
+        e += u
+        e /= d
+        np.multiply(lam, dM[k], out=u)
+        e += u
+    np.add(e, a[0], out=d)
+    return d, e
 
 
 def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh,
                      s: float) -> _InteriorSolver:
-    # y-direction eigenpairs plus the base shifted solves of
-    # OperatorPair.shifted, built once per partition and s and kept on the
-    # cylinder
+    # built once per partition and s and kept on the cylinder
     solver = cyl._solvers.get((partition, s))
     if solver is not None:
         return solver
 
     ops = assemble_operators(cyl.base, partition)
     dA, a, dM, eM = weighted_bands(cyl.y, s)
-    J = cyl.J
-    theta, Z = _pencil_eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
-                            _tridiagonal(dM[1:J], eM[1:J - 1]))
-    # the trace couples to the interior through column 0 of Mw and Aw, whose
-    # one interior entry is row 1: eM_0 and -a_0, which the y-eigenvectors
-    # turn into the row Z[0]
-    solve = ops.shifted(theta)
-    common = dict(ops=ops, s=s, J=J, a0=a[0], dM0=dM[0], eM0=eM[0])
+    bands = dict(ops=ops, s=s, a=a, dM=dM, eM=eM)
     if ops.tensor is not None:
-        # the shifted solves are divisions, so row i of the interior
-        # coordinates is g_i times the y-profile of eigenvalue lambda_i,
-        # P = (Z[0] / (lambda_i + theta)) Z^T, formed once
-        P = solve(np.tile(Z[0], (len(ops.relaxed.values), 1))) @ Z.T
-
-        def interior(g: np.ndarray, out: np.ndarray) -> None:
-            np.multiply(g[:, None], P, out=out)
-
-        sigma = (np.einsum("ij,j,ij->i", P, dM[1:J], P)
-                 + 2.0 * np.einsum("ij,j,ij->i", P[:, :-1], eM[1:J - 1],
-                                   P[:, 1:]))
-        step = np.diff(P, axis=1)
-        tau = (np.einsum("ij,j,ij->i", step, a[1:J - 1], step)
-               + a[J - 1] * P[:, -1] ** 2)
-        solver = _InteriorSolver(**common, interior=interior, profile=P,
-                                 sigma=sigma, tau=tau)
+        d, e = _eliminate(ops.relaxed.values, a, dM, eM)
+        first = 1.0 / d
+        solver = _InteriorSolver(**bands, first=first,
+                                 mode_energy=e * first * first)
     else:
+        # y-direction eigenpairs plus the base shifted solves of
+        # OperatorPair.shifted: the trace couples to the interior through
+        # column 0 of Mw and Aw, whose one interior entry is row 1, eM_0
+        # and -a_0, which the y-eigenvectors turn into the row Z[0]
+        J = cyl.J
+        theta, Z = _pencil_eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
+                                _tridiagonal(dM[1:J], eM[1:J - 1]))
+        solve = ops.shifted(theta)
+
         def interior(g: np.ndarray, out: np.ndarray) -> None:
             np.matmul(solve(np.multiply.outer(g, Z[0])), Z.T, out=out)
 
-        solver = _InteriorSolver(**common, interior=interior)
+        solver = _InteriorSolver(**bands, interior=interior)
     cyl._solvers[partition, s] = solver
     return solver
 
@@ -318,35 +350,33 @@ def extend(
 ) -> ExtensionField:
     """Solve the weighted extension problem with trace u.
 
-    The discrete system diagonalizes in the y-direction into one shifted
-    base system (A + theta_j M) per weighted y-eigenvalue theta_j.  The
-    trace enters through the right side -(A u) Mw[1:J, 0]^T - (M u)
-    Aw[1:J, 0]^T.  Only interior level 1 couples to the trace, so
-    Mw[1:J, 0] = eM_0 e_1 and Aw[1:J, 0] = -a_0 e_1, and in the
-    y-eigenvectors Z the right side has rank one: g Z[0] with g = a_0 c -
-    eM_0 Lambda c in the base coordinates, where c are the M-coordinates
-    of u (:meth:`~fraclap.spectral.OperatorPair.coordinates`) and Lambda c
+    The trace enters the interior system on levels 1 to J - 1 through the
+    right side -(A u) Mw[1:J, 0]^T - (M u) Aw[1:J, 0]^T.  Only interior
+    level 1 couples to the trace, so Mw[1:J, 0] = eM_0 e_1 and Aw[1:J, 0]
+    = -a_0 e_1, and in the base coordinates the right side has rank one: g
+    e_1^T with g = a_0 c - eM_0 Lambda c, where c are the M-coordinates of
+    u (:meth:`~fraclap.spectral.OperatorPair.coordinates`) and Lambda c
     those of A u.  So one coordinate column is formed per call, and no
-    product with A or M.  The level coordinates are C = [c, (G / (Lambda
-    + theta)) Z^T, 0] for G = g Z[0], n_R x (J+1), and nothing is
-    synthesized; the field's nodal ``values`` are formed on first read
-    (:class:`ExtensionField`).
+    product with A or M; nothing is synthesized, and the field's nodal
+    ``values`` are formed on first read (:class:`ExtensionField`).
 
     On face-aligned partitions (every face wholly Dirichlet or wholly
-    Neumann) the shifted systems are divisions in the Kronecker basis of
-    1-D eigenvectors, so row i of the interior coordinates is g_i times the
-    y-profile P[i] = (Z[0] / (lambda_i + theta)) Z^T of eigenvalue
-    lambda_i, and the profiles are formed once, with the per-mode sums
-    that :func:`x_norm` reads.  So C = [c, g P, 0] carries nothing beyond
-    c and g: the field holds those two columns and the solver, and a
-    repeat call costs O(n_R) besides the coordinates of u.  On other
-    partitions the same solves get a capacitance correction at the nodes
-    that the face-aligned relaxation frees, from the partition's one
-    capacitance kernel (``OperatorPair.kernel``), with one small r x r
-    inverse per theta_j, and the product with Z^T follows; the field holds
-    C.  The solver is built by the first call with a given partition and
-    s and kept on the cylinder, so repeat calls only solve.  No
-    base-operator spectrum is involved either way.
+    Neumann) the system splits by mode: row i of the interior coordinates
+    is g_i times the y-profile P_i = K_i^-1 e_1 of the tridiagonal K_i =
+    Aw + lambda_i Mw on the interior levels.  The solver eliminates all the
+    K_i at once, from the cap down, and keeps P_i1 and the energy lambda_i
+    sigma_i + tau_i that :func:`x_norm` reads; it forms no y-eigenpair, and
+    the profiles, (J - 1) x n_R, only when the levels are read.  So C = [c,
+    g P, 0] carries nothing beyond c and g: the field holds those two
+    columns and the solver, and a repeat call costs O(n_R) besides the
+    coordinates of u.  On other partitions the y-eigenvectors Z split the
+    system into shifted base systems (A + theta_j M) with right side g
+    Z[0], solved with a capacitance correction from the partition's one
+    kernel (``OperatorPair.kernel``), one small r x r inverse per theta_j;
+    the product with Z^T follows, and the field holds C = [c, (G / (Lambda
+    + theta)) Z^T, 0] for G = g Z[0].  The solver is built by the first
+    call with a given partition and s and kept on the cylinder, so repeat
+    calls only solve.  No base-operator spectrum is involved either way.
 
     Parameters
     ----------
@@ -374,10 +404,10 @@ def extend(
     ops = solver.ops
     uf = u.free_values(ops)
     c = ops.coordinates(uf)
-    g = solver.a0 * c - solver.eM0 * ops.stiffness(c)
+    g = solver.a[0] * c - solver.eM[0] * ops.stiffness(c)
     trace = np.zeros(cyl.base.n_nodes)
     trace[ops.free] = uf
-    if solver.profile is not None:
+    if solver.interior is None:
         return ExtensionField._held(trace, cyl, partition,
                                     _modes=(c, g, solver))
     return ExtensionField._held(trace, cyl, partition,
@@ -411,7 +441,7 @@ def dtn(
     (:meth:`~fraclap.spectral.OperatorPair.stiffness`, Pi the projection
     onto the partition's space on partial facets), and one column kappa F
     is synthesized.  A face-aligned field from :func:`extend` takes C_1 =
-    g P[:, 0] from its per-mode form, a partial-facet one C_1 from the
+    g P_1 from its per-mode form, a partial-facet one C_1 from the
     coordinates it holds, and a field whose ``values`` were read the
     coordinates of its first two levels.  For an extension the interior
     rows of the weak form vanish, so <u, dtn(w)>_M = x_norm(w)^2 up to
@@ -454,9 +484,11 @@ def x_norm(
     y_1^(-2s), so the difference form keeps the digits that W^T Aw W would
     lose to cancellation.  A face-aligned field from :func:`extend`, C =
     [c, g P, 0], at the power it was solved with, takes the same sums of
-    each profile P[i] from its solver, sigma_i (Mw) and tau_i (Aw), so the
-    form is kappa sum_i [lambda_i (dM_0 c_i^2 + 2 eM_0 c_i g_i P_i1 + g_i^2
-    sigma_i) + a_0 (g_i P_i1 - c_i)^2 + g_i^2 tau_i], O(n_R) work.  ``w``
+    each profile P_i as the per-mode energy lambda_i sigma_i + tau_i of
+    its solver's elimination, sigma_i the Mw and tau_i the Aw part, so the
+    form is kappa sum_i [lambda_i (dM_0 c_i^2 + 2 eM_0 c_i g_i P_i1) + a_0
+    (g_i P_i1 - c_i)^2 + g_i^2 (lambda_i sigma_i + tau_i)], O(n_R) work,
+    and no profile is formed.  ``w``
     must have been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)

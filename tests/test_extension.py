@@ -214,24 +214,38 @@ def test_extend_trace_cap_and_clamping(interval_cylinder, interval_ops, params1)
     assert np.array_equal(w.values, again.values)
 
 
-def test_cylinder_keeps_a_solver_per_power(interval_cylinder, interval_ops,
-                                           monkeypatch):
-    # alternating powers on one cylinder reuse the solvers it holds
-    built = []
+def test_cylinder_keeps_a_solver_per_power(monkeypatch):
+    # alternating powers on one cylinder reuse the solvers it holds: two
+    # solvers are built for two powers, and on a partial facet each build
+    # makes the one set of shifted base solves of its y-eigenvalues, which
+    # the face-aligned elimination does without
+    from fraclap import extension
+
+    built, shifts = [], []
+    solver = extension._InteriorSolver
     shifted = fl.OperatorPair.shifted
 
-    def counting(ops, theta):
-        built.append(theta)
+    def counting_solver(**fields):
+        built.append(fields["s"])
+        return solver(**fields)
+
+    def counting_shifted(ops, theta):
+        shifts.append(theta)
         return shifted(ops, theta)
 
-    monkeypatch.setattr(fl.OperatorPair, "shifted", counting)
-    ops, old = interval_ops, interval_cylinder
-    cyl = fl.build_cylinder(ops.mesh, old.Y, old.J, old.gamma)
-    u = fl.Field.from_callable(ops.mesh, ops.partition,
-                               lambda x: np.sin(np.pi * x[:, 0] / 2))
-    for s in (0.6, 0.75, 0.6, 0.75):
-        fl.extend(cyl, ops.partition, fl.FracParams(s=s, N=1), u)
-    assert len(built) == 2
+    monkeypatch.setattr(extension, "_InteriorSolver", counting_solver)
+    monkeypatch.setattr(fl.OperatorPair, "shifted", counting_shifted)
+    for face_aligned in (True, False):
+        built.clear()
+        shifts.clear()
+        mesh, part = _face_aligned_or_partial(face_aligned)
+        cyl = fl.build_cylinder(mesh, 4.0, 24, 2.0)
+        u = fl.Field.from_callable(mesh, part,
+                                   lambda x: np.sin(x[:, 0] + x[:, 1]))
+        for s in (0.6, 0.75, 0.6, 0.75):
+            fl.extend(cyl, part, fl.FracParams(s=s, N=2), u)
+        assert built == [0.6, 0.75]
+        assert len(shifts) == (0 if face_aligned else 2)
 
 
 def test_extend_zero_and_linearity(interval_cylinder, interval_ops, params1):
@@ -706,6 +720,72 @@ def test_repeat_extension_allocates_no_level_array():
     finally:
         tracemalloc.stop()
     assert peak < n_R * (cyl.J + 1) * np.dtype(float).itemsize
+
+
+def test_cold_extension_forms_no_profile():
+    # a first extend on a new cylinder builds its solver by one elimination
+    # per mode and forms no y-profile: with dtn and x_norm it takes less
+    # memory than one n_R x (J+1) array, and the values read afterwards
+    # form the profile and match the eager ones
+    import tracemalloc
+
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [32, 32])
+    part = fl.partition_boundary(mesh, [(0, 0)])
+    ops = fl.assemble_operators(mesh, part)
+    params, old, u, _ = _extension_of(mesh, part)
+    cyl = fl.build_cylinder(mesh, old.Y, old.J, old.gamma)
+    kap = fl.kappa_s(params)
+    tracemalloc.start()
+    try:
+        w = fl.extend(cyl, part, params, u)
+        fl.dtn(cyl, params, w, kap)
+        fl.x_norm(cyl, params, w, kap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_R = len(ops.relaxed.values)
+    assert peak < n_R * (cyl.J + 1) * np.dtype(float).itemsize
+    assert "profile" not in w._modes[2].__dict__
+    eager = _eager_values(cyl, ops, params, u)
+    assert np.max(np.abs(w.values - eager)) <= 1e-13 * np.max(np.abs(eager))
+
+
+def test_elimination_matches_dense_mode_solves():
+    # the face-aligned solver's P_i1, lambda_i sigma_i + tau_i and lazily
+    # formed profile against a dense solve of (Aw + lambda_i Mw) P_i = e_1
+    # on levels 1..J-1 for every mode, with sigma_i and tau_i the Mw and
+    # Aw sums of the dense P_i.  The y-eigenvector expansion that the
+    # elimination replaced, P_i = (Z[0] / (lambda_i + theta)) Z^T, missed
+    # the dense profile of the first mode by 3.2e-9 of its maximum here
+    from fraclap.extension import _interior_solver
+
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [16, 16])
+    part = fl.partition_boundary(mesh, [(0, 0)])
+    ops = fl.assemble_operators(mesh, part)
+    cyl = fl.build_cylinder(mesh, 4.0, 128, 3.0)
+    J = cyl.J
+    solver = _interior_solver(part, cyl, S)
+    dA, a, dM, eM = weighted_bands(cyl.y, S)
+    Aw = np.diag(dA[1:J]) - np.diag(a[1:J - 1], 1) - np.diag(a[1:J - 1], -1)
+    Mw = np.diag(dM[1:J]) + np.diag(eM[1:J - 1], 1) + np.diag(eM[1:J - 1], -1)
+    lam = ops.relaxed.values
+    e1 = np.eye(J - 1)[0]
+    P = np.array([np.linalg.solve(Aw + mu * Mw, e1) for mu in lam])
+    sigma = (np.einsum("ij,j,ij->i", P, dM[1:J], P)
+             + 2.0 * np.einsum("ij,j,ij->i", P[:, :-1], eM[1:J - 1], P[:, 1:]))
+    step = np.diff(P, axis=1)
+    tau = (np.einsum("ij,j,ij->i", step, a[1:J - 1], step)
+           + a[J - 1] * P[:, -1] ** 2)
+    assert np.max(np.abs(solver.first / P[:, 0] - 1.0)) <= 1e-13
+    energy = lam * sigma + tau
+    assert np.max(np.abs(solver.mode_energy / energy - 1.0)) <= 1e-13
+    profile = solver.profile
+    assert profile.shape == (J - 1, len(lam))
+    assert np.array_equal(profile[0], solver.first)
+    err = np.abs(profile - P.T)
+    # each mode's profile and each level, against its own maximum
+    assert np.all(err <= 1e-13 * np.max(np.abs(P), axis=1))
+    assert np.all(err <= 1e-13 * np.max(np.abs(P), axis=0)[:, None])
 
 
 def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):

@@ -98,3 +98,40 @@ def test_workload_calls_load_no_scipy(tmp_path):
     assert versions == {sub: ["fraclap", "numpy", "python"]
                         for sub in ("move-boundary", "sweep-lambda",
                                     "constants")}
+
+
+LOADING = r"""
+import json, sys
+from pathlib import Path
+from fraclap import experiments, validate
+
+assert "scipy" not in sys.modules
+eig = experiments._DISPATCH["eig"]
+
+def loading(*args):
+    # the computation loads scipy part-way through the run
+    import scipy.linalg
+    return eig(*args)
+
+experiments._DISPATCH["eig"] = loading
+config = {"domain": {"kind": "box", "extents": [[0, 1], [0, 1]],
+                     "n": [4, 4]},
+          "partition": {"dirichlet_faces": [[0, 0]]},
+          "mode_count": 3, "outdir": "runs"}
+manifest = experiments.run("eig", validate(config))
+print((Path(manifest.run_dir) / "manifest.json").read_text())
+"""
+
+
+def test_manifest_records_scipy_loaded_during_the_run(tmp_path):
+    # the versions are read after the subcommand has run, so a run that
+    # loads scipy part-way records its version
+    import scipy
+
+    proc = subprocess.run([sys.executable, "-c", LOADING], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    versions = json.loads(proc.stdout)["versions"]
+    assert versions["scipy"] == scipy.__version__
+    assert sorted(versions) == ["fraclap", "numpy", "python", "scipy"]
