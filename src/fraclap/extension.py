@@ -325,17 +325,19 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh,
         solver = _InteriorSolver(**bands, first=first,
                                  mode_energy=e * first * first)
     else:
-        # y-direction eigenpairs plus the base shifted solves of
-        # OperatorPair.shifted: the trace couples to the interior through
-        # column 0 of Mw and Aw, whose one interior entry is row 1, eM_0
-        # and -a_0, which the y-eigenvectors turn into the row Z[0]
+        # y-direction eigenpairs plus the base shifted solves of the
+        # pair's capacitance kernel: the trace couples to the interior
+        # through column 0 of Mw and Aw, whose one interior entry is row 1,
+        # eM_0 and -a_0, which the y-eigenvectors turn into the row Z[0]
         J = cyl.J
         theta, Z = _pencil_eigh(_tridiagonal(dA[1:J], -a[1:J - 1]),
                                 _tridiagonal(dM[1:J], eM[1:J - 1]))
-        solve = ops.shifted(theta)
+        kernel = ops.kernel
+        shifts = kernel.shifts(theta)
 
         def interior(g: np.ndarray, out: np.ndarray) -> None:
-            np.matmul(solve(np.multiply.outer(g, Z[0])), Z.T, out=out)
+            G = np.multiply.outer(g, Z[0])
+            np.matmul(kernel.solve(G, shifts), Z.T, out=out)
 
         solver = _InteriorSolver(**bands, interior=interior)
     cyl._solvers[partition, s] = solver

@@ -31,7 +31,8 @@ constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
 George & Golub 1971).  A few of its eigenpairs come from shift-invert
 Lanczos in those coordinates, with the capacitance kernel below as the
 inverse, and many or all of them from one dense solve of that standard
-problem, which imports scipy's LAPACK drivers on first use.
+problem, which imports scipy's LAPACK drivers on first use; either way
+the basis keeps the eigenvectors' coordinates, not their nodal values.
 
 The critical quotient needs no such eigensolve.  In the same coordinates
 a shifted solve (A + theta M) x = b of a partial-facet partition is a
@@ -303,11 +304,12 @@ class OperatorPair:
     (``relaxed``).  A partition that is its own relaxation (every face
     wholly Dirichlet or wholly Neumann) exposes them as ``tensor``; a
     partial-facet partition holds them in its one capacitance ``kernel``,
-    which its eigensolves, its :class:`ConstrainedOperator` and its
-    extension solvers all share, each through :meth:`shifted` or the
-    kernel itself.  The library takes every product with A or M from R's
-    eigen-coordinates (:meth:`coordinates`, :meth:`stiffness`), so it never
-    forms either matrix.
+    whose shifted solves its eigensolves, its :class:`ConstrainedOperator`
+    and its extension solvers all share.  The library takes every product
+    with A or M from R's eigen-coordinates (:meth:`coordinates`,
+    :meth:`stiffness`), so it never forms either matrix, and every basis
+    maps its modes to fields through :meth:`synthesize`, :meth:`dual` and
+    :meth:`coordinates`.
 
     Attributes
     ----------
@@ -393,6 +395,19 @@ class OperatorPair:
             return self.kernel.coordinates(f)
         return self.tensor.coordinates(f.reshape(len(f), -1)).reshape(f.shape)
 
+    def dual(self, f: np.ndarray) -> np.ndarray:
+        """g = V_R^T f~ for free-node values f, (n,) or (n, k).
+
+        f~ is f on R's grid, zero where R frees a node the partition does
+        not: the Euclidean products of f with R's eigenvectors, projected
+        onto null(B) on partial facets (the kernel's ``dual``).  g has R's
+        n_R rows.
+        """
+        f = np.asarray(f, dtype=float)
+        if self.kernel is not None:
+            return self.kernel.dual(f)
+        return self.tensor.dual(f.reshape(len(f), -1)).reshape(f.shape)
+
     def synthesize(self, c: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
         """Free-node values f = V_R c of coordinates c, (n_R,) or (n_R, k).
@@ -428,37 +443,6 @@ class OperatorPair:
         null(B) on partial facets."""
         out = _times_rows(self.relaxed.values, c)
         return out if self.kernel is None else self.kernel.project(out)
-
-    def shifted(self, theta: np.ndarray):
-        """Solves of (A + theta_j M) x_j = b_j in R's eigen-coordinates.
-
-        Returns ``solve``, which takes an array G with one column g_j =
-        V_R^T b_j per shift (projected onto null(B) on partial facets) to
-        the coordinates of the solutions x_j, (n_R, k), and may overwrite
-        G; :meth:`synthesize` takes them to free-node values.  For b = M f
-        that column is :meth:`coordinates` of f, and for b = A f its
-        :meth:`stiffness`; a right side of low rank in the shift direction
-        needs them for its few factors only.
-
-        On face-aligned partitions A and M are diagonal in the Kronecker
-        basis of ``tensor``, so each solve is a division by
-        (lambda_i + theta_j), in place in G.  Partial-facet partitions add
-        the capacitance correction of the pair's one ``kernel``, with one
-        r x r inverse Cholesky factor per shift; no shifted matrix is
-        factored.
-        """
-        t = self.tensor
-        if t is not None:
-            denom = t.values[:, None] + theta[None, :]
-
-            def solve(G: np.ndarray) -> np.ndarray:
-                G /= denom
-                return G
-
-            return solve
-        k = self.kernel
-        shifts = k.shifts(theta)
-        return lambda G: k.solve(G, shifts)
 
 
 def _times_rows(d: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -526,58 +510,61 @@ def assemble_operators(mesh: Mesh, partition: BoundaryPartition) -> OperatorPair
 class SpectralBasis:
     """Ascending M-orthonormal eigenpairs of the constrained Laplacian.
 
-    Consumers reach the eigenvectors V through :meth:`synthesize` (V c),
-    :meth:`dual` (V^T f), :meth:`coefficients` (V^T M u) and
-    :meth:`eigenfunction`.  A basis on a face-aligned partition stores no
-    eigenvector matrix: V is the Kronecker product of the 1-D eigenvectors
-    in ``ops.tensor``, its columns taken at the C-order indices ``order``
-    and scaled by ``signs``, and each map costs per-axis contractions of
-    n * sum(n_d) work instead of a dense n * m product.  Such a basis may
-    be complete at any size.  Other partitions store V densely and the maps
-    multiply by it; their coefficients are products with the eigenvectors'
-    own M-coordinates (:meth:`OperatorPair.coordinates`), formed on first
-    use, so M is never applied.
+    Every eigenvector is held by its coordinates in the eigenbasis of the
+    face-aligned relaxation R (:meth:`OperatorPair.coordinates`), and every
+    map is one :class:`OperatorPair` map composed with one mode map:
+    :meth:`synthesize` (V c) is ``ops.synthesize`` of the modes'
+    coordinates, :meth:`dual` (V^T f) and :meth:`coefficients` (V^T M u)
+    take the modes' coordinates from ``ops.dual`` and ``ops.coordinates``,
+    and :meth:`eigenfunction` synthesizes one mode.  On a face-aligned
+    partition those coordinates are unit vectors: mode j is R's Kronecker
+    eigenvector at the C-order index ``order[j]``, scaled by ``signs[j]``,
+    so the mode map is a signed selection, each map costs per-axis
+    contractions of n * sum(n_d) work, and the basis may be complete at
+    any size.  On a partial facet the basis holds the n_R x m coordinate
+    array ``coords`` that its eigensolve computed, and the mode map is the
+    product with it; no nodal copy is kept and M is never applied.
 
     Parameters
     ----------
     lams : numpy.ndarray
         Eigenvalues, ascending, all positive.
-    vecs : numpy.ndarray or None
-        Dense eigenvectors over free nodes, shape (n_free, m); None for a
-        Kronecker basis.
     ops : OperatorPair
-    complete : bool
-        True when m equals the number of free nodes.
     order, signs : numpy.ndarray, optional
-        For a Kronecker basis (``ops.tensor`` set, ``vecs`` None): the
-        C-order Kronecker index and the +-1 factor of each mode.
+        On a face-aligned partition (``ops.tensor`` set): the C-order
+        Kronecker index and the +-1 factor of each mode.
+    coords : numpy.ndarray, optional
+        Instead of ``order`` and ``signs``, on any partition: the
+        eigenvectors' coordinates (:meth:`OperatorPair.coordinates`), (n_R,
+        m), one per column, orthonormal and in null(B).
 
     Attributes
     ----------
+    complete : bool
+        True when m equals the number of free nodes.
     vecs : numpy.ndarray
         Eigenvectors over free nodes, shape (n_free, m), M-orthonormal.
         Each column is sign-normalized to be nonnegative at its node of
-        largest magnitude (the first such node in C order on ties).  A
-        Kronecker basis multiplies it out on first access and keeps it,
-        n_free x m floats, which a complete basis on a large mesh may not
-        fit in memory; no library code reads it.
+        largest magnitude (the first such node in C order on ties).  It is
+        multiplied out on first access and kept, n_free x m floats, which a
+        complete basis on a large mesh may not fit in memory; no library
+        code reads it.
     """
 
-    def __init__(self, lams: np.ndarray, vecs: np.ndarray | None,
-                 ops: OperatorPair, complete: bool, *,
+    def __init__(self, lams: np.ndarray, ops: OperatorPair, *,
                  order: np.ndarray | None = None,
-                 signs: np.ndarray | None = None) -> None:
+                 signs: np.ndarray | None = None,
+                 coords: np.ndarray | None = None) -> None:
         self.lams = lams
         self.ops = ops
-        self.complete = complete
-        self._vecs = vecs
         self._order = order
         self._signs = signs
+        self._coords = coords
         self._powers: dict[float, np.ndarray] = {}
         m = len(lams)
-        if vecs is not None:
+        if coords is not None:
             ok = (order is None and signs is None
-                  and vecs.shape == (ops.n_free, m))
+                  and coords.shape == (len(ops.relaxed.values), m))
         else:
             ok = (ops.tensor is not None and order is not None
                   and signs is not None and order.shape == signs.shape == (m,))
@@ -597,57 +584,49 @@ class SpectralBasis:
     def m(self) -> int:
         return len(self.lams)
 
-    def _columns(self, modes: slice) -> np.ndarray:
-        # multiplied-out, sign-normalized columns of a Kronecker basis
-        return self.ops.tensor.columns(self._order[modes]) * self._signs[modes]
-
     @property
+    def complete(self) -> bool:
+        return self.m == self.ops.n_free
+
+    @cached_property
     def vecs(self) -> np.ndarray:
-        if self._vecs is None:
-            # filled row by row, so each eigenvector is contiguous
-            rows = np.empty((self.m, self.ops.n_free))
-            for start in range(0, self.m, _COLUMN_CHUNK):
-                modes = slice(start, start + _COLUMN_CHUNK)
-                rows[modes] = self._columns(modes).T
-            self._vecs = rows.T
-        return self._vecs
+        if self._coords is not None:
+            return self.ops.synthesize(self._coords)
+        # filled row by row from the multiplied-out Kronecker columns, so
+        # each eigenvector is contiguous
+        rows = np.empty((self.m, self.ops.n_free))
+        for start in range(0, self.m, _COLUMN_CHUNK):
+            modes = slice(start, start + _COLUMN_CHUNK)
+            rows[modes] = (self.ops.tensor.columns(self._order[modes])
+                           * self._signs[modes]).T
+        return rows.T
+
+    def _modes(self, c: np.ndarray) -> np.ndarray:
+        # R-coordinates c, (n_R,) or (n_R, r), to each mode's component
+        if self._coords is not None:
+            return self._coords.T @ c
+        return _times_rows(self._signs, c[self._order])
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """V c: free-node values from mode coefficients, (m,) or (m, r)."""
-        if self._order is None:
-            return self._vecs @ c
         c = np.asarray(c, dtype=float)
-        n = self.ops.n_free
-        z = np.zeros((n,) + c.shape[1:])
-        z[self._order] = self._signs.reshape((-1,) + (1,) * (c.ndim - 1)) * c
-        return self.ops.tensor.synthesize(z.reshape(n, -1)).reshape(z.shape)
+        if self._coords is not None:
+            return self.ops.synthesize(self._coords @ c)
+        z = np.zeros((self.ops.n_free,) + c.shape[1:])
+        z[self._order] = _times_rows(self._signs, c)
+        return self.ops.synthesize(z)
 
     def dual(self, f: np.ndarray) -> np.ndarray:
         """V^T f: Euclidean products with each eigenvector, (n,) or (n, r)."""
-        if self._order is None:
-            return self._vecs.T @ f
-        f = np.asarray(f, dtype=float)
-        out = self.ops.tensor.dual(f.reshape(self.ops.n_free, -1))[self._order]
-        out *= self._signs[:, None]
-        return out.reshape((self.m,) + f.shape[1:])
-
-    @cached_property
-    def _coords(self) -> np.ndarray:
-        # coordinates of the dense eigenvectors, (n_R, m)
-        return self.ops.coordinates(self._vecs)
+        return self._modes(self.ops.dual(f))
 
     def coefficients(self, values_free: np.ndarray) -> np.ndarray:
         """M-inner products of a free-node vector with each eigenvector.
 
-        From the vector's coordinates (:meth:`OperatorPair.coordinates`),
-        so M is never applied: a Kronecker basis selects and signs them, a
-        dense basis takes their products with its eigenvectors' own
-        coordinates, formed once.
+        The modes' components of its coordinates
+        (:meth:`OperatorPair.coordinates`), so M is never applied.
         """
-        c = self.ops.coordinates(values_free)
-        if self._order is None:
-            return self._coords.T @ c
-        return _times_rows(self._signs, c[self._order])
+        return self._modes(self.ops.coordinates(values_free))
 
     # the quotient's view of the operator, coefficientwise; shared with
     # ConstrainedOperator, and exact on the span of the basis
@@ -689,19 +668,21 @@ class SpectralBasis:
         """
         if not 1 <= k <= self.m:
             raise IndexError(f"mode {k} not in 1..{self.m}")
-        if self._order is None:
-            column = self._vecs[:, k - 1]
-        else:
-            column = self._columns(slice(k - 1, k))[:, 0]
         full = np.zeros(self.ops.mesh.n_nodes)
-        full[self.ops.free] = column
+        full[self.ops.free] = self.synthesize(np.eye(1, self.m, k - 1)[0])
         return full
 
 
 def _column_signs(vecs: np.ndarray) -> np.ndarray:
-    # +-1 per column: the sign of its largest-magnitude entry (first on ties)
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
+    # +-1 per column: the sign of its largest-magnitude entry (first on
+    # ties); a block of columns at a time, since the magnitudes and the
+    # copy that argmax over rows makes would each take vecs's size
+    signs = np.empty(vecs.shape[1])
+    for start in range(0, len(signs), _COLUMN_CHUNK):
+        block = vecs[:, start:start + _COLUMN_CHUNK]
+        idx = np.argmax(np.abs(block), axis=0)
+        signs[start:start + len(idx)] = np.sign(
+            block[idx, np.arange(len(idx))])
     signs[signs == 0] = 1.0
     return signs
 
@@ -725,10 +706,11 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
     null(B) by the last n columns of Q, so the problem is the standard one
     for K = (Q^T Lambda_R Q)[r:, r:], a diagonal plus a symmetric rank-2r
     term, and c = Q [0; Y] for the eigenvectors Y of K.  Only Lambda_R
-    enters, so a singular R (every face Neumann) is harmless.  Returns
-    eigenvalues and eigenvectors over the partition's free nodes,
-    M-orthonormal.  Imports scipy's LAPACK drivers on its first call, for
-    the compact-WY QR, the rank-2k update and the subset eigensolve.
+    enters, so a singular R (every face Neumann) is harmless.  Returns the
+    eigenvalues and the eigenvectors' coordinates c, (n_R, k),
+    orthonormal, so the eigenvectors are M-orthonormal.  Imports scipy's
+    LAPACK drivers on its first call, for the compact-WY QR, the rank-2k
+    update and the subset eigensolve.
     """
     import scipy.linalg
 
@@ -763,7 +745,7 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
     C[r:] = Y
     del Y
     C -= W @ Z
-    return mu, kernel.relaxed.synthesize(C)[kernel.pos]
+    return mu, C
 
 
 def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -786,8 +768,8 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     of (i + n t) phi for the t-th start and the golden ratio phi: fixed, and
     without a symmetry of the partition that could hide a mode.  A
     breakdown continues from a fresh such vector.  Returns lambda = 1 / mu
-    - theta_0 and the Ritz vectors over the free nodes, M-orthonormal since
-    their coordinates are orthonormal.  A is never factored.
+    - theta_0 and the Ritz vectors' coordinates, (n_R, k), orthonormal, so
+    the Ritz vectors are M-orthonormal.  A is never factored.
     """
     kernel = ops.kernel
     n = ops.n_free
@@ -853,7 +835,7 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
         X = np.concatenate([X, Y.T])
         keep = np.argsort(-mu, kind="stable")[:k]
         mu, X = mu[keep], X[keep]
-    return 1.0 / mu - theta0, kernel.synthesize(X.T)
+    return 1.0 / mu - theta0, X.T
 
 
 def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
@@ -874,8 +856,10 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     inverse, so no sparse LU is built; any other request takes one standard
     dense ``eigh`` in the eigen-coordinates of the face-aligned relaxation,
     O(n^3) time and O(n^2) memory like any dense complete basis.  Their
-    bases keep the dense eigenvectors.  The critical quotient on such a
-    partition needs none of this: see :func:`quotient_operator`.
+    bases keep the coordinates the solver computed, (n_R, m), each column
+    signed by the dense convention on its synthesized eigenvector.  The
+    critical quotient on such a partition needs none of this: see
+    :func:`quotient_operator`.
 
     Parameters
     ----------
@@ -886,8 +870,8 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     Returns
     -------
     SpectralBasis
-        Reading ``vecs`` of a face-aligned basis multiplies out the n x m
-        eigenvector matrix; the basis maps never do.
+        Reading ``vecs`` multiplies out the n x m eigenvector matrix; the
+        basis maps never do.
 
     Raises
     ------
@@ -909,20 +893,15 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     tensor = ops.tensor
     if tensor is not None:
         order = tensor.order(k)
-        return SpectralBasis(lams=tensor.values[order], vecs=None, ops=ops,
-                             complete=(k == n), order=order,
+        return SpectralBasis(lams=tensor.values[order], ops=ops, order=order,
                              signs=tensor.signs(order))
     if k <= _ITERATIVE_MAX and k < n:
-        lams, vecs = _lanczos(ops, k)
+        lams, coords = _lanczos(ops, k)
     else:
-        lams, vecs = _constrained_eigh(ops.kernel, k)
-
-    return SpectralBasis(
-        lams=np.ascontiguousarray(lams),
-        vecs=_sign_normalize(np.ascontiguousarray(vecs)),
-        ops=ops,
-        complete=(k == n),
-    )
+        lams, coords = _constrained_eigh(ops.kernel, k)
+    coords *= _column_signs(ops.synthesize(coords))
+    return SpectralBasis(lams=np.ascontiguousarray(lams), ops=ops,
+                         coords=coords)
 
 
 # a Gauss-Jacobi rule for L^-a gains nodes until the measured sup of
@@ -1351,9 +1330,9 @@ class ConstrainedOperator:
             raise ValueError("face-aligned partition: use eigendecompose")
         self.ops = ops
         self._kernel = ops.kernel
-        lams, vecs = _lanczos(ops, 1)
+        lams, coords = _lanczos(ops, 1)
         self.lam1 = float(lams[0])
-        self._phi1 = _sign_normalize(vecs)[:, 0]
+        self._phi1 = _sign_normalize(ops.synthesize(coords))[:, 0]
         self._rules: dict[float, _PowerRule] = {}
 
     def __repr__(self) -> str:
@@ -1370,11 +1349,11 @@ class ConstrainedOperator:
 
     def dual(self, f: np.ndarray) -> np.ndarray:
         """Coordinates of M^-1 f for a free-node vector f."""
-        return self._kernel.dual(np.asarray(f, dtype=float))
+        return self.ops.dual(f)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """Free-node values of the field with coordinates c."""
-        return self._kernel.synthesize(np.asarray(c, dtype=float))
+        return self.ops.synthesize(c)
 
     def coefficients(self, values_free: np.ndarray) -> np.ndarray:
         """Coordinates of a free-node field (``OperatorPair.coordinates``)."""

@@ -499,6 +499,7 @@ def test_lanczos_matches_dense_eigh(square40_family, alpha):
     ops = _ops(square40_family[alpha])
     lams, vecs = _lanczos(ops, 1)
     mu, X = _constrained_eigh(ops.kernel, 1)
+    vecs, X = ops.synthesize(vecs), ops.synthesize(X)
     assert lams[0] == pytest.approx(mu[0], rel=1e-10)
     d = _sign_normalize(vecs)[:, 0] - _sign_normalize(X)[:, 0]
     assert np.sqrt(d @ (ops.M @ d)) <= 1e-8
@@ -512,6 +513,7 @@ def test_lanczos_matches_dense_eigh_at_32_modes(square40_family, alpha):
     ops = _ops(square40_family[alpha])
     lams, vecs = _lanczos(ops, 32)
     mu, X = _constrained_eigh(ops.kernel, 33)
+    vecs, X = ops.synthesize(vecs), ops.synthesize(X)
     np.testing.assert_allclose(lams, mu[:32], rtol=1e-10)
     M = ops.M
     np.testing.assert_allclose(vecs.T @ (M @ vecs), np.eye(32), rtol=0,
@@ -534,6 +536,7 @@ def test_lanczos_finds_every_copy_of_a_multiple_eigenvalue():
     assert want[2] - want[1] < 1e-10 * want[2]
     for k in (3, 8):
         lams, vecs = _lanczos(ops, k)
+        vecs = ops.synthesize(vecs)
         np.testing.assert_allclose(lams, want[:k], rtol=1e-10)
         np.testing.assert_allclose(vecs.T @ (ops.M @ vecs), np.eye(k),
                                    rtol=0, atol=1e-12)

@@ -94,8 +94,8 @@ def cube6(params3):
 def test_matrix_free_minimizer_matches_dense_basis(cube6, params3):
     ops, basis, lam = cube6
     lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
-    dense = fl.SpectralBasis(lams=lams, vecs=_sign_normalize(U), ops=ops,
-                             complete=True)
+    dense = fl.SpectralBasis(lams=lams, ops=ops,
+                             coords=ops.coordinates(_sign_normalize(U)))
     got = fl.minimize_quotient(basis, params3, lam)
     want = fl.minimize_quotient(dense, params3, lam)
     assert got.value == pytest.approx(want.value, rel=1e-10)

@@ -221,20 +221,22 @@ def test_cylinder_keeps_a_solver_per_power(monkeypatch):
     # the face-aligned elimination does without
     from fraclap import extension
 
+    from fraclap.spectral import _CapacitanceKernel
+
     built, shifts = [], []
     solver = extension._InteriorSolver
-    shifted = fl.OperatorPair.shifted
+    factor = _CapacitanceKernel.shifts
 
     def counting_solver(**fields):
         built.append(fields["s"])
         return solver(**fields)
 
-    def counting_shifted(ops, theta):
+    def counting_shifts(kernel, theta):
         shifts.append(theta)
-        return shifted(ops, theta)
+        return factor(kernel, theta)
 
     monkeypatch.setattr(extension, "_InteriorSolver", counting_solver)
-    monkeypatch.setattr(fl.OperatorPair, "shifted", counting_shifted)
+    monkeypatch.setattr(_CapacitanceKernel, "shifts", counting_shifts)
     for face_aligned in (True, False):
         built.clear()
         shifts.clear()
@@ -598,7 +600,11 @@ def _eager_values(cyl, ops, params, u):
     uf = u.free_values(ops)
     c = ops.coordinates(uf)
     g = a[0] * c - eM[0] * ops.stiffness(c)
-    X = ops.shifted(theta)(np.multiply.outer(g, Z[0]))
+    G = np.multiply.outer(g, Z[0])
+    if ops.tensor is not None:
+        X = G / (ops.tensor.values[:, None] + theta)
+    else:
+        X = ops.kernel.solve(G, ops.kernel.shifts(theta))
     full = np.zeros((cyl.base.n_nodes, J + 1))
     full[ops.free, 0] = uf
     full[ops.free, 1:J] = ops.synthesize(X) @ Z.T

@@ -138,6 +138,7 @@ def test_iterative_path_matches_dense():
     ops = fl.assemble_operators(mesh, part)
     assert ops.tensor is None
     dense_lams, dense_vecs = _constrained_eigh(ops.kernel, 3)
+    dense_vecs = ops.synthesize(dense_vecs)
     sparse = eigendecompose(ops, m=3)  # three modes run shift-invert
     np.testing.assert_allclose(sparse.lams, dense_lams, rtol=1e-9)
     for k in range(3):
@@ -399,8 +400,18 @@ def cube_ops():
     return fl.assemble_operators(mesh, fl.partition_boundary(mesh, [(0, 0)]))
 
 
-BASES = [("interval_ops", "all"), ("square_ops", "all"), ("square_ops", 6),
-         ("cube_ops", "all")]
+TENSOR_BASES = [("interval_ops", "all"), ("square_ops", "all"),
+                ("square_ops", 6), ("cube_ops", "all")]
+# partial facets: six modes by Lanczos, all of them by the dense solve
+BASES = TENSOR_BASES + [("square_half_ops", 6), ("square_half_ops", "all")]
+
+
+@pytest.fixture(scope="module")
+def square_half_ops():
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [12, 12])
+    ops = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
+    assert ops.tensor is None
+    return ops
 
 
 def _rel(got, want):
@@ -410,7 +421,7 @@ def _rel(got, want):
 @pytest.mark.parametrize("ops_name, m", BASES)
 def test_basis_maps_match_dense_vecs(request, ops_name, m):
     ops = request.getfixturevalue(ops_name)
-    assert ops.tensor is not None
+    assert (ops.tensor is not None) == ((ops_name, m) in TENSOR_BASES)
     basis = eigendecompose(ops, m=m)
     V = basis.vecs
     rng = np.random.default_rng(3)
@@ -424,7 +435,7 @@ def test_basis_maps_match_dense_vecs(request, ops_name, m):
         assert _rel(basis.coefficients(ff), V.T @ (ops.M @ ff)) < 1e-12
 
 
-@pytest.mark.parametrize("ops_name, m", BASES)
+@pytest.mark.parametrize("ops_name, m", TENSOR_BASES)
 def test_tensor_signs_match_sign_normalize(request, ops_name, m):
     ops = request.getfixturevalue(ops_name)
     basis = eigendecompose(ops, m=m)
@@ -435,6 +446,45 @@ def test_tensor_signs_match_sign_normalize(request, ops_name, m):
     for k in (1, basis.m):
         np.testing.assert_array_equal(
             basis.eigenfunction(k)[ops.free], basis.vecs[:, k - 1])
+
+
+def test_four_modes_of_a_complete_basis_are_a_truncated_basis(
+        square_ops, square_basis, params2):
+    # completeness follows from the mode count, so a basis of four modes
+    # of a complete one keeps TruncatedBasisError's guard on the tail
+    sub = fl.SpectralBasis(
+        lams=square_basis.lams[:4], ops=square_ops,
+        coords=square_ops.coordinates(square_basis.vecs[:, :4]))
+    assert not sub.complete
+    u = fl.Field.from_free(square_ops, square_basis.vecs[:, 5])
+    with pytest.raises(fl.TruncatedBasisError):
+        fl.frac_apply(sub, params2, u)
+
+
+def test_complete_partial_facet_basis_holds_only_its_coordinates():
+    # one n_R x n coordinate array, the solver's own, and no nodal copy:
+    # neither the eigendecompose nor the maps after it keep another
+    import tracemalloc
+
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [16, 16])
+    ops = fl.assemble_operators(mesh, fl.moving_family(mesh, [0.5])[0])
+    n_r, n = len(ops.relaxed.values), ops.n_free
+    assert ops.tensor is None and n < n_r
+    params = fl.FracParams(s=0.75, N=2)
+    u = fl.Field.from_free(ops, np.random.default_rng(6).standard_normal(n))
+    eigendecompose(ops, "all")  # imports and the pair's own caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        basis = eigendecompose(ops, "all")
+        basis.coefficients(u.free_values(ops))
+        fl.frac_apply(basis, params, u)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.complete
+    assert held <= 1.1 * n_r * n * 8, held / (n_r * n * 8)
 
 
 def test_complete_tensor_basis_minimizes_without_vecs(params2, monkeypatch):
