@@ -515,7 +515,7 @@ class SpectralBasis:
     map is one :class:`OperatorPair` map composed with one mode map:
     :meth:`synthesize` (V c) is ``ops.synthesize`` of the modes'
     coordinates, :meth:`dual` (V^T f) and :meth:`coefficients` (V^T M u)
-    take the modes' coordinates from ``ops.dual`` and ``ops.coordinates``,
+    take each mode's component of ``ops.dual`` and ``ops.coordinates``,
     and :meth:`eigenfunction` synthesizes one mode.  On a face-aligned
     partition those coordinates are unit vectors: mode j is R's Kronecker
     eigenvector at the C-order index ``order[j]``, scaled by ``signs[j]``,
