@@ -71,7 +71,6 @@ _SCHEMA: dict[str, Any] = {
         "n": _LIST,            # cells per axis
         "radius": _NUM,        # cone side length
         "dim": _INT,           # cone dimension
-        "smoothing": _NUM,     # cone apex exemption radius
     },
     "partition": {
         "dirichlet_faces": _LIST,   # [[axis, side], ...]
@@ -217,6 +216,12 @@ def _domain_dim(dom: dict) -> int | None:
     return None
 
 
+# the domain keys each kind reads
+_DOMAIN_KEYS = {"box": {"kind", "extents", "n"},
+                "interval": {"kind", "extents", "n"},
+                "cone": {"kind", "dim", "radius", "n"}}
+
+
 def _negative(spec) -> bool:
     # a lambda spec that resolves below 0 whatever lambda_1^s is
     if isinstance(spec, dict):
@@ -249,6 +254,9 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
         bad.append("cylinder.gamma (expected a number >= 1)")
     if cyl["Y"] is not None and cyl["Y"] <= 0:
         bad.append("cylinder.Y (expected a positive number or null)")
+    for key in ("lambda_grid", "alphas", "levels"):
+        if resolved.get(key) == []:
+            bad.append(f"{key} (expected a nonempty list)")
     if not all(_level_ok(level) for level in resolved.get("levels") or []):
         bad.append(f"levels (expected [n >= 2 or null, J >= {MIN_Y_CELLS}] "
                    f"entries)")
@@ -280,8 +288,13 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
         bad.append("pohozaev.nonlinearity (expected 'critical' or "
                    "'linear_plus_critical')")
     dom = resolved.get("domain", {})
+    kind = dom.get("kind", "box")
+    for key in sorted(set(dom) - _DOMAIN_KEYS.get(kind, set(dom))):
+        bad.append(f"domain.{key} (not read by a {kind} domain)")
     n = dom.get("n", [2])
-    if not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
+    if kind == "cone" and len(n) != 1:
+        bad.append("domain.n (expected one integer for a cone)")
+    elif not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
         bad.append("domain.n (expected 1 to 3 integers >= 2)")
     dim = _domain_dim(dom)
     if not _is_int(dim) or not 1 <= dim <= 3:
@@ -303,15 +316,18 @@ def validate(cfg: dict) -> dict:
     """Check ``cfg`` against the schema and fill defaults.
 
     Keys are checked first for name and type, then the resolved values
-    for range: ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at
-    least 2, faces on the box, ``mode_count`` and ``solver.polish_max`` of
+    for range: only the ``domain`` keys its kind reads (``extents`` and
+    ``n`` on a box or interval, ``dim``, ``radius`` and ``n`` on a cone),
+    ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at least 2 (one
+    on a cone), faces on the box, ``mode_count`` and ``solver.polish_max`` of
     at least 1, ``solver.polish_tol`` in (0, 1), ``pohozaev.geometry_tol``
     and ``pohozaev.exempt_radius`` of at least 0 (NaN fails those three),
     ``solver.init`` and ``pohozaev.nonlinearity`` among their choices, a
     cylinder with J >= 16, gamma >= 1 and Y > 0 (or null), ``levels``
-    entries [n >= 2 or null, J >= 16], numeric ``alphas``,
-    ``pohozaev.x0`` and ``field.coeffs`` entries, and no negative
-    ``lambda`` or ``lambda_grid`` spec.
+    entries [n >= 2 or null, J >= 16], nonempty ``lambda_grid``,
+    ``alphas`` and ``levels`` lists, numeric ``alphas``, ``pohozaev.x0``
+    and ``field.coeffs`` entries, and no negative ``lambda`` or
+    ``lambda_grid`` spec.
 
     Returns
     -------
@@ -358,8 +374,7 @@ def build_domain(resolved: dict):
     """
     dom = _domain_section(resolved)
     if dom.get("kind") == "cone":
-        cone = cone_domain(dom["dim"], dom["radius"], int(dom["n"][0]),
-                           rho=dom.get("smoothing", 0.0))
+        cone = cone_domain(dom["dim"], dom["radius"], int(dom["n"][0]))
         return cone.mesh, cone.partition
     n = [int(v) for v in dom["n"]]
     mesh = build_tensor_mesh(len(n), dom["extents"], n)

@@ -101,19 +101,18 @@ class ExtensionField:
     eigenbasis (:meth:`~fraclap.spectral.OperatorPair.coordinates`, n_R x
     (J+1)): on a face-aligned partition as the two columns c and g and the
     solver, where C = [c, g P, 0] and the solver's y-profile P are formed
-    only when ``values`` are read, elsewhere as C itself.  :func:`x_norm`
-    reads that form as it is, the per-mode one through the solver's
-    per-mode energy, and :func:`dtn` takes the coordinates of levels 0 and
-    1 from it (C_1 = g P_1 per mode) and synthesizes one column, its
-    flux.
+    only when ``values`` are read, elsewhere as C itself.  At the power s
+    it was solved with, the per-mode form gives :func:`dtn` and
+    :func:`x_norm` from c and the solver's symbol alone; every other form,
+    and the per-mode one at another s, gives them from C.
     Its nodal ``values`` are synthesized on first read
     (:meth:`~fraclap.spectral.OperatorPair.synthesize`, J - 1 interior
-    columns, level 1 as the trace less the synthesized C_0 - C_1, the
-    difference :func:`dtn` weighs by a_0) and kept in place of the
-    coordinate form, so that it holds one form at a time.  A field made
-    from nodal values, by this constructor or :meth:`perturbed`, or one
-    whose values were read, takes C from them when :func:`x_norm` first
-    needs it, and keeps it.  The
+    columns copied to the free rows, level 1 as the trace less the
+    synthesized C_0 - C_1, the difference :func:`dtn` weighs by a_0) and
+    kept in place of the coordinate form, so that it holds one form at a
+    time.  A field made from nodal values, by this constructor or
+    :meth:`perturbed`, or one whose values were read, takes C from them
+    when :func:`dtn` or :func:`x_norm` first needs it, and keeps it.  The
     constructor copies ``values``, and ``values`` is read-only, so the two
     forms cannot drift apart.  ``partition`` must belong to the
     cylinder's base mesh.
@@ -173,13 +172,14 @@ class ExtensionField:
         # weighs by a_0, free of the synthesis round-off of the trace
         X = C[:, 1:J] if "_modes" in self.__dict__ else C[:, 1:J].copy()
         np.subtract(C[:, 0], X[:, 0], out=X[:, 0])
+        ops = self._ops
         v = np.zeros((self.cyl.base.n_nodes, J + 1))
         v[:, 0] = self._trace
-        self._ops.synthesize(X, out=v[:, 1:J])
+        v[ops.free, 1:J] = ops.synthesize(X)
         v[:, 1] = v[:, 0] - v[:, 1]
         v.flags.writeable = False
-        # held in place of the coordinates, which x_norm forms again from
-        # them if needed
+        # held in place of the coordinates, which dtn and x_norm form
+        # again from them if needed
         self.__dict__.pop("_coordinates", None)
         self.__dict__.pop("_modes", None)
         return v
@@ -195,18 +195,6 @@ class ExtensionField:
             c, g, solver = self._modes
             return solver.levels(c, g)
         return self._coordinates
-
-    def _first_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        # C of levels 0 and 1, read from the form held
-        if "_modes" in self.__dict__:
-            c, g, solver = self._modes
-            return c, g * solver.first
-        if "_coordinates" in self.__dict__:
-            C = self._coordinates
-        else:
-            ops = self._ops
-            C = ops.coordinates(self.values[ops.free, :2])
-        return C[:, 0], C[:, 1]
 
     def trace(self) -> Field:
         """Restriction to the base plane y = 0."""
@@ -228,10 +216,16 @@ class _InteriorSolver:
     a, dM and eM are the cylinder's bands of Aw and Mw at s.  On
     face-aligned partitions row i of the coordinates of interior levels 1
     to J - 1 is g_i P_i, P_i = K_i^-1 e_1 for K_i = Aw + lambda_i Mw on
-    those levels; one elimination of the K_i (:func:`_eliminate`) gives
-    ``first`` = P_i1 = 1/d_1 and ``mode_energy`` = lambda_i sigma_i + tau_i
-    = P_i^T K_i P_i - a_0 P_i1^2 = e_1/d_1^2, the Mw and Aw sums of P_i,
-    and ``profile`` is formed only when the levels are read.  On other
+    those levels, and the discrete Dirichlet-to-Neumann map is diagonal:
+    the flux of the extension of mode i with trace 1 is its ``symbol``
+
+        delta_i = lambda_i (dM_0 + eM_0 q_i) + a_0 (e_1 + eM_0 lambda_i) / d_1,
+
+    q_i = g_i P_i1 = (a_0 - eM_0 lambda_i) / d_1 the coordinate of level 1,
+    from one elimination of the K_i (:func:`_eliminate`).  Its second term
+    is a_0 (1 - q_i), written so that no first-cell difference cancels,
+    and delta_i is also the mode's energy, the flux paired with the trace.
+    ``profile`` is formed only when the levels are read.  On other
     partitions ``interior(g, out)`` writes those coordinates for the right
     side g Z[0] into ``out``.
     """
@@ -242,17 +236,16 @@ class _InteriorSolver:
     dM: np.ndarray
     eM: np.ndarray
     interior: Callable[[np.ndarray, np.ndarray], None] | None = None
-    first: np.ndarray | None = None
-    mode_energy: np.ndarray | None = None
+    symbol: np.ndarray | None = None
 
     @cached_property
     def profile(self) -> np.ndarray:
-        """P_ik at row k - 1, (J - 1) x n_R; row 0 is ``first``."""
+        """P_ik at row k - 1, (J - 1) x n_R; row 0 is P_i1 = 1 / d_1."""
         # the ratios rho_k = P_k+1 / P_k in row k, then a row at a time
-        P = np.empty((len(self.a) - 1, len(self.first)))
-        _eliminate(self.ops.relaxed.values, self.a, self.dM, self.eM,
-                   ratios=P)
-        P[0] = self.first
+        P = np.empty((len(self.a) - 1, len(self.symbol)))
+        d, _ = _eliminate(self.ops.relaxed.values, self.a, self.dM, self.eM,
+                          ratios=P)
+        P[0] = 1.0 / d
         for k in range(1, len(P)):
             P[k] *= P[k - 1]
         return P
@@ -268,15 +261,6 @@ class _InteriorSolver:
         else:
             self.interior(g, C[:, 1:J])
         return C
-
-    def energy(self, c: np.ndarray, g: np.ndarray) -> float:
-        """x_norm^2 / kappa of C = [c, g P, 0], one sum over the modes."""
-        lam = self.ops.relaxed.values
-        first = g * self.first
-        mass = lam @ (self.dM[0] * (c * c) + 2.0 * self.eM[0] * (c * first))
-        step = first - c
-        return float(mass + self.a[0] * (step @ step)
-                     + (g * g) @ self.mode_energy)
 
 
 def _eliminate(lam: np.ndarray, a: np.ndarray, dM: np.ndarray,
@@ -320,10 +304,12 @@ def _interior_solver(partition: BoundaryPartition, cyl: CylinderMesh,
     dA, a, dM, eM = weighted_bands(cyl.y, s)
     bands = dict(ops=ops, s=s, a=a, dM=dM, eM=eM)
     if ops.tensor is not None:
-        d, e = _eliminate(ops.relaxed.values, a, dM, eM)
-        first = 1.0 / d
-        solver = _InteriorSolver(**bands, first=first,
-                                 mode_energy=e * first * first)
+        lam = ops.relaxed.values
+        d, e = _eliminate(lam, a, dM, eM)
+        t = eM[0] * lam
+        q = (a[0] - t) / d
+        symbol = lam * (dM[0] + eM[0] * q) + a[0] * (e + t) / d
+        solver = _InteriorSolver(**bands, symbol=symbol)
     else:
         # y-direction eigenpairs plus the base shifted solves of the
         # pair's capacitance kernel: the trace couples to the interior
@@ -366,12 +352,13 @@ def extend(
     Neumann) the system splits by mode: row i of the interior coordinates
     is g_i times the y-profile P_i = K_i^-1 e_1 of the tridiagonal K_i =
     Aw + lambda_i Mw on the interior levels.  The solver eliminates all the
-    K_i at once, from the cap down, and keeps P_i1 and the energy lambda_i
-    sigma_i + tau_i that :func:`x_norm` reads; it forms no y-eigenpair, and
-    the profiles, (J - 1) x n_R, only when the levels are read.  So C = [c,
-    g P, 0] carries nothing beyond c and g: the field holds those two
-    columns and the solver, and a repeat call costs O(n_R) besides the
-    coordinates of u.  On other partitions the y-eigenvectors Z split the
+    K_i at once, from the cap down, and keeps the per-mode symbol delta_i
+    of the discrete Dirichlet-to-Neumann map that :func:`dtn` and
+    :func:`x_norm` read; it forms no y-eigenpair, and the profiles, (J -
+    1) x n_R, only when the levels are read.  So C = [c, g P, 0] carries
+    nothing beyond c and g: the field holds those two columns and the
+    solver, and a repeat call costs O(n_R) besides the coordinates of u.
+    On other partitions the y-eigenvectors Z split the
     system into shifted base systems (A + theta_j M) with right side g
     Z[0], solved with a capacitance correction from the partition's one
     kernel (``OperatorPair.kernel``), one small r x r inverse per theta_j;
@@ -442,20 +429,37 @@ def dtn(
 
     (:meth:`~fraclap.spectral.OperatorPair.stiffness`, Pi the projection
     onto the partition's space on partial facets), and one column kappa F
-    is synthesized.  A face-aligned field from :func:`extend` takes C_1 =
-    g P_1 from its per-mode form, a partial-facet one C_1 from the
-    coordinates it holds, and a field whose ``values`` were read the
-    coordinates of its first two levels.  For an extension the interior
-    rows of the weak form vanish, so <u, dtn(w)>_M = x_norm(w)^2 up to
-    round-off.  ``w`` must have been built on ``cyl``'s grid.
+    is synthesized.  A face-aligned field from :func:`extend`, at the power
+    it was solved with, has C_1 = q c per mode, and F is its solver's
+    symbol times c, delta_i c_i, with a_0 (1 - q_i) formed without the
+    difference c - C_1 (:class:`_InteriorSolver`).  Every other field takes
+    C_0 and C_1 from the level coordinates C it holds or forms.  For an
+    extension the interior rows of the weak form vanish, so <u, dtn(w)>_M
+    = x_norm(w)^2, to round-off for a field held per mode and up to the
+    round-off of c - C_1 weighed by a_0 for the others.  ``w`` must have
+    been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)
-    _, a, dM, eM = weighted_bands(cyl.y, params.s)
-    c, c1 = w._first_coordinates()
     ops = w._ops
-    flux = ops.stiffness(dM[0] * c + eM[0] * c1)
-    flux += a[0] * (c - c1)
+    solver = _own_solver(w, params)
+    if solver is not None:
+        flux = solver.symbol * w._modes[0]
+    else:
+        _, a, dM, eM = weighted_bands(cyl.y, params.s)
+        C = w._levels()
+        c, c1 = C[:, 0], C[:, 1]
+        flux = ops.stiffness(dM[0] * c + eM[0] * c1)
+        flux += a[0] * (c - c1)
     return Field.from_free(ops, ops.synthesize(kappa * flux))
+
+
+def _own_solver(w: ExtensionField, params: FracParams) -> _InteriorSolver | None:
+    # the solver of a field held per mode at the power s it was solved
+    # with, whose symbol gives dtn and x_norm; None for any other form
+    if "_modes" not in w.__dict__:
+        return None
+    solver = w._modes[2]
+    return solver if solver.s == params.s else None
 
 
 # entries of level differences x_norm forms at a time
@@ -485,19 +489,16 @@ def x_norm(
     time.  The rows of Aw sum to zero while its entries grow like
     y_1^(-2s), so the difference form keeps the digits that W^T Aw W would
     lose to cancellation.  A face-aligned field from :func:`extend`, C =
-    [c, g P, 0], at the power it was solved with, takes the same sums of
-    each profile P_i as the per-mode energy lambda_i sigma_i + tau_i of
-    its solver's elimination, sigma_i the Mw and tau_i the Aw part, so the
-    form is kappa sum_i [lambda_i (dM_0 c_i^2 + 2 eM_0 c_i g_i P_i1) + a_0
-    (g_i P_i1 - c_i)^2 + g_i^2 (lambda_i sigma_i + tau_i)], O(n_R) work,
-    and no profile is formed.  ``w``
-    must have been built on ``cyl``'s grid.
+    [c, g P, 0], at the power it was solved with, is an extension, whose
+    energy is its flux paired with its trace: the form is kappa sum_i
+    delta_i c_i^2 with its solver's symbol delta, O(n_R) work, and no
+    profile is formed.  ``w`` must have been built on ``cyl``'s grid.
     """
     _check_grid(cyl, w)
-    if "_modes" in w.__dict__:
-        c, g, solver = w._modes
-        if solver.s == params.s:
-            return float(np.sqrt(kappa * solver.energy(c, g)))
+    solver = _own_solver(w, params)
+    if solver is not None:
+        c = w._modes[0]
+        return float(np.sqrt(kappa * (solver.symbol @ (c * c))))
     _, a, dM, eM = weighted_bands(cyl.y, params.s)
     C = w._levels()
     lam = w._ops.relaxed.values

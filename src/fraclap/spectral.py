@@ -251,27 +251,14 @@ class TensorEigs:
         signs[signs == 0] = 1.0
         return signs
 
-    def _per_axis(self, mats, X: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        # applies the Kronecker product of the square mats to each column.
-        # Given out, of shape self.shape + (r,) and any strides, the
-        # products alternate between out and one work array, so that the
-        # last lands in out: each is a batch of n_d x n_d times n_d x r
-        # products over the other axes, which strided operands allow
+    def _per_axis(self, mats, X: np.ndarray) -> np.ndarray:
+        # applies the Kronecker product of the square mats to each column
         r = X.shape[1]
         shape = self.shape
-        if out is None:
-            T = X
-            for d, op in enumerate(mats):
-                T = op @ T.reshape(math.prod(shape[:d]), shape[d], -1)
-            return T.reshape(-1, r)
-        src = X.reshape(shape + (r,))
-        spare = np.empty(shape + (r,)) if len(mats) > 1 else None
+        T = X
         for d, op in enumerate(mats):
-            dst = out if (len(mats) - 1 - d) % 2 == 0 else spare
-            np.matmul(op, np.moveaxis(src, d, -2), out=np.moveaxis(dst, d, -2))
-            src = dst
-        return out
+            T = op @ T.reshape(math.prod(shape[:d]), shape[d], -1)
+        return T.reshape(-1, r)
 
     def dual(self, X: np.ndarray) -> np.ndarray:
         """V^T X for V the Kronecker product of ``vecs``; X is (n, r)."""
@@ -281,15 +268,9 @@ class TensorEigs:
         """V^T M X = V^-1 X, with the Kronecker product of ``inverses``."""
         return self._per_axis(self.inverses, X)
 
-    def synthesize(self, C: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """V C for V the Kronecker product of ``vecs``; C is (n, r).
-
-        Given ``out``, an array of shape ``shape + (r,)`` with any strides,
-        the result is written into it with one work array of C's size, and
-        ``out`` is returned.
-        """
-        return self._per_axis(self.vecs, C, out)
+    def synthesize(self, C: np.ndarray) -> np.ndarray:
+        """V C for V the Kronecker product of ``vecs``; C is (n, r)."""
+        return self._per_axis(self.vecs, C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,35 +389,18 @@ class OperatorPair:
             return self.kernel.dual(f)
         return self.tensor.dual(f.reshape(len(f), -1)).reshape(f.shape)
 
-    def synthesize(self, c: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
         """Free-node values f = V_R c of coordinates c, (n_R,) or (n_R, k).
 
         The inverse of :meth:`coordinates` on coordinates in null(B): the
         per-axis contraction with the 1-D eigenvectors, restricted to the
         partition's free nodes on partial facets (the kernel's
-        ``synthesize``).  Returns f, (n,) or (n, k).  Given ``out``, a 2-D
-        array over all of the mesh's nodes, (n_nodes, k) with any strides,
-        f goes to its free rows, its other rows are left as they are, and
-        ``out`` is returned.  On face-aligned partitions the free rows are
-        a strided block of ``out``, which the last per-axis product writes
-        directly, after one work array of f's size.
+        ``synthesize``).  Returns f, (n,) or (n, k).
         """
         c = np.asarray(c, dtype=float)
         if self.kernel is not None:
-            f = self.kernel.synthesize(c)
-            if out is None:
-                return f
-            out[self.free] = f.reshape(len(f), -1)
-            return out
-        t = self.tensor
-        if out is None:
-            return t.synthesize(c.reshape(len(c), -1)).reshape(c.shape)
-        ends = (np.flatnonzero(keep)[[0, -1]] for keep in self._keep)
-        block = out.reshape(self.mesh.shape + out.shape[1:])[
-            tuple(slice(lo, hi + 1) for lo, hi in ends)]
-        t.synthesize(c.reshape(len(c), -1), out=block)
-        return out
+            return self.kernel.synthesize(c)
+        return self.tensor.synthesize(c.reshape(len(c), -1)).reshape(c.shape)
 
     def stiffness(self, c: np.ndarray) -> np.ndarray:
         """V^T A f from the coordinates c of f: Lambda_R c, projected onto

@@ -125,8 +125,7 @@ def test_build_domain_box_interval_cone():
     assert any(part.dirichlet) and not all(part.dirichlet)
 
     cone = fl.validate({
-        "domain": {"kind": "cone", "dim": 2, "radius": 1.0, "n": [8],
-                   "smoothing": 0.1},
+        "domain": {"kind": "cone", "dim": 2, "radius": 1.0, "n": [8]},
     })
     cmesh, cpart = fl.build_domain(cone)
     assert cmesh.extents == ((0.0, 1.0), (0.0, 1.0))
@@ -237,6 +236,7 @@ _BAD_VALUES = [
 _SQUARE = ["domain.extents=[[0,1],[0,1]]", "domain.n=[4,4]"]
 _X0 = "pohozaev.x0=[1.0,0.5]"
 _LAM = "lambda=1.0"
+_CONE = '"kind":"cone","dim":2,"radius":1.0'
 _BAD_RUNS = [
     ("minimize", _SQUARE, "lambda"),
     ("pohozaev", [*_SQUARE, _X0], "lambda"),
@@ -270,6 +270,16 @@ _BAD_RUNS = [
     # above the top of every sweep, 1.2 lambda_1^s, whatever the mesh
     ("sweep-lambda", [*_SQUARE, 'lambda_grid=[{"fraction_of_lambda1s":1.5}]'],
      "lambda_grid"),
+    # domain keys that the domain's kind does not read: a cone reads dim,
+    # radius and one n, a box or interval extents and n
+    ("eig", ["domain.radius=1.0"], "domain.radius"),
+    ("eig", [*_SQUARE, "domain.dim=2"], "domain.dim"),
+    ("eig", [f'domain={{{_CONE},"extents":[[0,1],[0,1]],"n":[8]}}'],
+     "domain.extents"),
+    ("eig", [f'domain={{{_CONE},"n":[8,4]}}'], "domain.n"),
+    # the apex exemption is pohozaev.exempt_radius; no domain key sets it
+    ("pohozaev", [_LAM, _X0, f'domain={{{_CONE},"n":[8],"smoothing":0.3}}'],
+     "domain.smoothing"),
 ]
 # values that the library itself would refuse once the run had started; an
 # 8^2 square so that each subcommand gets as far as its computation
@@ -309,6 +319,10 @@ _BAD_NUMBERS = [
      "pohozaev.exempt_radius"),
     ("pohozaev", [_LAM, _X0, "pohozaev.exempt_radius=NaN"],
      "pohozaev.exempt_radius"),
+    # an empty list would run no rung, alpha or lambda
+    ("sweep-lambda", ["lambda_grid=[]"], "lambda_grid"),
+    ("pohozaev", [_LAM, _X0, "levels=[]"], "levels"),
+    ("move-boundary", ["alphas=[]"], "alphas"),
 ]
 
 
