@@ -289,6 +289,7 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
                    "'linear_plus_critical')")
     dom = resolved.get("domain", {})
     kind = dom.get("kind", "box")
+    # an unknown kind is refused when the domain is built
     for key in sorted(set(dom) - _DOMAIN_KEYS.get(kind, set(dom))):
         bad.append(f"domain.{key} (not read by a {kind} domain)")
     n = dom.get("n", [2])
