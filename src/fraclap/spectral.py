@@ -16,9 +16,9 @@ U_d = V_d^T M_d with them.  A field's M-coordinates V_R^T M_R f
 are then one per-axis contraction with the U_d, and they give every
 product with A or M the library needs: V^T M f, |f|_M^2 and V^T A f =
 Lambda_R V^T M f (:meth:`OperatorPair.coordinates`).  So no library path
-forms A or M, and the package imports no scipy module: A and M exist as
-CSR matrices for checks only, each built on its first read as
-``scipy.sparse.kron`` products of the same 1-D matrices.
+forms A or M, and the package imports no scipy module.  For checks, A and
+M apply per axis from the same 1-D matrices, equal bit for bit to their
+sparse Kronecker products.
 
 When every face is wholly Dirichlet or wholly Neumann, the partition is
 its own relaxation.  It never needs a dense n x n eigensolve, its bases
@@ -132,17 +132,6 @@ def _trapezoid_weights(mesh: Mesh) -> np.ndarray:
         wd[0] = wd[-1] = 0.5 * h
         w = np.multiply.outer(w, wd)
     return w.ravel()
-
-
-def _kron(mats):
-    # Kronecker product of the dense square mats as a CSR matrix, multiplied
-    # left to right
-    import scipy.sparse as sp
-
-    out = sp.csr_matrix(mats[0])
-    for a in mats[1:]:
-        out = sp.kron(out, a, format="csr")
-    return out
 
 
 def _kron_rows(mats, flat: np.ndarray) -> np.ndarray:
@@ -294,14 +283,14 @@ class OperatorPair:
 
     Attributes
     ----------
-    A, M : scipy.sparse.csr_matrix
-        Symmetric stiffness and consistent mass over free nodes, with
-        sorted column indices and no stored zeros.  Each is built on its
-        own first read, which imports ``scipy.sparse``: M is the Kronecker
-        product of R's dense 1-D masses and A the sum over axes of the
-        products with one 1-D stiffness in place of the mass, multiplied
-        left to right, restricted to the free nodes on partial facets.  A
-        reference for checks, read by no library function.
+    A, M : _KroneckerSum
+        Symmetric stiffness and consistent mass over free nodes, for
+        checks; no library function applies either.  Each keeps R's dense
+        1-D lines from its own first read and applies them per axis with
+        ``@`` to (n_free,) or (n_free, k) operands: M is the Kronecker
+        product of the 1-D masses, A the sum over axes of the products
+        with one 1-D stiffness in place of the mass.  Applied to the
+        identity, each equals the sparse Kronecker assembly bit for bit.
     lumped : numpy.ndarray
         Trapezoid weights at the free nodes (the row sums of the full
         consistent mass); the positive quadrature weights of nodal p-norms.
@@ -341,23 +330,16 @@ class OperatorPair:
         return [_line_matrices(nd, hd, k) for nd, hd, k
                 in zip(self.mesh.n, self.mesh.spacing, self._keep)]
 
-    def _free_block(self, X):
-        # R's matrix X restricted to the partition's free nodes
-        if self.kernel is None:
-            return X
-        pos = self.kernel.pos
-        return X[pos][:, pos]
-
     @cached_property
-    def A(self):
+    def A(self) -> _KroneckerSum:
         lines = self._lines()
-        terms = (_kron([a if k == d else m for k, (a, m) in enumerate(lines)])
-                 for d in range(len(lines)))
-        return self._free_block(sum(terms, next(terms)))
+        return _KroneckerSum(self, [[a if k == d else m
+                                     for k, (a, m) in enumerate(lines)]
+                                    for d in range(len(lines))])
 
     @cached_property
-    def M(self):
-        return self._free_block(_kron([m for _, m in self._lines()]))
+    def M(self) -> _KroneckerSum:
+        return _KroneckerSum(self, [[m for _, m in self._lines()]])
 
     def coordinates(self, f: np.ndarray) -> np.ndarray:
         """c = V_R^T M_R f~ for free-node values f, (n,) or (n, k).
@@ -407,6 +389,29 @@ class OperatorPair:
         null(B) on partial facets."""
         out = _times_rows(self.relaxed.values, c)
         return out if self.kernel is None else self.kernel.project(out)
+
+
+class _KroneckerSum:
+    """A sum of Kronecker products of R's dense 1-D lines over the free
+    nodes: ``@`` sets x on R's grid (zero on D on partial facets), applies
+    each term per axis, sums the terms left to right and reads the free
+    nodes."""
+
+    def __init__(self, pair: OperatorPair, terms: list) -> None:
+        self.shape = (pair.n_free, pair.n_free)
+        self._relaxed, self._kernel = pair.relaxed, pair.kernel
+        self._terms = terms
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or len(x) != self.shape[0]:
+            raise ValueError(f"operand of shape {x.shape}: need (n_free,) or "
+                             f"(n_free, k) with n_free = {self.shape[0]}")
+        kernel = self._kernel
+        X = x.reshape(len(x), -1) if kernel is None else kernel._scatter(x)
+        terms = (self._relaxed._per_axis(t, X) for t in self._terms)
+        out = sum(terms, next(terms))
+        return (out if kernel is None else out[kernel.pos]).reshape(x.shape)
 
 
 def _times_rows(d: np.ndarray, c: np.ndarray) -> np.ndarray:

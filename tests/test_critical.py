@@ -8,6 +8,7 @@ from fraclap.critical import NONEXISTENCE, _participation
 from fraclap.spectral import _sign_normalize
 
 from conftest import m_norm
+from sparse_oracle import mass, stiffness
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +94,8 @@ def cube6(params3):
 
 def test_matrix_free_minimizer_matches_dense_basis(cube6, params3):
     ops, basis, lam = cube6
-    lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
+    lams, U = scipy.linalg.eigh(stiffness(ops).toarray(),
+                                mass(ops).toarray())
     dense = fl.SpectralBasis(lams=lams, ops=ops,
                              coords=ops.coordinates(_sign_normalize(U)))
     got = fl.minimize_quotient(basis, params3, lam)

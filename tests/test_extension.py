@@ -24,6 +24,7 @@ from kappa_oracle import (
     solve_mode_profile,
     weighted_slope_limit,
 )
+from sparse_oracle import mass, stiffness
 
 S = 0.75
 
@@ -422,11 +423,12 @@ def test_extend_matches_assembled_cylinder_solve(face_aligned):
     w = fl.extend(cyl, part, params, u)
 
     Aw, Mw = _weighted_matrices(cyl.y, S)
+    A, M = stiffness(ops), mass(ops)
     inner = slice(1, cyl.J)
-    K = sp.kron(ops.A, Mw[inner, inner]) + sp.kron(ops.M, Aw[inner, inner])
+    K = sp.kron(A, Mw[inner, inner]) + sp.kron(M, Aw[inner, inner])
     uf = u.free_values(ops)
-    rhs = -(np.outer(ops.A @ uf, Mw[inner, [0]].toarray().ravel())
-            + np.outer(ops.M @ uf, Aw[inner, [0]].toarray().ravel()))
+    rhs = -(np.outer(A @ uf, Mw[inner, [0]].toarray().ravel())
+            + np.outer(M @ uf, Aw[inner, [0]].toarray().ravel()))
     want = spla.spsolve(K.tocsc(), rhs.ravel()).reshape(ops.n_free, -1)
     # both are direct solves of one well-posed system: round-off only
     err = np.max(np.abs(w.values[ops.free, 1:cyl.J] - want))
@@ -454,7 +456,7 @@ def test_x_norm_is_the_assembled_quadratic_form(face_aligned):
         mesh, part, lambda x: np.cos(x[:, 0]) * (1.0 + x[:, 1] ** 2))
     w = fl.extend(cyl, part, params, u)
     Aw, Mw = _weighted_matrices(cyl.y, S)
-    K = sp.kron(ops.A, Mw) + sp.kron(ops.M, Aw)
+    K = sp.kron(stiffness(ops), Mw) + sp.kron(mass(ops), Aw)
     kap = fl.kappa_s(params)
     # the extension in the form extend returns it, before perturbed reads
     # its values
@@ -495,11 +497,12 @@ def test_x_norm_keeps_its_digits_on_a_graded_cylinder():
     diag[1:] += (m2 - 2 * yl * m1 + yl**2 * m0) / h**2
     off = (-m2 + (yl + yr) * m1 - yl * yr * m0) / h**2
     W = w.values[ops.free, :].astype(ld)
-    AW = ops.A.toarray().astype(ld) @ W
+    AW = stiffness(ops).toarray().astype(ld) @ W
     dW = np.diff(W, axis=1)
+    MdW = mass(ops).toarray().astype(ld) @ dW
     want = (diag @ np.einsum("ij,ij->j", AW, W)
             + 2 * off @ np.einsum("ij,ij->j", AW[:, :-1], W[:, 1:])
-            + cond @ np.einsum("ij,ij->j", ops.M.toarray().astype(ld) @ dW, dW))
+            + cond @ np.einsum("ij,ij->j", MdW, dW))
     kap = fl.kappa_s(params)
     got = ld(fl.x_norm(cyl, params, w, kap)) ** 2 / ld(kap)
     assert abs(got - want) / want < 1e-12

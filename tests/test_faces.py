@@ -16,6 +16,8 @@ from fraclap.fractional import _require_on_neumann_closure
 from fraclap.mesh import _parse_face
 from fraclap.spectral import _trapezoid_weights
 
+from sparse_oracle import mass, stiffness
+
 MESHES = [
     fl.build_tensor_mesh(1, [(0.0, 1.5)], [5]),
     fl.build_tensor_mesh(2, [(0.0, 1.0), (-0.5, 1.5)], [3, 5]),
@@ -147,16 +149,26 @@ def _oracle_full_kronecker_then_slice(part):
             _trapezoid_weights(mesh)[free])
 
 
+def _assert_matches_oracle(ops, A, M):
+    # the CSR builder of sparse_oracle equals the full-mesh slice entry for
+    # entry, and the library's per-axis products with the identity equal it
+    # bit for bit, exact zeros included
+    eye = np.eye(ops.n_free)
+    for op, built, want in ((ops.A, stiffness(ops), A),
+                            (ops.M, mass(ops), M)):
+        assert built.format == "csr" and built.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(built, attr),
+                                          getattr(want, attr))
+        np.testing.assert_array_equal(op @ eye, want.toarray())
+
+
 @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"{m.dim}d")
 def test_relaxed_assembly_matches_full_kronecker_slice(mesh):
     for part in _partitions(mesh):
         ops = fl.assemble_operators(part.mesh, part)
         A, M, lumped = _oracle_full_kronecker_then_slice(part)
-        for got, want in ((ops.A, A), (ops.M, M)):
-            assert got.format == "csr" and got.shape == want.shape
-            for attr in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(got, attr),
-                                              getattr(want, attr))
+        _assert_matches_oracle(ops, A, M)
         np.testing.assert_array_equal(ops.lumped, lumped)
 
 
@@ -194,11 +206,8 @@ def _random_partitions(draw):
 def test_assembly_matches_sparse_kronecker_oracle(part):
     ops = fl.assemble_operators(part.mesh, part)
     A, M, lumped = _oracle_full_kronecker_then_slice(part)
-    for got, want in ((ops.A, A), (ops.M, M)):
-        assert got.format == "csr" and got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got, attr),
-                                          getattr(want, attr))
+    _assert_matches_oracle(ops, A, M)
+    for got in (stiffness(ops), mass(ops)):
         assert got.has_canonical_format
         assert np.all(got.data != 0)
     np.testing.assert_array_equal(ops.lumped, lumped)

@@ -1,10 +1,13 @@
-"""The benchmarked calls, ``fraclap constants`` and ``import fraclap`` load
-no scipy module.
+"""The benchmarked calls, their checks, ``fraclap constants`` and ``import
+fraclap`` load no scipy module.
 
 Any scipy submodule costs a process about 0.2 s and 25 MB on import, more
 than most runs compute, so every call of the three benchmark workloads is
-numpy only, and so are the constants, which come from closed forms.  The calls run in a fresh interpreter, since this one has
-loaded scipy for the reference checks of other tests.
+numpy only.  So are the constants, which come from closed forms, and the
+M-norms and products with ``OperatorPair.A`` and ``.M`` that the
+benchmark's checks and the demos take, on face-aligned and partial-facet
+partitions alike.  The calls run in a fresh interpreter, since this one
+has loaded scipy for the reference checks of other tests.
 """
 import json
 import os
@@ -24,6 +27,7 @@ def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 stages = {}
+import numpy as np
 import fraclap as fl
 import fraclap.cli
 stages["import"] = loaded()
@@ -64,6 +68,15 @@ for _ in range(2):
     fl.x_norm(cyl, params, w, kappa)
 stages["extend"] = loaded()
 
+# the checks' M-norms and a product with A, on the face-aligned 8^2 square
+# and its alpha = 1/2 partial-facet partition
+for part in (part, fl.moving_family(mesh, [0.5])[0]):
+    ops = fl.assemble_operators(mesh, part)
+    d = np.linspace(1.0, 2.0, ops.n_free)
+    assert math.sqrt(d @ (ops.M @ d)) > 0
+    assert (ops.A @ np.stack([d, d * d], axis=1)).shape == (ops.n_free, 2)
+stages["m-norm"] = loaded()
+
 # move-boundary (a partial-facet partition at alpha = 1/2), sweep-lambda
 # and constants through the command line
 config = {"domain": {"kind": "box", "extents": [[0, 1], [0, 1]],
@@ -91,7 +104,7 @@ def test_workload_calls_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     stages, versions = json.loads(proc.stdout.splitlines()[-1])
-    assert list(stages) == ["import", "cube-audit", "extend",
+    assert list(stages) == ["import", "cube-audit", "extend", "m-norm",
                             "move-boundary", "sweep-lambda", "constants"]
     assert stages == {name: [] for name in stages}
     # a run that never loaded scipy records no scipy version

@@ -7,7 +7,6 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +18,8 @@ from fraclap.spectral import (
     _sign_normalize,
     eigendecompose,
 )
+
+from sparse_oracle import mass, stiffness
 
 # interval (0,1), Dirichlet at 0, Neumann at 1: lambda_k = ((k-1/2) pi)^2
 INTERVAL_EIGS = [((k - 0.5) * math.pi) ** 2 for k in range(1, 6)]
@@ -119,7 +120,8 @@ def test_tensor_path_matches_dense_oracle(dim, n, faces):
     ops = fl.assemble_operators(mesh, fl.partition_boundary(mesh, faces))
     assert ops.tensor is not None
     basis = eigendecompose(ops, m="all")
-    lams, U = scipy.linalg.eigh(ops.A.toarray(), ops.M.toarray())
+    lams, U = scipy.linalg.eigh(stiffness(ops).toarray(),
+                                mass(ops).toarray())
     np.testing.assert_allclose(basis.lams, lams, rtol=1e-10)
     # exactly degenerate clusters (y <-> z on the cube) admit any rotation,
     # so compare the M-orthogonal projector V V^T M of each cluster; outside
@@ -227,8 +229,8 @@ def _facet_labelings(draw):
     (2, 1): [False] * 8 + [True]}))
 def test_constrained_path_matches_dense_oracle(part):
     ops = fl.assemble_operators(part.mesh, part)
-    M = ops.M.toarray()
-    lams, U = scipy.linalg.eigh(ops.A.toarray(), M)
+    M = mass(ops).toarray()
+    lams, U = scipy.linalg.eigh(stiffness(ops).toarray(), M)
     # clusters split where the gap exceeds 1e-6 of the largest eigenvalue.
     # Each cluster is compared by its M-orthogonal projector V V^T M, of
     # M-norm 1: round-off moves it by about eps * lams[-1] / gap in that
@@ -338,21 +340,50 @@ def test_assembly_kept_after_many_other_partitions(square_ops):
     assert again is square_ops
 
 
+def _half_or_aligned(mesh, alpha):
+    return (fl.partition_boundary(mesh, [(0, 0)]) if alpha is None
+            else fl.moving_family(mesh, [alpha])[0])
+
+
 @pytest.mark.parametrize("alpha", [None, 0.5], ids=["aligned", "half"])
 def test_reference_matrices_are_built_one_at_a_time(alpha):
-    # A and M are built on first read, each without the other, so a check
-    # that reads only M never holds A's Kronecker terms
+    # A and M are made on first read, each without the other, and each
+    # keeps only R's dense 1-D lines, N masses for M and N stiffnesses
+    # besides for A: a check that reads only M never holds A's lines, and
+    # neither holds an n_free x n_free matrix
     mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [6, 5])
     for first, other in (("M", "A"), ("A", "M")):
-        part = (fl.partition_boundary(mesh, [(0, 0)]) if alpha is None
-                else fl.moving_family(mesh, [alpha])[0])
-        ops = fl.assemble_operators(mesh, part)
+        ops = fl.assemble_operators(mesh, _half_or_aligned(mesh, alpha))
         assert "A" not in ops.__dict__ and "M" not in ops.__dict__
         got = getattr(ops, first)
         assert getattr(ops, first) is got
         assert other not in ops.__dict__
-        held = [v for v in ops.__dict__.values() if scipy.sparse.issparse(v)]
-        assert len(held) == 1 and held[0] is got
+        # the eigenpairs and the kernel are the pair's own, not copies
+        assert got._relaxed is ops.relaxed and got._kernel is ops.kernel
+        held = {id(a): a for term in got._terms for a in term}
+        assert len(held) == {"M": 2, "A": 4}[first]
+        line = max(m.size for _, m in ops._lines())
+        assert max(a.size for a in held.values()) <= line
+        assert not any(isinstance(v, np.ndarray) for v in vars(got).values())
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5], ids=["aligned", "half"])
+def test_reference_products_check_their_operand(alpha):
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [6, 5])
+    ops = fl.assemble_operators(mesh, _half_or_aligned(mesh, alpha))
+    n, n_R = ops.n_free, len(ops.relaxed.values)
+    assert (n < n_R) == (alpha is not None)
+    x = np.random.default_rng(5).standard_normal((n, 2))
+    for op in (ops.A, ops.M):
+        assert op.shape == (n, n)
+        assert (op @ x[:, 0]).shape == (n,)
+        assert (op @ x).shape == (n, 2)
+        bad = [(n + 1,), (n - 1, 2), (n, 2, 1), ()]
+        if n_R != n:
+            bad += [(n_R,), (n_R, 2)]  # R's grid, not the partition's
+        for shape in bad:
+            with pytest.raises(ValueError, match="n_free"):
+                op @ np.ones(shape)
 
 
 def test_operator_pairs_compare_by_identity():
@@ -377,11 +408,12 @@ def test_dropped_partition_frees_its_operators():
 
 def test_operator_symmetry_and_definiteness(square_ops):
     A, M = square_ops.A, square_ops.M
-    assert abs(A - A.T).max() == 0.0
-    assert abs(M - M.T).max() == 0.0
+    eye = np.eye(square_ops.n_free)
+    assert abs(A @ eye - (A @ eye).T).max() == 0.0
+    assert abs(M @ eye - (M @ eye).T).max() == 0.0
     rng = np.random.default_rng(7)
     for _ in range(3):
-        v = rng.standard_normal(A.shape[0])
+        v = rng.standard_normal(square_ops.n_free)
         assert v @ (M @ v) > 0
         assert v @ (A @ v) > 0  # Dirichlet part removes the constant kernel
 
