@@ -11,7 +11,6 @@ so a run directory name pins down every knob.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Sequence
@@ -19,6 +18,7 @@ from typing import Any, Sequence
 from .critical import _SWEEP_TOP
 from .extension import MIN_Y_CELLS
 from .mesh import (
+    _digest,
     _parse_face,
     build_tensor_mesh,
     cone_domain,
@@ -358,7 +358,7 @@ def validate(cfg: dict) -> dict:
 def config_hash(resolved: dict) -> str:
     """12-hex-digit digest of the canonical JSON form of a resolved config."""
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return _digest(canonical, 12)
 
 
 def build_domain(resolved: dict):

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 MIN_Y_CELLS = 16
+# interior levels synthesized at a time when an extension's values are read
+_LEVEL_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +102,20 @@ class ExtensionField:
     M-coordinates C of every level in the face-aligned relaxation's
     eigenbasis (:meth:`~fraclap.spectral.OperatorPair.coordinates`, n_R x
     (J+1)): on a face-aligned partition as the two columns c and g and the
-    solver, where C = [c, g P, 0] and the solver's y-profile P are formed
-    only when ``values`` are read, elsewhere as C itself.  At the power s
-    it was solved with, the per-mode form gives :func:`dtn` and
-    :func:`x_norm` from c and the solver's symbol alone; every other form,
-    and the per-mode one at another s, gives them from C.
+    solver, where C = [c, g P, 0], whose y-profile P is formed only when
+    ``values`` are read, elsewhere as C itself.  At the power s it was
+    solved with, the per-mode form gives :func:`dtn` and :func:`x_norm`
+    from c and the solver's symbol alone; every other form, and the
+    per-mode one at another s, gives them from C.
     Its nodal ``values`` are synthesized on first read
-    (:meth:`~fraclap.spectral.OperatorPair.synthesize`, J - 1 interior
-    columns copied to the free rows, level 1 as the trace less the
-    synthesized C_0 - C_1, the difference :func:`dtn` weighs by a_0) and
-    kept in place of the coordinate form, so that it holds one form at a
-    time.  A field made from nodal values, by this constructor or
+    (:meth:`~fraclap.spectral.OperatorPair.synthesize`), 8 interior levels
+    at a time (a last single level joins the block before), straight into
+    the free rows: per mode a block's coordinates are g times its rows of
+    P, so C is not formed, and otherwise they are a slice of the C held.
+    Level 1 is the trace less the synthesized C_0 - C_1, the difference
+    :func:`dtn` weighs by a_0.  The values are kept in place of the
+    coordinate form, so that the field holds one form at a time.  A field
+    made from nodal values, by this constructor or
     :meth:`perturbed`, or one whose values were read, takes C from them
     when :func:`dtn` or :func:`x_norm` first needs it, and keeps it.  The
     constructor copies ``values``, and ``values`` is read-only, so the two
@@ -166,16 +171,39 @@ class ExtensionField:
     def values(self) -> np.ndarray:
         """Nodal values, (n_base_nodes, J+1), read-only."""
         J = self.cyl.J
-        C = self._levels()
-        # level 1 is synthesized as the trace less its deviation C_0 - C_1,
-        # so that the values keep that first-cell difference, which dtn
-        # weighs by a_0, free of the synthesis round-off of the trace
-        X = C[:, 1:J] if "_modes" in self.__dict__ else C[:, 1:J].copy()
-        np.subtract(C[:, 0], X[:, 0], out=X[:, 0])
         ops = self._ops
+        if "_modes" in self.__dict__:
+            # held per mode only by a face-aligned extend, whose solver has
+            # the y-profile P: a block's coordinates are g P^T, formed
+            # transposed, in P's layout
+            c, g, solver = self._modes
+            profile = solver.profile
+
+            def block(lo: int, hi: int) -> np.ndarray:
+                return (profile[lo - 1:hi - 1] * g).T
+        else:
+            C = self._coordinates
+            c = C[:, 0]
+
+            def block(lo: int, hi: int) -> np.ndarray:
+                return C[:, lo:hi].copy()
+
         v = np.zeros((self.cyl.base.n_nodes, J + 1))
         v[:, 0] = self._trace
-        v[ops.free, 1:J] = ops.synthesize(X)
+        # _LEVEL_BLOCK levels at a time; a last block of one level joins
+        # the one before, since BLAS multiplies a single column otherwise
+        edges = [*range(1, J, _LEVEL_BLOCK), J]
+        if edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        for lo, hi in zip(edges, edges[1:]):
+            X = block(lo, hi)
+            if lo == 1:
+                # level 1 is synthesized as the trace less its deviation
+                # C_0 - C_1, so that the values keep that first-cell
+                # difference, which dtn weighs by a_0, free of the
+                # synthesis round-off of the trace
+                np.subtract(c, X[:, 0], out=X[:, 0])
+            v[ops.free, lo:hi] = ops.synthesize(X)
         v[:, 1] = v[:, 0] - v[:, 1]
         v.flags.writeable = False
         # held in place of the coordinates, which dtn and x_norm form

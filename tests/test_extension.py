@@ -16,7 +16,7 @@ from fraclap._weighted1d import (
     harmonic_conductances,
     weighted_bands,
 )
-from fraclap.extension import MIN_Y_CELLS
+from fraclap.extension import _LEVEL_BLOCK, MIN_Y_CELLS
 
 from conftest import m_norm
 from kappa_oracle import (
@@ -770,6 +770,69 @@ def test_cold_extension_forms_no_profile():
     assert np.max(np.abs(w.values - eager)) <= 1e-13 * np.max(np.abs(eager))
 
 
+def _whole_values(w):
+    # the nodal values with every interior level synthesized in one call
+    J = w.cyl.J
+    ops = w._ops
+    C = w._levels()
+    X = C[:, 1:J].copy()
+    np.subtract(C[:, 0], X[:, 0], out=X[:, 0])
+    v = np.zeros((w.cyl.base.n_nodes, J + 1))
+    v[:, 0] = w._trace
+    v[ops.free, 1:J] = ops.synthesize(X)
+    v[:, 1] = v[:, 0] - v[:, 1]
+    return v
+
+
+@pytest.mark.parametrize("case, J", [("square", 32), ("square", 128),
+                                     ("cube-middle-face", 32),
+                                     ("square-half", 32)])
+def test_blocked_values_equal_one_synthesis(case, J):
+    # the values read a block of levels at a time equal, bit for bit, the
+    # values of one synthesis of all J - 1 interior levels; J - 1 = 127 is
+    # not a multiple of the block
+    mesh, part = _extension_cases()[case]
+    _, _, _, w = _extension_of(mesh, part, J=J)
+    want = _whole_values(w)
+    assert np.array_equal(w.values, want)
+
+
+def test_blocked_values_on_a_larger_partial_facet():
+    # BLAS tiles a product by its column count, so on the 40^2 partial
+    # facet at alpha = 1/2 a block of levels can differ from one whole
+    # synthesis in the last bits of an entry
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
+    part = fl.moving_family(mesh, [0.5])[0]
+    _, _, _, w = _extension_of(mesh, part)
+    want = _whole_values(w)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(w.values - want)) <= 4 * eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["cube-12", "square-half"])
+def test_reading_values_peaks_below_three_level_arrays(case):
+    # reading an extension's values holds the values, the profile P on a
+    # face-aligned partition and a few blocks of levels: under 3 n_R x
+    # (J+1) arrays, where forming C and synthesizing all interior levels
+    # at once took 4.9 (3.8 on the partial facet)
+    import tracemalloc
+
+    if case == "cube-12":
+        mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [12] * 3)
+        part = fl.partition_boundary(mesh, [(0, 0)])
+    else:
+        mesh, part = _extension_cases()[case]
+    _, cyl, _, w = _extension_of(mesh, part)
+    n_R = len(fl.assemble_operators(mesh, part).relaxed.values)
+    tracemalloc.start()
+    try:
+        w.values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n_R * (cyl.J + 1) * np.dtype(float).itemsize
+
+
 def test_elimination_matches_dense_mode_solves():
     # the face-aligned solver's symbol and lazily formed profile against a
     # dense solve of (Aw + lambda_i Mw) P_i = e_1 on levels 1..J-1 for
@@ -816,7 +879,8 @@ def test_elimination_matches_dense_mode_solves():
 def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
     # extend, dtn and x_norm stay in coordinates: one coordinate column (the
     # trace) and one synthesized column (dtn's flux); reading values
-    # synthesizes the J - 1 interior levels once
+    # synthesizes each of the J - 1 interior levels once, in blocks of at
+    # most _LEVEL_BLOCK
     coordinated, synthesized = [], []
     coordinates = fl.OperatorPair.coordinates
     synthesize = fl.OperatorPair.synthesize
@@ -844,4 +908,5 @@ def test_extension_synthesizes_only_the_levels_it_reads(monkeypatch):
     synthesized.clear()
     first = w.values
     assert w.values is first
-    assert synthesized == [cyl.J - 1]
+    assert sum(synthesized) == cyl.J - 1
+    assert max(synthesized) <= _LEVEL_BLOCK

@@ -114,6 +114,15 @@ def test_partition_key_changes_with_labels():
     assert a.key() == partition_boundary(mesh, [(0, 0)]).key()
 
 
+def test_keys_are_frozen():
+    # run directories and manifests of earlier runs carry these digests
+    cube = build_tensor_mesh(3, [(0.0, 1.0)] * 3, [12] * 3)
+    assert cube.key() == "4b4c1974649ed2c9"
+    assert partition_boundary(cube, [(0, 0)]).key() == "c42fc6c80e55fcb5"
+    square = build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
+    assert moving_family(square, [0.5])[0].key() == "55fa4efd83f18f7e"
+
+
 def test_moving_family_nested_and_snapped():
     mesh = build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [4, 4])
     fam = moving_family(mesh, [1.0, 0.5, 0.3])

@@ -1,19 +1,24 @@
 """The benchmarked calls, their checks, ``fraclap constants`` and ``import
-fraclap`` load no scipy module.
+fraclap`` load no scipy module, and only the config hash loads OpenSSL.
 
 Any scipy submodule costs a process about 0.2 s and 25 MB on import, more
 than most runs compute, so every call of the three benchmark workloads is
 numpy only.  So are the constants, which come from closed forms, and the
 M-norms and products with ``OperatorPair.A`` and ``.M`` that the
 benchmark's checks and the demos take, on face-aligned and partial-facet
-partitions alike.  The calls run in a fresh interpreter, since this one
-has loaded scipy for the reference checks of other tests.
+partitions alike.  ``hashlib`` loads OpenSSL's libcrypto through
+``_hashlib``, about 3.5 MB, so it is imported by the first digest: the
+command line's config hash names every run directory, and no numerical
+call takes one.  The calls run in a fresh interpreter, since this one has
+loaded scipy for the reference checks of other tests.
 """
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fraclap
 
@@ -24,7 +29,8 @@ import contextlib, io, json, math, sys
 from pathlib import Path
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "_hashlib")
 
 stages = {}
 import numpy as np
@@ -93,24 +99,42 @@ for sub in ("move-boundary", "sweep-lambda", "constants"):
         code = fraclap.cli.main([sub, "--config", "box.json"])
     stages[sub] = loaded() if code == 0 else f"exit {code}"
     manifest = Path(json.loads(out.getvalue())["run_dir"]) / "manifest.json"
-    versions[sub] = sorted(json.loads(manifest.read_text())["versions"])
+    manifest = json.loads(manifest.read_text())
+    versions[sub] = sorted(manifest["versions"])
+    assert manifest["config_hash"] == fl.config_hash(fl.validate(config))
 print(json.dumps([stages, versions]))
 """
 
 
-def test_workload_calls_load_no_scipy(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path,
+@pytest.fixture(scope="module")
+def workload_run(tmp_path_factory):
+    # the modules each stage of SCRIPT has loaded, and each run's versions
+    proc = subprocess.run([sys.executable, "-c", SCRIPT],
+                          cwd=tmp_path_factory.mktemp("workloads"),
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    stages, versions = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_workload_calls_load_no_scipy(workload_run):
+    stages, versions = workload_run
     assert list(stages) == ["import", "cube-audit", "extend", "m-norm",
                             "move-boundary", "sweep-lambda", "constants"]
-    assert stages == {name: [] for name in stages}
+    assert all(m == "_hashlib" for mods in stages.values() for m in mods)
     # a run that never loaded scipy records no scipy version
     assert versions == {sub: ["fraclap", "numpy", "python"]
                         for sub in ("move-boundary", "sweep-lambda",
                                     "constants")}
+
+
+def test_only_the_config_hash_loads_openssl(workload_run):
+    # import, the cube-audit and extend pipelines and the checks take no
+    # digest; the first command-line run hashes its config, and so loads
+    # hashlib, and each run's manifest records the digest config_hash gives
+    stages, _ = workload_run
+    assert [name for name, mods in stages.items() if "_hashlib" in mods] == [
+        "move-boundary", "sweep-lambda", "constants"]
 
 
 LOADING = r"""
