@@ -4,7 +4,10 @@ A genuine solution of the critical problem satisfies an integral identity
 tying the extension energy to boundary flux terms.  Evaluated on discrete
 solutions the identity leaves a residual that must shrink under refinement;
 evaluated symbolically on a cone with the vertex at the dilation center it
-predicts nonexistence outright for supercritical-type nonlinearities.
+predicts nonexistence outright for supercritical-type nonlinearities.  The
+cone here is the unit cube seen from its corner at the origin: the faces
+through that corner are Neumann and pair to 0 with x - x0, the far faces
+Dirichlet.
 """
 import math
 
@@ -31,9 +34,10 @@ for n, J in ((6, 16), (9, 24), (12, 32)):
           f"{abs(rep.residual_over_scale):.3e}")
 
 print("\ncone with apex at the dilation center:")
-cone = fl.cone_domain(3, 1.0, 6)
-rep = fl.nonexistence_check(cone.mesh, cone.partition,
-                            fl.critical_power(params), params, cone.apex)
+mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [6] * 3)
+part = fl.partition_boundary(mesh, [(d, 1) for d in range(3)])
+rep = fl.nonexistence_check(mesh, part, fl.critical_power(params), params,
+                            (0.0, 0.0, 0.0))
 print(f"  max |<x - x0, nu>| on the Neumann part: {rep.max_neumann_pairing:.1e}")
 print(f"  min <x - x0, nu> on the Dirichlet part: {rep.min_dirichlet_pairing:.3f}")
 print(f"  verdict: {rep.flag}")

@@ -9,11 +9,9 @@ from .mesh import (
     Mesh,
     Facet,
     BoundaryPartition,
-    ConeDomain,
     build_tensor_mesh,
     partition_boundary,
     moving_family,
-    cone_domain,
 )
 from .spectral import (
     OperatorPair,
@@ -92,9 +90,8 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "Facet", "BoundaryPartition", "ConeDomain",
+    "Mesh", "Facet", "BoundaryPartition",
     "build_tensor_mesh", "partition_boundary", "moving_family",
-    "cone_domain",
     "OperatorPair", "SpectralBasis", "assemble_operators",
     "eigendecompose", "quotient_operator",
     "FracParams", "Field", "ConstantsReport", "QuotientReport",

@@ -21,7 +21,6 @@ from .mesh import (
     _digest,
     _parse_face,
     build_tensor_mesh,
-    cone_domain,
     partition_boundary,
 )
 
@@ -66,11 +65,9 @@ _LAM = (
 
 _SCHEMA: dict[str, Any] = {
     "domain": {
-        "kind": _STR,          # "box", "interval", or "cone"
-        "extents": _LIST,      # [[lo, hi], ...] per axis (box/interval)
+        "kind": _STR,          # "box" or "interval"
+        "extents": _LIST,      # [[lo, hi], ...] per axis
         "n": _LIST,            # cells per axis
-        "radius": _NUM,        # cone side length
-        "dim": _INT,           # cone dimension
     },
     "partition": {
         "dirichlet_faces": _LIST,   # [[axis, side], ...]
@@ -208,18 +205,10 @@ def _merge_defaults(cfg: dict, defaults: dict) -> dict:
 
 
 def _domain_dim(dom: dict) -> int | None:
-    if dom.get("kind") == "cone":
-        return dom.get("dim")
     for key in ("n", "extents"):
         if key in dom:
             return len(dom[key])
     return None
-
-
-# the domain keys each kind reads
-_DOMAIN_KEYS = {"box": {"kind", "extents", "n"},
-                "interval": {"kind", "extents", "n"},
-                "cone": {"kind", "dim", "radius", "n"}}
 
 
 def _negative(spec) -> bool:
@@ -288,22 +277,17 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
         bad.append("pohozaev.nonlinearity (expected 'critical' or "
                    "'linear_plus_critical')")
     dom = resolved.get("domain", {})
-    kind = dom.get("kind", "box")
-    # an unknown kind is refused when the domain is built
-    for key in sorted(set(dom) - _DOMAIN_KEYS.get(kind, set(dom))):
-        bad.append(f"domain.{key} (not read by a {kind} domain)")
+    if dom.get("kind", "box") not in ("box", "interval"):
+        bad.append("domain.kind (expected 'box' or 'interval')")
     n = dom.get("n", [2])
-    if kind == "cone" and len(n) != 1:
-        bad.append("domain.n (expected one integer for a cone)")
-    elif not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
+    if not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
         bad.append("domain.n (expected 1 to 3 integers >= 2)")
     dim = _domain_dim(dom)
     if not _is_int(dim) or not 1 <= dim <= 3:
         return
-    faces = {"faces": resolved.get("faces", [])}
-    if dom.get("kind") != "cone":
-        faces["partition.dirichlet_faces"] = resolved.get(
-            "partition", {}).get("dirichlet_faces", [])
+    faces = {"faces": resolved.get("faces", []),
+             "partition.dirichlet_faces": resolved.get(
+                 "partition", {}).get("dirichlet_faces", [])}
     for key, entries in faces.items():
         try:
             for face in entries:
@@ -317,12 +301,11 @@ def validate(cfg: dict) -> dict:
     """Check ``cfg`` against the schema and fill defaults.
 
     Keys are checked first for name and type, then the resolved values
-    for range: only the ``domain`` keys its kind reads (``extents`` and
-    ``n`` on a box or interval, ``dim``, ``radius`` and ``n`` on a cone),
-    ``s`` in (1/2, 1), ``domain.n`` with 1 to 3 entries of at least 2 (one
-    on a cone), faces on the box, ``mode_count`` and ``solver.polish_max`` of
-    at least 1, ``solver.polish_tol`` in (0, 1), ``pohozaev.geometry_tol``
-    and ``pohozaev.exempt_radius`` of at least 0 (NaN fails those three),
+    for range: ``domain.kind`` a box or an interval, ``s`` in (1/2, 1),
+    ``domain.n`` with 1 to 3 entries of at least 2, faces on the box,
+    ``mode_count`` and ``solver.polish_max`` of at least 1,
+    ``solver.polish_tol`` in (0, 1), ``pohozaev.geometry_tol`` and
+    ``pohozaev.exempt_radius`` of at least 0 (NaN fails those three),
     ``solver.init`` and ``pohozaev.nonlinearity`` among their choices, a
     cylinder with J >= 16, gamma >= 1 and Y > 0 (or null), ``levels``
     entries [n >= 2 or null, J >= 16], nonempty ``lambda_grid``,
@@ -373,10 +356,15 @@ def build_domain(resolved: dict):
     ConfigError
         If the domain or partition section is missing or inconsistent.
     """
-    dom = _domain_section(resolved)
-    if dom.get("kind") == "cone":
-        cone = cone_domain(dom["dim"], dom["radius"], int(dom["n"][0]))
-        return cone.mesh, cone.partition
+    dom = resolved.get("domain")
+    if dom is None:
+        raise ConfigError("missing required section: domain", keys=["domain"])
+    if "extents" not in dom or "n" not in dom:
+        raise ConfigError("box domain needs domain.extents and domain.n",
+                          keys=["domain.extents", "domain.n"])
+    if "dirichlet_faces" not in resolved.get("partition", {}):
+        raise ConfigError("missing partition.dirichlet_faces",
+                          keys=["partition.dirichlet_faces"])
     n = [int(v) for v in dom["n"]]
     mesh = build_tensor_mesh(len(n), dom["extents"], n)
     faces = resolved["partition"]["dirichlet_faces"]
@@ -386,29 +374,6 @@ def build_domain(resolved: dict):
         # e.g. every face Dirichlet, so no Neumann part is left
         raise ConfigError(f"invalid partition.dirichlet_faces: {e}",
                           keys=["partition.dirichlet_faces"]) from e
-
-
-def _domain_section(resolved: dict) -> dict:
-    """The domain section, once it has every key its kind needs."""
-    dom = resolved.get("domain")
-    if dom is None:
-        raise ConfigError("missing required section: domain", keys=["domain"])
-    kind = dom.get("kind", "box")
-    if kind == "cone":
-        for need in ("dim", "radius", "n"):
-            if need not in dom:
-                raise ConfigError(f"cone domain needs domain.{need}",
-                                  keys=[f"domain.{need}"])
-        return dom
-    if kind not in ("box", "interval"):
-        raise ConfigError(f"unknown domain kind {kind!r}", keys=["domain.kind"])
-    if "extents" not in dom or "n" not in dom:
-        raise ConfigError("box domain needs domain.extents and domain.n",
-                          keys=["domain.extents", "domain.n"])
-    if "dirichlet_faces" not in resolved.get("partition", {}):
-        raise ConfigError("missing partition.dirichlet_faces",
-                          keys=["partition.dirichlet_faces"])
-    return dom
 
 
 def resolve_lambda(spec, lam1s: float) -> float:

@@ -475,8 +475,7 @@ def _require_on_neumann_closure(
         coord = mesh.extents[axis][side]
         hit = np.array(coord - tol <= x0[axis] <= coord + tol)
         for d in (d for d in range(mesh.dim) if d != axis):
-            h = mesh.spacing[d]
-            c = mesh.extents[d][0] + (np.arange(mesh.n[d]) + 0.5) * h
+            c, h = mesh.cell_centers(d), mesh.spacing[d]
             inside = (x0[d] >= c - 0.5 * h - tol) & (x0[d] <= c + 0.5 * h + tol)
             hit = np.multiply.outer(hit, inside)
         touched.append(labels[facets][hit.ravel()])

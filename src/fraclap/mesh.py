@@ -22,11 +22,9 @@ __all__ = [
     "Mesh",
     "Facet",
     "BoundaryPartition",
-    "ConeDomain",
     "build_tensor_mesh",
     "partition_boundary",
     "moving_family",
-    "cone_domain",
 ]
 
 @dataclass(frozen=True)
@@ -115,6 +113,11 @@ class Mesh:
         a, b = self.extents[axis]
         return np.linspace(a, b, self.n[axis] + 1)
 
+    def cell_centers(self, axis: int) -> np.ndarray:
+        """Midpoints of the cells along one axis, low end first."""
+        a = self.extents[axis][0]
+        return a + (np.arange(self.n[axis]) + 0.5) * self.spacing[axis]
+
     @cached_property
     def node_coords(self) -> np.ndarray:
         """Array of node coordinates, shape (n_nodes, dim)."""
@@ -126,14 +129,14 @@ class Mesh:
     def facets(self) -> tuple[Facet, ...]:
         """All boundary facets in canonical order (axis, side, C-order index)."""
         out: list[Facet] = []
-        h = self.spacing
+        centers = [self.cell_centers(d).tolist() for d in range(self.dim)]
         for axis, side, _, cells, measure in self.faces():
             t_axes = [d for d in range(self.dim) if d != axis]
             for idx in np.ndindex(*cells):
                 centroid = [0.0] * self.dim
                 centroid[axis] = self.extents[axis][side]
                 for d, j in zip(t_axes, idx):
-                    centroid[d] = self.extents[d][0] + (j + 0.5) * h[d]
+                    centroid[d] = centers[d][j]
                 out.append(Facet(axis, side, tuple(int(j) for j in idx),
                                  measure, tuple(centroid)))
         return tuple(out)
@@ -422,46 +425,3 @@ def moving_family(
             f"alphas snap to non-distinct facet unions {snapped}; "
             f"refine the mesh or spread the alphas")
     return out
-
-
-@dataclass(frozen=True)
-class ConeDomain:
-    """Box cone: apex at the origin corner, Dirichlet cap on the far faces.
-
-    Every lateral face passes through the apex, so axis-aligned normals give
-    <x - apex, nu> = 0 there exactly; the far faces have <x - apex, nu> = R.
-    ``rho`` records an apex smoothing radius: facets whose centroid lies
-    within rho of the apex are exempt from geometric sign checks.
-    """
-
-    mesh: Mesh
-    partition: BoundaryPartition
-    apex: tuple[float, ...]
-    rho: float
-
-
-def cone_domain(dim: int, radius: float, n: int, rho: float = 0.0) -> ConeDomain:
-    """Build the axis-aligned cone domain [0, R]^dim with apex at the origin.
-
-    Parameters
-    ----------
-    dim : int
-    radius : float
-        Side length R.
-    n : int
-        Cells per axis.
-    rho : float, optional
-        Apex regularization radius recorded for geometric checks.
-
-    Returns
-    -------
-    ConeDomain
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    mesh = build_tensor_mesh(dim, [(0.0, float(radius))] * dim, [n] * dim)
-    cap = [(d, 1) for d in range(dim)]
-    part = partition_boundary(mesh, cap)
-    return ConeDomain(mesh=mesh, partition=part, apex=(0.0,) * dim, rho=float(rho))

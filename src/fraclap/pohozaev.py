@@ -303,8 +303,8 @@ def nonexistence_check(
     Neumann facet centroids must pair to 0 with the outward normal (within
     ``tol`` times the largest side), Dirichlet ones strictly positively;
     facets whose centroid lies within distance ``rho`` of ``x0`` are
-    exempt from the Neumann test, mirroring the smoothed-corner region of
-    the cone construction.  The growth condition samples
+    exempt from the Neumann test, as on a corner at ``x0`` smoothed out to
+    radius ``rho``.  The growth condition samples
     g(t) = (N-2s) t f(t) - 2N F(t) >= 0 at 400 evenly spaced points of
     (0, 10].
 
@@ -335,8 +335,7 @@ def nonexistence_check(
             # |centroid - x0| per facet, squares summed in axis order
             sq = 0.0
             for d in range(mesh.dim):
-                c = (mesh.extents[a][side] if d == a else mesh.extents[d][0]
-                     + (np.arange(mesh.n[d]) + 0.5) * mesh.spacing[d])
+                c = mesh.extents[a][side] if d == a else mesh.cell_centers(d)
                 sq = np.add.outer(sq, (c - x0[d]) ** 2)
             near = kept & (np.sqrt(np.ravel(sq)) <= rho)
             exempt += int(np.count_nonzero(near))

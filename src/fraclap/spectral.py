@@ -717,44 +717,6 @@ def _constrained_eigh(kernel: _CapacitanceKernel,
     return mu, C
 
 
-def _last_component_floor(T: np.ndarray, mu: np.ndarray, i: int) -> float:
-    """A lower bound on |y_j| for the unit eigenvector y of mu[i] of the j x j
-    symmetric tridiagonal T, whose eigenvalues are mu, ascending.
-
-    The rows j to 2 of (T - mu_i) y = 0 give y from the bottom up with y_j
-    = 1; that direction is stable where a converged Ritz vector grows, and
-    no leading submatrix, whose Ritz values lie within round-off of mu_i,
-    is factored.  Row 1 is left with the residual r_1, so with the rounding
-    of the rows the unit vector is within (|r_1| / |y| + j eps |T|) / gap
-    of the eigenvector (Davis-Kahan), gap the distance from mu_i to the
-    other eigenvalues; the floor is 1 / |y| less that.  0 when the
-    recurrence cannot run.
-    """
-    alpha, beta = np.diag(T).tolist(), np.diag(T, 1).tolist()
-    j = len(alpha)
-    z = float(mu[i])
-    below, here, b_below = 0.0, 1.0, 0.0
-    total = 1.0
-    for k in range(j - 1, 0, -1):
-        b = beta[k - 1]
-        if b == 0.0:
-            return 0.0
-        above = -((alpha[k] - z) * here + b_below * below) / b
-        if abs(above) > 1e150:
-            return 0.0  # |y_j| / |y| < 1e-150
-        below, here, b_below = here, above, b
-        total += above * above
-    norm = math.sqrt(total)
-    r1 = (alpha[0] - z) * here + b_below * below
-    # |T| is the largest |mu|, and the gap is to a neighbour, mu ascending
-    size = max(-float(mu[0]), float(mu[-1]))
-    gap = min(z - float(mu[i - 1]) if i > 0 else math.inf,
-              float(mu[i + 1]) - z if i + 1 < j else math.inf)
-    if gap <= 0.0:
-        return 0.0
-    return 1.0 / norm - (abs(r1) / norm + j * math.ulp(1.0) * size) / gap
-
-
 def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a partial-facet partition by Lanczos, ascending.
 
@@ -767,10 +729,7 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
     orthogonalized twice against all earlier ones, so no restart is needed:
     a run stops once the k largest Ritz values mu of the inverse have
     residuals of at most ``_LANCZOS_TOL`` mu, or once its Krylov space is
-    all that is left of null(B).  Each step takes the tridiagonal's
-    eigenvalues, and its eigenvectors only where a floor of the lowest
-    wanted residual (:func:`_last_component_floor`) is within 10 times
-    that tolerance, so the run stops where testing every step would.  One Krylov space holds one direction of
+    all that is left of null(B).  One Krylov space holds one direction of
     each eigenspace, so a further run, on the complement of the Ritz
     vectors found so far, looks for the copies of a multiple eigenvalue;
     its pairs are merged in until a run finds none above the k-th.  Starts
@@ -820,18 +779,11 @@ def _lanczos(ops: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray]:
             w = kernel.solve(Q[i][:, None], shifts)[:, 0]
             T[j, j] = Q[i] @ w
             w, b = orthonormal(w, Q[:i + 1])
-            Tj = T[:j + 1, :j + 1]
-            mu = np.linalg.eigvalsh(Tj)
+            mu, Y = np.linalg.eigh(T[:j + 1, :j + 1])
             top = slice(max(len(mu) - want, 0), None)
-            # the eigenvectors only where the residual test may pass: a
-            # floor of the lowest wanted residual above 10 times the
-            # tolerance already fails it
-            if j + 1 == size or (j + 1 >= want and b * _last_component_floor(
-                    Tj, mu, top.start) <= 10.0 * _LANCZOS_TOL * mu[top.start]):
-                mu, Y = np.linalg.eigh(Tj)
-                if j + 1 == size or np.all(
-                        np.abs(b * Y[-1, top]) <= _LANCZOS_TOL * mu[top]):
-                    return mu[top][::-1], Q[q0:i + 1].T @ Y[:, top][:, ::-1]
+            if j + 1 == size or (j + 1 >= want and np.all(
+                    np.abs(b * Y[-1, top]) <= _LANCZOS_TOL * mu[top])):
+                return mu[top][::-1], Q[q0:i + 1].T @ Y[:, top][:, ::-1]
             if i + 1 == len(Q):
                 Q = np.concatenate([Q, np.empty((min(len(X) + size, 2 * len(Q))
                                                  - len(Q), Q.shape[1]))])

@@ -272,9 +272,12 @@ def test_criterion_10_cone_algebra(p2, p3):
         g = growth_defect(spec, params, ts)
         scale = np.max(np.abs(2 * params.N * spec.F(ts)))
         assert np.max(np.abs(g)) < 1e-14 * scale
-    cone = fl.cone_domain(3, 1.0, 6)
-    rep = nonexistence_check(cone.mesh, cone.partition, critical_power(p3),
-                             p3, cone.apex)
+    # the cone [0, 1]^3 with its apex at the origin: the faces through it
+    # Neumann, the far faces Dirichlet
+    mesh = fl.build_tensor_mesh(3, [(0.0, 1.0)] * 3, [6] * 3)
+    part = fl.partition_boundary(mesh, [(d, 1) for d in range(3)])
+    rep = nonexistence_check(mesh, part, critical_power(p3), p3,
+                             (0.0, 0.0, 0.0))
     assert rep.max_neumann_pairing <= 1e-10
     assert rep.flag == "NO-SOLUTION-PREDICTED"
 

@@ -144,26 +144,36 @@ def test_build_domain_box_interval_cone():
     assert mesh.dim == 2 and mesh.n == (4, 6)
     assert any(part.dirichlet) and not all(part.dirichlet)
 
-    cone = fl.validate({
-        "domain": {"kind": "cone", "dim": 2, "radius": 1.0, "n": [8]},
+    # a cone with its apex at the origin is the box with its far faces
+    # Dirichlet; the domain has no kind of its own for it
+    corner = fl.validate({
+        "domain": {"kind": "box", "extents": [[0.0, 1.0], [0.0, 1.0]],
+                   "n": [8, 8]},
+        "partition": {"dirichlet_faces": [[0, 1], [1, 1]]},
     })
-    cmesh, cpart = fl.build_domain(cone)
+    cmesh, cpart = fl.build_domain(corner)
     assert cmesh.extents == ((0.0, 1.0), (0.0, 1.0))
     # Dirichlet cap on the far faces only
     for facet, is_dir in zip(cmesh.facets, cpart.dirichlet):
         assert is_dir == (facet.side == 1)
+    with pytest.raises(fl.ConfigError) as exc:
+        fl.validate({"domain": {"kind": "cone", "extents": [[0.0, 1.0]] * 2,
+                                "n": [8, 8]}})
+    assert [k.split(" ")[0] for k in exc.value.keys] == ["domain.kind"]
 
 
 def test_build_domain_errors():
     with pytest.raises(fl.ConfigError, match="domain"):
         fl.build_domain(fl.validate({}))
-    with pytest.raises(fl.ConfigError, match="unknown domain kind"):
-        fl.build_domain(fl.validate({"domain": {"kind": "sphere"}}))
+    with pytest.raises(fl.ConfigError, match="domain.kind"):
+        fl.validate({"domain": {"kind": "sphere"}})
     with pytest.raises(fl.ConfigError, match="extents"):
         fl.build_domain(fl.validate({"domain": {"kind": "box"}}))
-    with pytest.raises(fl.ConfigError, match="radius"):
-        fl.build_domain(fl.validate(
-            {"domain": {"kind": "cone", "dim": 2, "n": [4]}}))
+    # the cone's keys are unknown ones
+    with pytest.raises(fl.ConfigError) as exc:
+        fl.validate({"domain": {"kind": "cone", "dim": 2, "radius": 1.0,
+                                "n": [4]}})
+    assert exc.value.keys == ["domain.dim", "domain.radius"]
     with pytest.raises(fl.ConfigError, match="dirichlet_faces"):
         fl.build_domain(fl.validate(
             {"domain": {"kind": "box", "extents": [[0.0, 1.0]], "n": [4]}}))
@@ -256,7 +266,7 @@ _BAD_VALUES = [
 _SQUARE = ["domain.extents=[[0,1],[0,1]]", "domain.n=[4,4]"]
 _X0 = "pohozaev.x0=[1.0,0.5]"
 _LAM = "lambda=1.0"
-_CONE = '"kind":"cone","dim":2,"radius":1.0'
+_CONE = '"kind":"cone"'
 _BAD_RUNS = [
     ("minimize", _SQUARE, "lambda"),
     ("pohozaev", [*_SQUARE, _X0], "lambda"),
@@ -290,16 +300,19 @@ _BAD_RUNS = [
     # above the top of every sweep, 1.2 lambda_1^s, whatever the mesh
     ("sweep-lambda", [*_SQUARE, 'lambda_grid=[{"fraction_of_lambda1s":1.5}]'],
      "lambda_grid"),
-    # domain keys that the domain's kind does not read: a cone reads dim,
-    # radius and one n, a box or interval extents and n
+    # a cone is the box [0, R]^N with its far faces Dirichlet: the domain
+    # has no cone kind, and its keys are extents and n alone
     ("eig", ["domain.radius=1.0"], "domain.radius"),
     ("eig", [*_SQUARE, "domain.dim=2"], "domain.dim"),
-    ("eig", [f'domain={{{_CONE},"extents":[[0,1],[0,1]],"n":[8]}}'],
-     "domain.extents"),
-    ("eig", [f'domain={{{_CONE},"n":[8,4]}}'], "domain.n"),
+    ("eig", [f'domain={{{_CONE},"extents":[[0,1],[0,1]],"n":[8,8]}}'],
+     "domain.kind"),
+    ("eig", [f'domain={{{_CONE},"radius":1.0,"n":[8]}}'], "domain.radius"),
     # the apex exemption is pohozaev.exempt_radius; no domain key sets it
-    ("pohozaev", [_LAM, _X0, f'domain={{{_CONE},"n":[8],"smoothing":0.3}}'],
+    ("pohozaev", [*_SQUARE, _LAM, _X0, "domain.smoothing=0.3"],
      "domain.smoothing"),
+    # refused although constants builds no domain
+    ("constants", [f'domain={{{_CONE},"extents":[[0,1],[0,1]],"n":[8,8]}}'],
+     "domain.kind"),
 ]
 # values that the library itself would refuse once the run had started; an
 # 8^2 square so that each subcommand gets as far as its computation

@@ -18,7 +18,6 @@ from fraclap.spectral import (
     _inverse_cholesky,
     _kron_rows,
     _lanczos,
-    _last_component_floor,
     _PowerRule,
     _sign_normalize,
     quotient_operator,
@@ -524,68 +523,6 @@ def test_lanczos_matches_dense_eigh_at_32_modes(square40_family, alpha):
                                atol=1e-12)
     off = vecs - X @ (X.T @ (M @ vecs))
     assert np.max(np.sqrt(np.einsum("ij,ij->j", off, M @ off))) <= 1e-8
-
-
-def test_lanczos_takes_eigenvectors_only_where_it_may_stop(
-        square40_family, monkeypatch):
-    # the residual test takes a full eigh of the tridiagonal only where a
-    # floor of the lowest wanted residual does not already fail it: the
-    # run stops at the same step with the same bits as one that takes
-    # eigh at every step, and with far fewer of them
-    ops = _ops(square40_family[0.5])
-    eigh = np.linalg.eigh
-    calls = {"eigh": 0, "steps": 0}
-
-    def counting_eigh(a):
-        calls["eigh"] += 1
-        return eigh(a)
-
-    solve = _CapacitanceKernel.solve
-
-    def counting_solve(self, *args):
-        calls["steps"] += 1
-        return solve(self, *args)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(_CapacitanceKernel, "solve", counting_solve)
-    lams, coords = _lanczos(ops, 1)
-    gated = dict(calls)
-    calls.update(eigh=0, steps=0)
-    monkeypatch.setattr(spectral, "_last_component_floor",
-                        lambda *args: 0.0)
-    want, want_coords = _lanczos(ops, 1)
-    assert calls["eigh"] == calls["steps"] == gated["steps"]
-    assert np.array_equal(lams, want)
-    assert np.array_equal(coords, want_coords)
-    assert 5 * gated["eigh"] <= gated["steps"]
-
-
-def test_last_component_floor_bounds_the_eigenvector(square40_family,
-                                                     monkeypatch):
-    # on every tridiagonal of a four-pair run, for each wanted Ritz value:
-    # the floor never exceeds the last eigenvector component eigh gives,
-    # and it is within a factor 2 of it down to 1e-7, which is as far as
-    # the residual test needs no eigenvectors
-    eigvalsh = np.linalg.eigvalsh
-    matrices = []
-
-    def recording_eigvalsh(a):
-        matrices.append(a.copy())
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-    _lanczos(_ops(square40_family[0.25]), 4)
-    monkeypatch.undo()
-    sharp = 0
-    for T in matrices[1:]:
-        mu, Y = np.linalg.eigh(T)
-        for i in range(max(len(T) - 4, 0), len(T)):
-            floor = _last_component_floor(T, mu, i)
-            assert floor <= abs(Y[-1, i])
-            if abs(Y[-1, i]) >= 1e-7:
-                assert floor >= 0.5 * abs(Y[-1, i])
-                sharp += 1
-    assert sharp >= len(matrices)
 
 
 def test_lanczos_finds_every_copy_of_a_multiple_eigenvalue():

@@ -26,7 +26,8 @@ MESHES = [
 
 
 def _partitions(mesh):
-    """Face-list, predicate, moving-family and cone partitions of ``mesh``."""
+    """Face-list, predicate, moving-family and box-corner partitions of
+    ``mesh``."""
     parts = [fl.partition_boundary(mesh, [(0, 0)]),
              fl.partition_boundary(mesh, [("x", "hi"), (mesh.dim - 1, 1)])]
     if mesh.dim == 1:
@@ -38,8 +39,11 @@ def _partitions(mesh):
         parts += fl.moving_family(mesh, [0.6 * total, 0.3 * total])
         parts += fl.moving_family(mesh, [0.9 * (2 * mesh.facets[-1].measure)],
                                   faces=[(mesh.dim - 1, 1), ("x", 0)])
-    cone = fl.cone_domain(mesh.dim, 1.0, mesh.n[0] + 1)
-    return parts + [cone.partition]
+    # the far faces of [0, 1]^dim Dirichlet, those through the origin Neumann
+    corner = fl.build_tensor_mesh(mesh.dim, [(0.0, 1.0)] * mesh.dim,
+                                  [mesh.n[0] + 1] * mesh.dim)
+    far = [(d, 1) for d in range(mesh.dim)]
+    return parts + [fl.partition_boundary(corner, far)]
 
 
 def _sequential(values) -> float:

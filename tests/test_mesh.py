@@ -5,7 +5,6 @@ import pytest
 from fraclap.mesh import (
     BoundaryPartition,
     build_tensor_mesh,
-    cone_domain,
     moving_family,
     partition_boundary,
 )
@@ -55,6 +54,20 @@ def test_facet_normals_and_centroids():
     hi = [f for f in mesh.facets if f.axis == 1 and f.side == 1]
     assert all(tuple(f.normal) == (0.0, 1.0) for f in hi)
     assert all(f.centroid[1] == 1.0 for f in hi)
+
+
+def test_facet_centroids_are_the_cell_centers():
+    # each transverse coordinate is a + (j + 0.5) h as a plain float, bit
+    # for bit, on extents whose cell width rounds
+    mesh = build_tensor_mesh(3, [(-0.5, 1.5), (0.1, 0.8), (0.0, 2.0 / 3.0)],
+                             [3, 7, 5])
+    h = mesh.spacing
+    for f in mesh.facets:
+        assert all(type(c) is float for c in f.centroid)
+        t_axes = [d for d in range(mesh.dim) if d != f.axis]
+        for d, j in zip(t_axes, f.index):
+            assert f.centroid[d] == mesh.extents[d][0] + (j + 0.5) * h[d]
+            assert f.centroid[d] == mesh.cell_centers(d)[j]
 
 
 def test_facet_nodes_lie_on_facet():
@@ -121,6 +134,16 @@ def test_keys_are_frozen():
     assert partition_boundary(cube, [(0, 0)]).key() == "c42fc6c80e55fcb5"
     square = build_tensor_mesh(2, [(0.0, 1.0)] * 2, [40, 40])
     assert moving_family(square, [0.5])[0].key() == "55fa4efd83f18f7e"
+    # the box corner [0, R]^dim with its far faces Dirichlet has the keys of
+    # the cone construction it replaced
+    for (dim, radius, n), mesh_key, part_key in [
+            ((3, 1.0, 6), "009cc5bbe0841f2d", "3b94c8552baf172b"),
+            ((2, 1.0, 8), "943552f2ae3ff49b", "737697ba77b1f6b0"),
+            ((2, 1.0, 4), "26284acc0403485d", "f65f90b03ccc680f")]:
+        corner = build_tensor_mesh(dim, [(0.0, radius)] * dim, [n] * dim)
+        far = partition_boundary(corner, [(d, 1) for d in range(dim)])
+        assert corner.key() == mesh_key
+        assert far.key() == part_key
 
 
 def test_moving_family_nested_and_snapped():
@@ -157,21 +180,18 @@ def test_moving_family_face_restriction():
                 assert f.axis == 0
 
 
-def test_cone_domain_geometry():
-    cone = cone_domain(2, 1.0, 4, rho=0.1)
-    assert cone.apex == (0.0, 0.0)
-    assert cone.rho == 0.1
-    for f, d in zip(cone.mesh.facets, cone.partition.dirichlet):
+def test_box_corner_geometry():
+    # the cone with its apex at the origin, as a box with its far faces
+    # Dirichlet
+    mesh = build_tensor_mesh(2, [(0.0, 1.0)] * 2, [4, 4])
+    part = partition_boundary(mesh, [(0, 1), (1, 1)])
+    for f, d in zip(mesh.facets, part.dirichlet):
         if d:
             # cap faces sit at the far end of their axis
             assert f.side == 1
         else:
             # lateral faces pass through the apex plane
             assert f.centroid[f.axis] == 0.0
-    with pytest.raises(ValueError):
-        cone_domain(2, -1.0, 4)
-    with pytest.raises(ValueError):
-        cone_domain(2, 1.0, 4, rho=-0.5)
 
 
 def test_direct_partition_label_length_checked():

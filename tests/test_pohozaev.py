@@ -127,11 +127,17 @@ def test_terms_reject_mismatched_inputs(square_solution, params2):
         pohozaev_terms(foreign, w, spec, params2, 0.478, (0.5, 0.5))
 
 
+def _corner(n):
+    # the cone [0, 1]^2 with its apex at the origin: the faces through it
+    # Neumann, the far faces Dirichlet
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0)] * 2, [n, n])
+    return fl.partition_boundary(mesh, [(0, 1), (1, 1)])
+
+
 def test_cone_apex_predicts_nonexistence(params2):
-    cone = fl.cone_domain(2, 1.0, 8)
+    part = _corner(8)
     spec = critical_power(params2)
-    rep = nonexistence_check(cone.mesh, cone.partition, spec, params2,
-                             cone.apex)
+    rep = nonexistence_check(part.mesh, part, spec, params2, (0.0, 0.0))
     assert rep.flag == "NO-SOLUTION-PREDICTED"
     assert rep.geometry_ok and rep.growth_ok and not rep.mixed_sign
     assert rep.max_neumann_pairing <= 1e-10
@@ -140,10 +146,9 @@ def test_cone_apex_predicts_nonexistence(params2):
 
 
 def test_linear_term_blocks_the_prediction(params2):
-    cone = fl.cone_domain(2, 1.0, 8)
+    part = _corner(8)
     spec = linear_plus_critical(params2, 0.5)
-    rep = nonexistence_check(cone.mesh, cone.partition, spec, params2,
-                             cone.apex)
+    rep = nonexistence_check(part.mesh, part, spec, params2, (0.0, 0.0))
     assert rep.flag == "NO-PREDICTION"
     assert rep.geometry_ok and not rep.growth_ok
     assert rep.g_min < 0
@@ -169,10 +174,10 @@ def test_center_in_the_box_is_no_prediction(params2):
 
 
 def test_exempt_radius_counts_apex_facets(params2):
-    cone = fl.cone_domain(2, 1.0, 8, rho=0.2)
+    part = _corner(8)
     spec = critical_power(params2)
-    rep = nonexistence_check(cone.mesh, cone.partition, spec, params2,
-                             cone.apex, rho=cone.rho)
+    rep = nonexistence_check(part.mesh, part, spec, params2, (0.0, 0.0),
+                             rho=0.2)
     # Neumann facet centroids within 0.2 of the apex: (0.0625, 0) and
     # (0.1875, 0) on each of the two lateral faces
     assert rep.exempted_facets == 4
