@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -76,7 +77,6 @@ _SCHEMA: dict[str, Any] = {
     "lambda": _LAM,
     "lambda_grid": _LIST,           # entries numbers or fraction dicts
     "alphas": _LIST,
-    "faces": _LIST,                 # fill order for the moving family
     "mode_count": _INT,
     "field": {
         "modes": _LIST,
@@ -277,41 +277,49 @@ def _check_values(resolved: dict, bad: list[str]) -> None:
         bad.append("pohozaev.nonlinearity (expected 'critical' or "
                    "'linear_plus_critical')")
     dom = resolved.get("domain", {})
+    n, extents = dom.get("n", [2]), dom.get("extents")
+    dim = _domain_dim(dom)
+    # one key per domain fault, the first that fails
     if dom.get("kind", "box") not in ("box", "interval"):
         bad.append("domain.kind (expected 'box' or 'interval')")
-    n = dom.get("n", [2])
-    if not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
+    elif not (1 <= len(n) <= 3 and all(_is_int(v) and v >= 2 for v in n)):
         bad.append("domain.n (expected 1 to 3 integers >= 2)")
-    dim = _domain_dim(dom)
+    elif extents is not None and not (1 <= len(extents) == dim <= 3 and all(
+            isinstance(e, list) and len(e) == 2 and all(map(_num, e))
+            and -math.inf < e[0] < e[1] < math.inf for e in extents)):
+        bad.append("domain.extents (expected one [lo, hi] of finite numbers "
+                   "with lo < hi per axis)")
+    elif dom.get("kind") == "interval" and (dim or 1) > 1:
+        bad.append("domain.kind (expected 'box' for more than one axis)")
     if not _is_int(dim) or not 1 <= dim <= 3:
         return
-    faces = {"faces": resolved.get("faces", []),
-             "partition.dirichlet_faces": resolved.get(
-                 "partition", {}).get("dirichlet_faces", [])}
-    for key, entries in faces.items():
-        try:
-            for face in entries:
-                _parse_face(face, dim)
-        except ValueError:
-            bad.append(f"{key} (expected [axis, side] faces of a "
-                       f"{dim}-d box)")
+    try:
+        for face in resolved.get("partition", {}).get("dirichlet_faces", []):
+            _parse_face(face, dim)
+    except ValueError:
+        bad.append(f"partition.dirichlet_faces (expected [axis, side] faces "
+                   f"of a {dim}-d box)")
 
 
 def validate(cfg: dict) -> dict:
     """Check ``cfg`` against the schema and fill defaults.
 
     Keys are checked first for name and type, then the resolved values
-    for range: ``domain.kind`` a box or an interval, ``s`` in (1/2, 1),
-    ``domain.n`` with 1 to 3 entries of at least 2, faces on the box,
-    ``mode_count`` and ``solver.polish_max`` of at least 1,
-    ``solver.polish_tol`` in (0, 1), ``pohozaev.geometry_tol`` and
-    ``pohozaev.exempt_radius`` of at least 0 (NaN fails those three),
-    ``solver.init`` and ``pohozaev.nonlinearity`` among their choices, a
-    cylinder with J >= 16, gamma >= 1 and Y > 0 (or null), ``levels``
-    entries [n >= 2 or null, J >= 16], nonempty ``lambda_grid``,
-    ``alphas`` and ``levels`` lists, numeric ``alphas``, ``pohozaev.x0``
-    and ``field.coeffs`` entries, and no negative ``lambda`` or
-    ``lambda_grid`` spec.
+    for range: ``domain.kind`` a box or an interval, ``domain.n`` with
+    1 to 3 entries of at least 2, ``domain.extents`` one finite [lo, hi]
+    with lo < hi per axis, an interval of one axis (a domain fault names
+    one key, the first of these that fails), ``s`` in (1/2, 1),
+    ``partition.dirichlet_faces`` on the box, ``mode_count`` and
+    ``solver.polish_max`` of at least 1, ``solver.polish_tol`` in (0, 1),
+    ``pohozaev.geometry_tol`` and ``pohozaev.exempt_radius`` of at least
+    0 (NaN fails those three), ``solver.init`` and
+    ``pohozaev.nonlinearity`` among their choices, a cylinder with
+    J >= 16, gamma >= 1 and Y > 0 (or null), ``levels`` entries
+    [n >= 2 or null, J >= 16], nonempty ``lambda_grid``, ``alphas`` and
+    ``levels`` lists, numeric ``alphas``, ``pohozaev.x0`` and
+    ``field.coeffs`` entries, and no negative ``lambda`` or
+    ``lambda_grid`` spec.  ``move-boundary`` shrinks
+    ``partition.dirichlet_faces``; no key sets another fill order.
 
     Returns
     -------

@@ -206,12 +206,7 @@ def _preflight(subcommand: str, resolved: dict) -> FracParams:
     # every ConfigError a subcommand can meet, raised before any directory
     # exists; returns the run's (s, N)
     if subcommand != "constants":
-        try:
-            _, part = build_domain(resolved)
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(f"invalid domain: {e}", keys=["domain"]) from e
+        _, part = build_domain(resolved)
     dim = _domain_dim(resolved.get("domain") or {})
     if not dim:
         raise ConfigError("cannot infer dimension from domain",
@@ -241,9 +236,15 @@ def _preflight(subcommand: str, resolved: dict) -> FracParams:
                               f"1..{limit} (mode_count or free nodes)",
                               keys=["field.modes"])
     if subcommand == "move-boundary":
+        # the family fills partition.dirichlet_faces; with moving_family's
+        # slack, alpha = |Sigma_D| is the configured partition itself
+        slack = 1e-12 * max(part.mesh.boundary_measure, 1.0)
+        if max(resolved["alphas"]) > part.alpha + slack:
+            raise ConfigError(f"alphas above the Dirichlet measure "
+                              f"{part.alpha}", keys=["alphas"])
         try:
             moving_family(part.mesh, resolved["alphas"],
-                          resolved.get("faces") or None)
+                          resolved["partition"]["dirichlet_faces"])
         except ValueError as e:
             raise ConfigError(f"invalid alphas: {e}", keys=["alphas"]) from e
     if subcommand == "pohozaev" and len(resolved["pohozaev"]["x0"]) != dim:
@@ -408,7 +409,7 @@ def _run_move_boundary(resolved: dict, params: FracParams, sink: _Sink) -> None:
     mesh, _ = build_domain(resolved)
     result = move_boundary_experiment(
         mesh, params, [float(a) for a in resolved["alphas"]],
-        faces=resolved.get("faces") or None,
+        faces=resolved["partition"]["dirichlet_faces"],
         opts=_options(resolved))
     header = ["alpha_requested", "alpha", "lam_1_1", "lam_1_s", "S_tilde",
               "bound", "threshold", "sufficient", "frac_rel_error"]

@@ -656,12 +656,6 @@ def _column_signs(vecs: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _sign_normalize(vecs: np.ndarray) -> np.ndarray:
-    # in place: every caller passes a freshly computed array
-    vecs *= _column_signs(vecs)
-    return vecs
-
-
 def _constrained_eigh(kernel: _CapacitanceKernel,
                       k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a partial-facet partition, via its relaxation.
@@ -1278,8 +1272,8 @@ class ConstrainedOperator:
     (see :class:`_CapacitanceKernel`): Euclidean products of coordinates are
     M-products of fields, as with a complete :class:`SpectralBasis`, but a
     coordinate vector has R's n_R entries.  Only lambda_1 and phi_1 are
-    computed, by shift-invert Lanczos whose inverse is one kernel solve
-    (see :func:`_lanczos`), so A is never factored.  L^-a (0 < a < 1) is
+    computed, by ``eigendecompose(ops, 1)``: shift-invert Lanczos whose
+    inverse is one kernel solve, so A is never factored.  L^-a (0 < a < 1) is
     a Gauss-Jacobi sum of shifted solves in the variable t = tau s^2 of
     :func:`_power_rule`, 32-48 shifts on the 40^2 and 64^2 moving
     families, each apply one capacitance-corrected kernel call for all
@@ -1301,9 +1295,8 @@ class ConstrainedOperator:
             raise ValueError("face-aligned partition: use eigendecompose")
         self.ops = ops
         self._kernel = ops.kernel
-        lams, coords = _lanczos(ops, 1)
-        self.lam1 = float(lams[0])
-        self._phi1 = _sign_normalize(ops.synthesize(coords))[:, 0]
+        self._principal = eigendecompose(ops, 1)
+        self.lam1 = float(self._principal.lams[0])
         self._rules: dict[float, _PowerRule] = {}
 
     def __repr__(self) -> str:
@@ -1311,12 +1304,7 @@ class ConstrainedOperator:
 
     def eigenfunction(self, k: int) -> np.ndarray:
         """phi_1 scattered to all mesh nodes; only k = 1 is available."""
-        if k != 1:
-            raise IndexError(f"mode {k} not available; only the first is "
-                             f"computed")
-        full = np.zeros(self.ops.mesh.n_nodes)
-        full[self.ops.free] = self._phi1
-        return full
+        return self._principal.eigenfunction(k)
 
     def dual(self, f: np.ndarray) -> np.ndarray:
         """Coordinates of M^-1 f for a free-node vector f."""

@@ -256,17 +256,21 @@ _BAD_VALUES = [
     ("domain.n=[4,4,4,4]", "domain.n"),
     ("partition.dirichlet_faces=[[5,0]]", "partition.dirichlet_faces"),
     ("partition.dirichlet_faces=[[0,2]]", "partition.dirichlet_faces"),
-    ('faces=[["y","lo"]]', "faces"),
     ("mode_count=-3", "mode_count"),
-    # a deleted solver key is unknown, not out of range
+    # a deleted key is unknown, not out of range: the moving family fills
+    # partition.dirichlet_faces, and the fixed point has no max_iter
+    ('faces=[["y","lo"]]', "faces"),
     ("solver.max_iter=10", "solver.max_iter"),
     ("solver.polish_max=0", "solver.polish_max"),
 ]
 # a 2-d square, so that each subcommand's own requirements are what fails
-_SQUARE = ["domain.extents=[[0,1],[0,1]]", "domain.n=[4,4]"]
+_SQUARE = ["domain.kind=box", "domain.extents=[[0,1],[0,1]]",
+           "domain.n=[4,4]"]
 _X0 = "pohozaev.x0=[1.0,0.5]"
 _LAM = "lambda=1.0"
 _CONE = '"kind":"cone"'
+_BOX12 = ["domain.kind=box", "domain.extents=[[0,1],[0,2]]", "domain.n=[4,8]",
+          "partition.dirichlet_faces=[[1,1]]"]
 _BAD_RUNS = [
     ("minimize", _SQUARE, "lambda"),
     ("pohozaev", [*_SQUARE, _X0], "lambda"),
@@ -294,7 +298,7 @@ _BAD_RUNS = [
      "field.modes"),
     ("eig", [*_SQUARE, "partition.dirichlet_faces=[[0,0],[0,1],[1,0],[1,1]]"],
      "partition.dirichlet_faces"),
-    ("eig", ["domain.extents=[[1.0,0.0]]"], "domain"),
+    ("eig", ["domain.extents=[[1.0,0.0]]"], "domain.extents"),
     # the 4^2 square's facets measure 0.25, so both alphas snap to 0.75
     ("move-boundary", [*_SQUARE, "alphas=[0.99,0.98]"], "alphas"),
     # above the top of every sweep, 1.2 lambda_1^s, whatever the mesh
@@ -313,10 +317,19 @@ _BAD_RUNS = [
     # refused although constants builds no domain
     ("constants", [f'domain={{{_CONE},"extents":[[0,1],[0,1]],"n":[8,8]}}'],
      "domain.kind"),
+    # one extent for two axes, although constants builds no domain
+    ("constants", ["domain.n=[8,4]"], "domain.extents"),
+    # an interval has one axis
+    ("eig", ["domain.extents=[[0,1],[0,1]]", "domain.n=[8,8]"],
+     "domain.kind"),
+    # the moving family shrinks partition.dirichlet_faces: y = 2 of the
+    # 1 x 2 box measures 1, although x = 0 measures 2
+    ("move-boundary", [*_BOX12, "alphas=[1.5]"], "alphas"),
 ]
 # values that the library itself would refuse once the run had started; an
 # 8^2 square so that each subcommand gets as far as its computation
-_SQUARE8 = ["domain.extents=[[0,1],[0,1]]", "domain.n=[8,8]"]
+_SQUARE8 = ["domain.kind=box", "domain.extents=[[0,1],[0,1]]",
+            "domain.n=[8,8]"]
 _BAD_NUMBERS = [
     ("extend-check", ["cylinder.J=8"], "cylinder.J"),
     ("extend-check", ["cylinder.gamma=0.5"], "cylinder.gamma"),
@@ -392,7 +405,8 @@ def test_cli_bad_value_exits_2_before_writing(tmp_path, capsys, subcommand,
 _NEAR_ONE = [
     ("constants", _SQUARE, "constants.json", "kappa"),
     ("extend-check", [], "extend_check.json", "kappa"),
-    ("move-boundary", ["domain.extents=[[0,1],[0,1],[0,1]]",
+    ("move-boundary", ["domain.kind=box",
+                       "domain.extents=[[0,1],[0,1],[0,1]]",
                        "domain.n=[6,6,6]", "alphas=[1.0,0.5]"],
      "move_boundary.json", "threshold"),
 ]
@@ -424,8 +438,7 @@ def test_validate_lists_every_bad_value():
     assert [k.split(" ")[0] for k in exc.value.keys] == [
         "domain.n", "mode_count", "partition.dirichlet_faces", "s"]
     ok = fl.validate({"domain": {"kind": "box", "n": [4, 4]},
-                      "partition": {"dirichlet_faces": [["y", "hi"], [0, 0]]},
-                      "faces": [[1, 1]]})
+                      "partition": {"dirichlet_faces": [["y", "hi"], [0, 0]]}})
     assert ok["partition"]["dirichlet_faces"] == [["y", "hi"], [0, 0]]
 
 
@@ -524,6 +537,9 @@ _ABOVE = {"fraction_of_lambda1s": 1.1}
      "lam", "S_lambda", "S_vs_lambda.dat", 1),
     ("move-boundary", {"alphas": [1.0, 0.5, 0.25]}, "move_boundary.csv",
      "alpha", "lam_1_s", "lambda1s_vs_alpha.dat", 0),
+    ("pohozaev", {"lambda": _HALF, "pohozaev": {"x0": [1.0, 0.5]},
+                  "levels": [[6, 16], [8, 32]]}, "pohozaev.csv",
+     "level", "residual_over_scale", "residual_vs_level.dat", 0),
 ])
 def test_plot_series_are_the_cells_of_their_table(tmp_path, subcommand, extra,
                                                   table, x, y, series,
@@ -544,6 +560,9 @@ def test_plot_series_are_the_cells_of_their_table(tmp_path, subcommand, extra,
     assert path.read_text().splitlines() == want
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["artifacts"][f"plots/{series}"] == str(path)
+    if subcommand == "pohozaev":
+        check = json.loads((run_dir / "nonexistence.json").read_text())
+        assert check["flag"]
 
 
 def test_fmt17_cells():
@@ -587,6 +606,7 @@ def test_cli_minimize_writes_solution_only_when_converged(
     from fraclap.cli import main
 
     rc = main(["minimize", "--config", str(_write_cfg(tmp_path)),
+               "--set", "domain.kind=box",
                "--set", "domain.extents=[[0,1],[0,1]]",
                "--set", "domain.n=[8,8]",
                "--set", 'lambda={"fraction_of_lambda1s":0.5}',
@@ -596,3 +616,44 @@ def test_cli_minimize_writes_solution_only_when_converged(
     report = json.loads((run_dir / "minimize.json").read_text())
     assert report["converged"] is converged
     assert (run_dir / "solution.json").exists() == converged
+
+
+def test_cli_minimize_random_start_is_seeded(tmp_path, capsys):
+    # seed 0 starts in another basin than the principal eigenfunction on
+    # the 40^2 square at lambda = 0 (README: 1.18505 and 0.41448); both
+    # converge, and a rerun writes the same report byte for byte
+    from fraclap.cli import main
+
+    cfg = _write_cfg(tmp_path, {
+        "domain": {"kind": "box", "extents": [[0.0, 1.0], [0.0, 1.0]],
+                   "n": [40, 40]},
+        "lambda": 0.0,
+    })
+    reports = {}
+    for init in ("random", "principal", "random"):
+        rc = main(["minimize", "--config", str(cfg),
+                   "--set", f"solver.init={init}"])
+        assert rc == 0
+        run_dir = Path(json.loads(capsys.readouterr().out)["run_dir"])
+        text = (run_dir / "minimize.json").read_text()
+        assert reports.setdefault(init, text) == text
+    for init, value in (("random", 1.18505), ("principal", 0.41448)):
+        report = json.loads(reports[init])
+        assert report["converged"] is True
+        assert report["value"] == pytest.approx(value, abs=5e-6)
+
+
+def test_move_boundary_shrinks_the_configured_dirichlet_part(tmp_path):
+    # on the 1 x 2 box with y = 2 Dirichlet, alpha = 1 is that face, not
+    # half of x = 0
+    box = {"domain": {"kind": "box", "extents": [[0.0, 1.0], [0.0, 2.0]],
+                      "n": [4, 8]},
+           "partition": {"dirichlet_faces": [[1, 1]]},
+           "alphas": [1.0, 0.5]}
+    cfg = fl.validate(json.loads(_write_cfg(tmp_path, box).read_text()))
+    eig = json.loads(
+        (Path(run("eig", cfg).run_dir) / "eig.json").read_text())
+    moved = json.loads((Path(run("move-boundary", cfg).run_dir)
+                        / "move_boundary.json").read_text())
+    assert moved["rows"][0]["alpha"] == 1.0
+    assert moved["rows"][0]["lam_1_1"] == eig["eigenvalues"][0]
