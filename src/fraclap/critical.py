@@ -501,6 +501,13 @@ def move_boundary_experiment(
     Returns
     -------
     MoveBoundaryResult
+
+    Raises
+    ------
+    ValueError
+        Before any operator is assembled, if :func:`fraclap.mesh.moving_family`
+        refuses the alphas: among others, an alpha above the measure of
+        ``faces``.
     """
     parts = moving_family(mesh, alphas, faces)
     thr = attainment_threshold(params)

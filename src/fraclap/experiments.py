@@ -236,12 +236,8 @@ def _preflight(subcommand: str, resolved: dict) -> FracParams:
                               f"1..{limit} (mode_count or free nodes)",
                               keys=["field.modes"])
     if subcommand == "move-boundary":
-        # the family fills partition.dirichlet_faces; with moving_family's
-        # slack, alpha = |Sigma_D| is the configured partition itself
-        slack = 1e-12 * max(part.mesh.boundary_measure, 1.0)
-        if max(resolved["alphas"]) > part.alpha + slack:
-            raise ConfigError(f"alphas above the Dirichlet measure "
-                              f"{part.alpha}", keys=["alphas"])
+        # the family fills partition.dirichlet_faces, so it refuses an
+        # alpha above their measure |Sigma_D|
         try:
             moving_family(part.mesh, resolved["alphas"],
                           resolved["partition"]["dirichlet_faces"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -314,11 +314,27 @@ class BoundaryPartition:
         return _digest(payload, 16)
 
 
+@cache
+def _sha256():
+    # CPython's built-in SHA-256, the module hashlib itself falls back to:
+    # hashlib would load OpenSSL's libcrypto, about 3.5 MB and 4 ms, to
+    # hash a few hundred bytes.  The digest bytes are the same either way;
+    # looked up once, since a failed import searches the path each time
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            # a CPython built without its own SHA-2 modules has only
+            # OpenSSL's, so hashlib is the one route left
+            from hashlib import sha256
+    return sha256
+
+
 def _digest(text: str, width: int) -> str:
     """The first ``width`` hex digits of the SHA-256 of ``text``."""
-    import hashlib  # on first call: it loads OpenSSL, about 3.5 MB and 4 ms
-
-    return hashlib.sha256(text.encode()).hexdigest()[:width]
+    return _sha256()(text.encode()).hexdigest()[:width]
 
 
 def partition_boundary(
@@ -383,9 +399,10 @@ def moving_family(
     Raises
     ------
     ValueError
-        If an alpha exceeds the total boundary measure, leaves no Neumann
-        facet, or is too small to contain a single facet, or if two alphas
-        snap to the same facet union.
+        If an alpha exceeds the measure of ``faces`` (of the whole boundary
+        when ``faces`` is None or empty), leaves no Neumann facet, or is too
+        small to contain a single facet, or if two alphas snap to the same
+        facet union.
     """
     alphas = [float(a) for a in alphas]
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -402,12 +419,15 @@ def moving_family(
     total_boundary = mesh.boundary_measure
     # absolute slack so 4 * 0.25 == 1.0 snaps to all four facets
     slack = 1e-12 * max(total_boundary, 1.0)
+    # the most the fill can label: all of the given faces, or the boundary
+    reach, where = ((float(cum[-1]), f"faces {list(faces)}") if faces
+                    else (total_boundary, "the boundary"))
 
     out = []
     for alpha in alphas:
-        if alpha > total_boundary + slack:
+        if alpha > reach + slack:
             raise ValueError(
-                f"alpha={alpha} exceeds boundary measure {total_boundary}")
+                f"alpha={alpha} exceeds the measure {reach} of {where}")
         k = int(np.searchsorted(cum, alpha + slack, side="right"))
         if k == 0:
             raise ValueError(

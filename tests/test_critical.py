@@ -312,6 +312,19 @@ def test_move_boundary_rejects_non_distinct_alphas(params2):
         fl.move_boundary_experiment(mesh, params2, [0.99, 0.98])
 
 
+def test_move_boundary_refuses_alpha_above_its_faces(params2, monkeypatch):
+    # y = 2 of the 1 x 2 box measures 1: alpha = 1.5 is refused before any
+    # operator is assembled
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was assembled")
+
+    monkeypatch.setattr(fl.critical, "assemble_operators", refuse)
+    mesh = fl.build_tensor_mesh(2, [(0.0, 1.0), (0.0, 2.0)], [4, 8])
+    with pytest.raises(ValueError, match="measure 1.0 of faces"):
+        fl.move_boundary_experiment(mesh, params2, [1.5, 0.5],
+                                    faces=[[1, 1]])
+
+
 ALPHAS = [1.0, 0.75, 0.5, 0.25, 0.125]
 
 

@@ -225,15 +225,21 @@ def test_face_lists_and_moving_family_match_per_facet_oracles(mesh):
                                    for f in mesh.facets)
     if mesh.dim == 1:
         return
-    total = mesh.boundary_measure
-    alphas = [0.7 * total, 0.45 * total, 0.2 * total]
     for order in (None, [(1, 0), (0, 1), (1, 1)]):
+        # fractions of the measure the fill can reach: the whole boundary,
+        # or the given faces
+        reach = sum(f.measure for f in mesh.facets
+                    if order is None or (f.axis, f.side) in order)
+        alphas = [0.7 * reach, 0.45 * reach, 0.2 * reach]
         fam = fl.moving_family(mesh, alphas, faces=order)
         want = _oracle_moving_family(mesh, alphas, order)
         assert [p.dirichlet for p in fam] == want
         assert [p.alpha for p in fam] == [
             _oracle_alpha(fl.BoundaryPartition(mesh, labels))
             for labels in want]
+    # an alpha above the given faces' measure is refused, not snapped down
+    with pytest.raises(ValueError, match="exceeds the measure"):
+        fl.moving_family(mesh, [0.7 * mesh.boundary_measure], faces=order)
 
 
 @pytest.mark.parametrize("mesh", MESHES, ids=lambda m: f"{m.dim}d")

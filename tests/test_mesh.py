@@ -1,9 +1,12 @@
 """Mesh, facet bookkeeping, boundary partitions, and the moving family."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from fraclap.mesh import (
     BoundaryPartition,
+    _digest,
     build_tensor_mesh,
     moving_family,
     partition_boundary,
@@ -146,6 +149,16 @@ def test_keys_are_frozen():
         assert far.key() == part_key
 
 
+@pytest.mark.parametrize("text", ["", '{"dim": 2, "n": [8, 8]}',
+                                  "Σ_D ⊂ ∂Ω, λ₁ˢ", "DN" * 100])
+@pytest.mark.parametrize("width", [12, 16])
+def test_digest_is_sha256(text, width):
+    # the built-in SHA-256 gives hashlib's digest, on payloads of none,
+    # ASCII, non-ASCII and more than one 64-byte block
+    assert _digest(text, width) == hashlib.sha256(
+        text.encode()).hexdigest()[:width]
+
+
 def test_moving_family_nested_and_snapped():
     mesh = build_tensor_mesh(2, [(0.0, 1.0), (0.0, 1.0)], [4, 4])
     fam = moving_family(mesh, [1.0, 0.5, 0.3])
@@ -169,6 +182,16 @@ def test_moving_family_guards():
         moving_family(mesh, [0.1])  # below one facet measure
     with pytest.raises(ValueError):
         moving_family(mesh, [4.0])  # whole boundary
+
+
+def test_moving_family_refuses_alpha_above_its_faces():
+    # y = 2 of the 1 x 2 box measures 1, although the boundary measures 6
+    mesh = build_tensor_mesh(2, [(0.0, 1.0), (0.0, 2.0)], [4, 8])
+    with pytest.raises(ValueError, match="exceeds the measure 1.0 of faces"):
+        moving_family(mesh, [1.5, 0.5], [[1, 1]])
+    # alpha = 1 labels all of y = 2
+    assert [p.alpha for p in moving_family(mesh, [1.0, 0.5], [[1, 1]])] == [
+        1.0, 0.5]
 
 
 def test_moving_family_face_restriction():

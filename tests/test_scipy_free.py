@@ -1,16 +1,16 @@
-"""The benchmarked calls, their checks, ``fraclap constants`` and ``import
-fraclap`` load no scipy module, and only the config hash loads OpenSSL.
+"""The benchmarked calls, their checks, every subcommand and ``import
+fraclap`` load no scipy module, and nothing loads OpenSSL.
 
 Any scipy submodule costs a process about 0.2 s and 25 MB on import, more
 than most runs compute, so every call of the three benchmark workloads is
 numpy only.  So are the constants, which come from closed forms, and the
 M-norms and products with ``OperatorPair.A`` and ``.M`` that the
 benchmark's checks and the demos take, on face-aligned and partial-facet
-partitions alike.  ``hashlib`` loads OpenSSL's libcrypto through
-``_hashlib``, about 3.5 MB, so it is imported by the first digest: the
-command line's config hash names every run directory, and no numerical
-call takes one.  The calls run in a fresh interpreter, since this one has
-loaded scipy for the reference checks of other tests.
+partitions alike, and all eight subcommands on face-aligned configs.
+``hashlib`` would load OpenSSL's libcrypto through ``_hashlib``, about
+3.5 MB, so the digests that name every run directory come from CPython's
+built-in SHA-256 instead.  The calls run in a fresh interpreter, since
+this one has loaded scipy for the reference checks of other tests.
 """
 import json
 import os
@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import fraclap
+import fraclap.cli
 
 SRC = Path(fraclap.__file__).resolve().parent.parent
 
@@ -83,18 +84,21 @@ for part in (part, fl.moving_family(mesh, [0.5])[0]):
     assert (ops.A @ np.stack([d, d * d], axis=1)).shape == (ops.n_free, 2)
 stages["m-norm"] = loaded()
 
-# move-boundary (a partial-facet partition at alpha = 1/2), sweep-lambda
-# and constants through the command line
+# all eight subcommands through the command line; move-boundary at
+# alpha = 1/2 assembles a partial-facet partition
 config = {"domain": {"kind": "box", "extents": [[0, 1], [0, 1]],
                      "n": [8, 8]},
           "partition": {"dirichlet_faces": [[0, 0]]},
           "alphas": [1.0, 0.5],
+          "lambda": {"fraction_of_lambda1s": 0.5},
           "lambda_grid": [{"fraction_of_lambda1s": 0.5},
                           {"fraction_of_lambda1s": 1.05}],
+          "field": {"modes": [1, 2], "coeffs": [1.0, 0.5]},
+          "pohozaev": {"x0": [0.5, 0.5]},
           "outdir": "runs"}
 Path("box.json").write_text(json.dumps(config))
 versions = {}
-for sub in ("move-boundary", "sweep-lambda", "constants"):
+for sub in fraclap.cli.SUBCOMMANDS:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = fraclap.cli.main([sub, "--config", "box.json"])
     stages[sub] = loaded() if code == 0 else f"exit {code}"
@@ -120,21 +124,20 @@ def workload_run(tmp_path_factory):
 def test_workload_calls_load_no_scipy(workload_run):
     stages, versions = workload_run
     assert list(stages) == ["import", "cube-audit", "extend", "m-norm",
-                            "move-boundary", "sweep-lambda", "constants"]
-    assert all(m == "_hashlib" for mods in stages.values() for m in mods)
+                            *fraclap.cli.SUBCOMMANDS]
+    assert not any(m.split(".")[0] == "scipy"
+                   for mods in stages.values() for m in mods)
     # a run that never loaded scipy records no scipy version
     assert versions == {sub: ["fraclap", "numpy", "python"]
-                        for sub in ("move-boundary", "sweep-lambda",
-                                    "constants")}
+                        for sub in fraclap.cli.SUBCOMMANDS}
 
 
-def test_only_the_config_hash_loads_openssl(workload_run):
-    # import, the cube-audit and extend pipelines and the checks take no
-    # digest; the first command-line run hashes its config, and so loads
-    # hashlib, and each run's manifest records the digest config_hash gives
+def test_no_stage_loads_openssl(workload_run):
+    # every run's config hash and the keys of its mesh and partition come
+    # from the built-in SHA-256, and each run's manifest records the digest
+    # config_hash gives
     stages, _ = workload_run
-    assert [name for name, mods in stages.items() if "_hashlib" in mods] == [
-        "move-boundary", "sweep-lambda", "constants"]
+    assert [name for name, mods in stages.items() if "_hashlib" in mods] == []
 
 
 LOADING = r"""
