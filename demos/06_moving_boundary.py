@@ -12,13 +12,16 @@ spectrum-free operator: lambda_1 by Lanczos, L^s and (L^s - lambda)^-1 by
 Gauss-Jacobi sums of shifted solves, whose measured error is the
 frac_rel_error column.  Each shifted solve is a capacitance correction
 through the one partial face.  No dense eigensolve runs, so its O(n^3)
-cost does not bound the 64^2 square or the 16^3 cube below.
+cost does not bound the 64^2 square or the 16^3 and 24^3 cubes below.
+On 24^3 the capacitance matrices are 325 x 325, nine shifts to a block,
+so each rule factors its shifts block by block.
 """
 import fraclap as fl
 
 square = [1.0, 0.75, 0.5, 0.25, 0.125]
 # (dimension, cells per axis, alphas)
-families = [(2, 40, square), (2, 64, square), (3, 16, [1.0, 0.5])]
+families = [(2, 40, square), (2, 64, square), (3, 16, [1.0, 0.5]),
+            (3, 24, [1.0, 0.5, 0.25])]
 
 for dim, cells, alphas in families:
     params = fl.FracParams(s=0.75, N=dim)

@@ -883,65 +883,55 @@ _CG_MAX_ITER = 2000
 # order up to which a matrix is factored whole before its factor is inverted
 _CHOLESKY_BLOCK = 32
 # entries formed at a time: the capacitance matrices of a block of shifts,
-# or the row-pair products of a several-face B; a block of rows of a rule's
-# sup sample takes a _RULE_SAMPLES-th of it
+# factored in place with about one block of scratch besides what is kept;
+# or the row-pair products of a several-face B; a block of rows of a
+# rule's sup sample takes a _RULE_SAMPLES-th of it
 _SHIFT_BLOCK = 1 << 20
 
 
-def _inverse_lower(L: np.ndarray) -> np.ndarray:
-    """L^-1 for each lower triangular matrix of L, (..., r, r).
+def _invert_cholesky(C: np.ndarray, factored: bool = False,
+                     lone: bool = False) -> np.ndarray:
+    """Overwrite each matrix of C, (..., r, r), by L^-1 for its Cholesky L.
 
-    By halves down to order 1: L = [[A, 0], [B, D]] has the inverse [[A^-1,
-    0], [-D^-1 B A^-1, D^-1]], so all of the work is batched matrix
-    products, with no pivoting and none of a general inverse's LU.
-    """
-    r = L.shape[-1]
-    if r == 1:
-        return 1.0 / L
-    h = r // 2
-    out = np.zeros_like(L)
-    A = out[..., :h, :h] = _inverse_lower(L[..., :h, :h])
-    D = out[..., h:, h:] = _inverse_lower(L[..., h:, h:])
-    out[..., h:, :h] = -D @ (L[..., h:, :h] @ A)
-    return out
-
-
-def _inverse_cholesky(C: np.ndarray, _leaf=_inverse_lower) -> np.ndarray:
-    """L^-1 for the lower Cholesky factor L of each matrix of C, (..., r, r).
-
-    C^-1 v is then applied as L^-T (L^-1 v), two products.  By halves, as
-    in a right-looking Cholesky factorization: with L11^-1 from C11, L21 =
-    C21 L11^-T, L22^-1 from the Schur complement C22 - L21 L21^T, and the
-    off-diagonal block of L^-1 is -L22^-1 L21 L11^-1; so nearly all of the
-    work is matrix products.  A block of order ``_CHOLESKY_BLOCK`` or less
-    is factored whole, and its factor inverted by :func:`_inverse_lower`,
-    whose batched products win on a batch of several matrices.  The
-    blocks of a single larger matrix are a batch of one, where the
-    halving's recursion costs about 9x ``numpy.linalg.inv`` of the
-    factor, so they take that instead.  A single matrix of block order or
-    less, such as a 2-D kernel's Gram matrix, formed once per kernel,
-    keeps the halving: there the difference is a few hundred
-    microseconds.  A matrix that is not positive definite raises
-    ``numpy.linalg.LinAlgError``.
+    L is lower; C^-1 v is then applied as L^-T (L^-1 v), two products.  By
+    halves, as in a right-looking Cholesky factorization: L11^-1 from C11
+    in C11's place, L21 = C21 L11^-T, L22^-1 from the Schur complement C22
+    - L21 L21^T formed in C22's place, and -L22^-1 L21 L11^-1 written over
+    C21; so nearly all of the work is matrix products, with about half of C
+    as scratch.  A block of order ``_CHOLESKY_BLOCK`` or less is factored
+    whole, into a copy of it, and its factor (``factored``) is inverted by
+    the same halving down to order 1, whose batched products win on a
+    batch of several matrices.  The blocks of a single larger matrix
+    (``lone``) are a batch of one, where that recursion costs about 9x
+    ``numpy.linalg.inv`` of the factor, so they take that instead; a single
+    matrix of block order or less, such as a 2-D kernel's Gram matrix,
+    keeps the halving (a few hundred microseconds once per kernel).  A
+    matrix that is not positive definite raises ``LinAlgError``.
     """
     r = C.shape[-1]
-    if r <= _CHOLESKY_BLOCK:
-        return _leaf(np.linalg.cholesky(C))
-    if C.size == r * r:
-        _leaf = _inverse_factor
+    if not factored and r <= _CHOLESKY_BLOCK:
+        if lone:
+            C[...] = np.tril(np.linalg.inv(np.linalg.cholesky(C)))
+            return C
+        C[...] = np.linalg.cholesky(C)
+        factored = True
+    if r == 1:
+        return np.divide(1.0, C, out=C)
+    lone = lone or C.size == r * r
     h = r // 2
-    out = np.zeros_like(C)
-    A = out[..., :h, :h] = _inverse_cholesky(C[..., :h, :h], _leaf)
-    L21 = C[..., h:, :h] @ A.swapaxes(-1, -2)
-    D = out[..., h:, h:] = _inverse_cholesky(
-        C[..., h:, h:] - L21 @ L21.swapaxes(-1, -2), _leaf)
-    out[..., h:, :h] = -D @ (L21 @ A)
-    return out
-
-
-def _inverse_factor(L: np.ndarray) -> np.ndarray:
-    # L^-1 of one lower triangular matrix, its upper triangle exactly zero
-    return np.tril(np.linalg.inv(L))
+    A = _invert_cholesky(C[..., :h, :h], factored, lone)
+    L21 = C[..., h:, :h]
+    if not factored:
+        L21 = L21 @ A.swapaxes(-1, -2)
+        S = C[..., h:, h:]
+        S -= L21 @ L21.swapaxes(-1, -2)
+    D = _invert_cholesky(C[..., h:, h:], factored, lone)
+    T = L21 @ A
+    del L21
+    # D (-T) has the bits of (-D) T: each product only changes sign
+    C[..., h:, :h] = D @ np.negative(T, out=T)
+    C[..., :h, h:] = 0.0
+    return C
 
 
 @dataclass(frozen=True, eq=False)
@@ -956,7 +946,8 @@ class _Shifts:
     so applying all r x r inverses is two batched products.  (One
     explicit C_theta^-1 per shift would make it one product, but at the
     small shifts of a singular R it misses the dense solve by up to 1e-11
-    relative, where the factors stay within 1e-13.)
+    relative, where the factors stay within 1e-13.)  Both are built in the
+    memory they keep, with about one block of shifts' r x r matrices more.
     """
 
     theta: np.ndarray
@@ -1036,7 +1027,7 @@ class _CapacitanceKernel:
         # _Shifts.H
         self._lam_faces = np.ascontiguousarray(self._faces(self.lam))
         # B B^T = (v . v) B_f B_f^T, factored once for the projector
-        self._gram = _inverse_cholesky(
+        self._gram = _invert_cholesky(
             (self._v @ self._v) * (self.B_f @ self.B_f.T))
 
     def _faces(self, x: np.ndarray) -> np.ndarray:
@@ -1085,19 +1076,21 @@ class _CapacitanceKernel:
         x = self.relaxed.synthesize(c.reshape(len(self.lam), -1))
         return x[self.pos].reshape((len(self.pos),) + c.shape[1:])
 
-    def _capacitance(self, H: np.ndarray) -> np.ndarray:
+    def _capacitance(self, H: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
         # C_theta_j = B_f diag(g_j) B_f^T for each shift j of a face-major
         # H[f, i, j] = 1 / (Lambda_R + theta_j), g_j > 0 for theta_j > 0;
-        # (k, r, r)
+        # (k, r, r), written to out if given
         g = np.matmul(self._v**2, H)
         r, n_f = self.B_f.shape
-        C = np.empty((g.shape[1], r, r))
+        C = np.empty((g.shape[1], r, r)) if out is None else out
         if len(self._v) > 1:
             # one partial face: B_f has the face's n_f columns, and each C
             # is a product X X^T, which numpy takes to BLAS syrk
+            X = np.empty_like(self.B_f)
             for j, gj in enumerate(g.T):
-                X = self.B_f * np.sqrt(gj)
-                C[j] = X @ X.T
+                np.multiply(self.B_f, np.sqrt(gj), out=X)
+                np.matmul(X, X.T, out=C[j])
             return C
         # D on several faces, B_f = B with all n_R columns: the entries (a,
         # b), a >= b, of every shift come from one product of the row pairs
@@ -1111,17 +1104,21 @@ class _CapacitanceKernel:
         return C
 
     def shifts(self, theta: np.ndarray) -> _Shifts:
-        """Factor C_theta for every shift in ``theta`` (all positive)."""
+        """Factor C_theta for every shift in ``theta`` (all positive).
+
+        Each block of shifts forms its C_theta in its slice of Linv and
+        factors them there, so the call peaks at the H and Linv it keeps
+        plus about one block, r^2 entries per shift of the block.
+        """
         theta = np.asarray(theta, dtype=float)
-        H = 1.0 / (self._lam_faces[:, :, None] + theta)
+        H = self._lam_faces[:, :, None] + theta
+        np.divide(1.0, H, out=H)
         r = self.B_f.shape[0]
         Linv = np.empty((len(theta), r, r))
-        # a block of shifts at a time, so that their matrices, factors and
-        # inverses take a bounded amount of memory besides Linv itself
         step = max(1, _SHIFT_BLOCK // (r * r))
         for j in range(0, len(theta), step):
-            block = slice(j, j + step)
-            Linv[block] = _inverse_cholesky(self._capacitance(H[:, :, block]))
+            _invert_cholesky(self._capacitance(H[:, :, j:j + step],
+                                               Linv[j:j + step]))
         return _Shifts(theta=theta, H=H, Linv=Linv)
 
     def solve(self, G: np.ndarray, sh: _Shifts) -> np.ndarray:

@@ -1,4 +1,6 @@
 """Spectrum-free operator of partial-facet partitions: kernel, rule, powers."""
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,13 +18,14 @@ from fraclap.spectral import (
     _column_signs,
     _constrained_eigh,
     _gauss_jacobi,
-    _inverse_cholesky,
+    _invert_cholesky,
     _kron_rows,
     _lanczos,
     _PowerRule,
     quotient_operator,
 )
 
+import shift_oracle
 from sparse_oracle import mass, stiffness
 from test_spectral import _facet_labelings, _mixed_partition
 
@@ -83,38 +86,51 @@ def test_capacitance_kernel_matches_sparse_solve_on_random_labelings(part):
 @pytest.mark.parametrize("r", [1, 2, 11, 32, 33, 70])
 def test_inverse_cholesky_matches_inverse_of_the_factor(r):
     # halving down to order 1 inverts the factor as the general inverse
-    # does, batched; orders above 32 also take the Schur complement path
+    # does, batched; orders above 32 also take the Schur complement path;
+    # the argument is overwritten with the result
     X = np.random.default_rng(r).standard_normal((5, r, 2 * r))
     C = X @ X.transpose(0, 2, 1)
     want = np.linalg.inv(np.linalg.cholesky(C))
-    got = _inverse_cholesky(C)
+    arg = C.copy()
+    got = _invert_cholesky(arg)
+    assert got is arg
     assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _leaf_orders(r):
+    # orders of the blocks that the halving factors whole
+    if r <= spectral._CHOLESKY_BLOCK:
+        return [r]
+    return _leaf_orders(r // 2) + _leaf_orders(r - r // 2)
 
 
 @pytest.mark.parametrize("r", [11, 32, 33, 70])
 def test_inverse_cholesky_of_a_single_matrix(r, monkeypatch):
     # a matrix above the block order, alone or in a batch of one, inverts
-    # the factors of its blocks with numpy.linalg.inv; a batch of several,
-    # or one matrix of block order or less, halves them
-    inverted = []
-    inverse_factor = spectral._inverse_factor
-
-    def counting(L):
-        inverted.append(L.shape)
-        return inverse_factor(L)
-
-    monkeypatch.setattr(spectral, "_inverse_factor", counting)
+    # the factor of each of its blocks with numpy.linalg.inv; a batch of
+    # several, or one matrix of block order or less, halves them
     X = np.random.default_rng(r).standard_normal((r, 2 * r))
     C = X @ X.T
     want = np.linalg.inv(np.linalg.cholesky(C))
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting(L):
+        inverted.append(L.shape[-2:])
+        return inv(L)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
     for batch in (C, C[None]):
-        got = _inverse_cholesky(batch)
+        arg = batch.copy()
+        got = _invert_cholesky(arg)
+        assert got is arg
         assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert bool(inverted) == (r > spectral._CHOLESKY_BLOCK)
+    leaves = [] if r <= spectral._CHOLESKY_BLOCK else _leaf_orders(r)
+    assert inverted == [(n, n) for n in leaves] * 2
     inverted.clear()
-    _inverse_cholesky(np.stack([C, C]))
+    _invert_cholesky(np.stack([C, C]))
     assert not inverted
 
 
@@ -125,7 +141,7 @@ def test_inverse_cholesky_refuses_an_indefinite_matrix(r):
     C = np.eye(r)[None].copy()
     C[0, -1, -1] = -1.0
     with pytest.raises(np.linalg.LinAlgError):
-        _inverse_cholesky(C)
+        _invert_cholesky(C.copy())
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9])
@@ -397,6 +413,17 @@ def _one_face(n, alpha):
     return fl.assemble_operators(mesh, fl.moving_family(mesh, [alpha])[0])
 
 
+def _x0_and_y1():
+    return _ops(_mixed_partition((6, 5), {(0, 0): [True] * 2 + [False] * 3,
+                                          (1, 1): [False] * 3 + [True] * 3}))
+
+
+def _x0_and_z1():
+    return _ops(_mixed_partition(
+        (4, 3, 5), {(0, 0): [True] * 5 + [False] * 10,
+                    (2, 1): [False] * 6 + [True] * 6}))
+
+
 @pytest.mark.parametrize("ops", [
     pytest.param(lambda: _one_face((40, 40), 0.5), id="40x40-half"),
     pytest.param(lambda: _one_face((16, 16, 16), 0.5), id="16^3-half"),
@@ -420,19 +447,65 @@ def test_factored_kernel_matches_dense_b(ops):
         (4, 5, 6), {(1, 0): [True] * 12 + [False] * 12})), (5, 6, 7),
         id="3d-middle-axis"),
     # D on parts of two faces: v = [1] and B_f = B
-    pytest.param(lambda: _ops(_mixed_partition(
-        (6, 5), {(0, 0): [True] * 2 + [False] * 3,
-                 (1, 1): [False] * 3 + [True] * 3})), (1, 1, 42),
-        id="2d-x0-and-y1"),
-    pytest.param(lambda: _ops(_mixed_partition(
-        (4, 3, 5), {(0, 0): [True] * 5 + [False] * 10,
-                    (2, 1): [False] * 6 + [True] * 6})), (1, 1, 120),
-        id="3d-x0-and-z1"),
+    pytest.param(_x0_and_y1, (1, 1, 42), id="2d-x0-and-y1"),
+    pytest.param(_x0_and_z1, (1, 1, 120), id="3d-x0-and-z1"),
 ])
 def test_factored_kernel_matches_dense_b_in_each_layout(ops, layout):
     ops = ops()
     assert ops.tensor is None and ops.kernel._layout == layout
     _assert_factored_kernel_matches_dense_b(ops)
+
+
+@pytest.mark.parametrize("n, alpha, block", [
+    ((40, 40), 0.75, None), ((12, 12, 12), 0.5, None),
+    ((12, 12, 12), 0.5, 1 << 15),
+], ids=["40^2", "12^3", "12^3-small-blocks"])
+def test_shifts_peak_at_what_they_keep_plus_one_block(
+        monkeypatch, n, alpha, block):
+    # H is formed in place and each block of capacitance matrices in its
+    # slice of Linv, where it is factored: the traced peak is what the
+    # shifts keep plus at most 1.25 blocks of r x r matrices
+    if block is not None:
+        monkeypatch.setattr(spectral, "_SHIFT_BLOCK", block)
+    kernel = _one_face(n, alpha).kernel
+    theta = np.geomspace(1e-2, 1e6, 36)
+    r = kernel.B_f.shape[0]
+    step = max(1, spectral._SHIFT_BLOCK // (r * r))
+    assert (step < len(theta)) == (block is not None)
+    tracemalloc.start()
+    try:
+        sh = kernel.shifts(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_block = r * r * min(step, len(theta)) * 8
+    assert peak <= sh.H.nbytes + sh.Linv.nbytes + 1.25 * one_block
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ops, block", [
+    pytest.param(lambda: _one_face((40, 40), 0.75), None, id="40^2-one-block"),
+    pytest.param(lambda: _one_face((12, 12, 12), 0.5), 1,
+                 id="12^3-one-shift-blocks"),
+    # r = 325: nine shifts per block
+    pytest.param(lambda: _one_face((24, 24, 24), 0.5), None, id="24^3"),
+    pytest.param(_x0_and_y1, None, id="2d-x0-and-y1"),
+    pytest.param(_x0_and_z1, None, id="3d-x0-and-z1"),
+])
+def test_shifts_match_the_out_of_place_oracle(monkeypatch, ops, block):
+    # factoring in place runs the out-of-place recipe's operations in its
+    # order: H, Linv and the Gram factor agree bit for bit
+    if block is not None:
+        monkeypatch.setattr(spectral, "_SHIFT_BLOCK", block)
+    kernel = ops().kernel
+    theta = np.geomspace(1e-2, 1e6, 20)
+    sh = kernel.shifts(theta)
+    H, Linv = shift_oracle.shifts(kernel, theta)
+    assert _same_bits(sh.H, H) and _same_bits(sh.Linv, Linv)
+    assert _same_bits(kernel._gram, shift_oracle.gram(kernel))
 
 
 @st.composite
