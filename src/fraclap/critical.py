@@ -14,7 +14,11 @@ gives them coefficientwise from its eigenvalues; on a partial-facet
 partition a :class:`~fraclap.spectral.ConstrainedOperator` gives them with
 no spectrum beyond lambda_1, from Gauss-Jacobi sums of capacitance-corrected
 shifted solves.  :func:`~fraclap.spectral.quotient_operator` picks one by
-the partition's shape.
+the partition's shape.  No result here depends on the signs of the modes:
+each mode's coefficient and its image under L^s and (L^s - lam)^-1 flip
+sign together, exactly, and synthesis flips them back.  So every function
+runs on the operator's sign-free twin, and a face-aligned basis never forms
+its signs for the quotient.
 """
 from __future__ import annotations
 
@@ -88,6 +92,7 @@ def quotient(
     """
     if not basis.complete:
         raise TruncatedBasisError("quotient needs a complete basis")
+    basis = basis._unsigned
     ops = basis.ops
     uf = u.free_values(ops)
     if not np.any(uf):
@@ -227,6 +232,7 @@ def minimize_quotient(
         raise TruncatedBasisError("minimization needs a complete basis")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    basis = basis._unsigned
     opts = opts or MinimizeOptions()
     ops = basis.ops
     p = params.two_star
@@ -360,6 +366,7 @@ def rescale_to_solution(
             f"critical point")
     if minrep.value <= 0:
         raise ValueError("cannot rescale a nonpositive quotient value")
+    basis = basis._unsigned
     ops = basis.ops
     p = params.two_star
     lam = minrep.lam

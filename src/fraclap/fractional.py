@@ -4,8 +4,10 @@ The operator acts through the basis interface of :mod:`fraclap.spectral`:
 take coordinates, apply ``power``, resynthesize.  On a
 :class:`~fraclap.spectral.SpectralBasis` that scales eigen-coefficient j by
 lambda_j**s; a :class:`~fraclap.spectral.ConstrainedOperator` applies L^s
-with no spectrum beyond lambda_1.  The power s lives strictly between 1/2
-and 1.  Constants: the critical Sobolev constant and the extension coupling
+with no spectrum beyond lambda_1.  Neither :func:`frac_apply` nor
+:func:`frac_norm` depends on the signs of the modes, so both run on the
+operator's sign-free twin.  The power s lives strictly between 1/2 and 1.
+Constants: the critical Sobolev constant and the extension coupling
 constant from their Gamma-function formulas, and the attainment threshold
 built from the two.
 """
@@ -195,6 +197,7 @@ def frac_apply(
         raise TruncatedBasisError(
             "basis is truncated; pass allow_truncated=True to accept the "
             "dropped spectral tail")
+    basis = basis._unsigned
     a = _coeffs(basis, u)
     out_free = basis.synthesize(basis.power(a, params.s))
     return Field.from_free(basis.ops, out_free)
@@ -204,6 +207,7 @@ def frac_norm(basis: Operator, params: FracParams, u: Field) -> float:
     """Fractional energy norm: sqrt(sum_j lambda_j**s <u, phi_j>_M**2)."""
     if not basis.complete:
         raise TruncatedBasisError("fractional norm needs a complete basis")
+    basis = basis._unsigned
     return float(np.sqrt(basis.form(_coeffs(basis, u), params.s)[0]))
 
 

@@ -23,12 +23,12 @@ sparse Kronecker products.
 When every face is wholly Dirichlet or wholly Neumann, the partition is
 its own relaxation.  It never needs a dense n x n eigensolve, its bases
 apply the eigenvector matrix by per-axis contractions instead of storing
-it, and the sign of each eigenvector follows from per-axis tables without
-multiplying it out.  A partial-facet partition is R constrained to vanish
-on the r nodes R frees and it does not; in R's eigen-coordinates that is
-a standard eigenproblem of a diagonal plus a rank-2r term, the
-constrained-subspace view of the capacitance-matrix method (Buzbee, Dorr,
-George & Golub 1971).  A few of its eigenpairs come from shift-invert
+it, and the sign of each eigenvector follows, on the first read of a mode,
+from per-axis tables without multiplying it out.  A partial-facet
+partition is R constrained to vanish on the r nodes R frees and it does
+not; in R's eigen-coordinates that is a standard eigenproblem of a
+diagonal plus a rank-2r term, the constrained-subspace view of the
+capacitance-matrix method (Buzbee, Dorr, George & Golub 1971).  A few of its eigenpairs come from shift-invert
 Lanczos in those coordinates, with the capacitance kernel below as the
 inverse, and many or all of them from one dense solve of that standard
 problem, which imports scipy's LAPACK drivers on first use; either way
@@ -490,18 +490,28 @@ class SpectralBasis:
     eigenvector at the C-order index ``order[j]``, scaled by ``signs[j]``,
     so the mode map is a signed selection, each map costs per-axis
     contractions of n * sum(n_d) work, and the basis may be complete at
-    any size.  On a partial facet the basis holds the n_R x m coordinate
-    array ``coords`` that its eigensolve computed, and the mode map is the
-    product with it; no nodal copy is kept and M is never applied.
+    any size.  The signs are formed on the first read of a mode, so a
+    basis whose modes are never read never forms them: the critical
+    quotient, :func:`~fraclap.fractional.frac_apply` and
+    :func:`~fraclap.fractional.frac_norm` give the same bits under any
+    signs, and run on the basis's twin with every sign +1.  On a partial
+    facet the basis holds the n_R x m coordinate array ``coords`` that its
+    eigensolve computed, and the mode map is the product with it; no nodal
+    copy is kept and M is never applied.
 
     Parameters
     ----------
     lams : numpy.ndarray
         Eigenvalues, ascending, all positive.
     ops : OperatorPair
-    order, signs : numpy.ndarray, optional
+    order : numpy.ndarray, optional
         On a face-aligned partition (``ops.tensor`` set): the C-order
-        Kronecker index and the +-1 factor of each mode.
+        Kronecker index of each mode.
+    signs : numpy.ndarray, optional
+        With ``order``: the +-1 factor of each mode.  Without it the basis
+        forms :meth:`TensorEigs.signs` of ``order`` on the first read of a
+        mode through :attr:`vecs`, :meth:`eigenfunction`,
+        :meth:`synthesize`, :meth:`coefficients` or :meth:`dual`.
     coords : numpy.ndarray, optional
         Instead of ``order`` and ``signs``, on any partition: the
         eigenvectors' coordinates (:meth:`OperatorPair.coordinates`), (n_R,
@@ -536,7 +546,8 @@ class SpectralBasis:
                   and coords.shape == (len(ops.relaxed.values), m))
         else:
             ok = (ops.tensor is not None and order is not None
-                  and signs is not None and order.shape == signs.shape == (m,))
+                  and order.shape == (m,)
+                  and (signs is None or signs.shape == (m,)))
         if lams.ndim != 1 or not ok:
             raise ValueError("inconsistent basis shapes")
         if np.any(np.diff(lams) < 0):
@@ -557,24 +568,43 @@ class SpectralBasis:
     def complete(self) -> bool:
         return self.m == self.ops.n_free
 
+    def _mode_signs(self) -> np.ndarray:
+        # the +-1 factor of each mode of a face-aligned basis
+        if self._signs is None:
+            self._signs = self.ops.tensor.signs(self._order)
+        return self._signs
+
+    @cached_property
+    def _unsigned(self) -> SpectralBasis:
+        # this basis with every sign +1, sharing lams and their powers, for
+        # consumers whose results the signs do not change: their
+        # coordinates differ only by exact sign flips
+        if self._coords is not None:
+            return self
+        twin = SpectralBasis(self.lams, self.ops, order=self._order,
+                             signs=np.ones(self.m))
+        twin._powers = self._powers
+        return twin
+
     @cached_property
     def vecs(self) -> np.ndarray:
         if self._coords is not None:
             return self.ops.synthesize(self._coords)
         # filled row by row from the multiplied-out Kronecker columns, so
         # each eigenvector is contiguous
+        signs = self._mode_signs()
         rows = np.empty((self.m, self.ops.n_free))
         for start in range(0, self.m, _COLUMN_CHUNK):
             modes = slice(start, start + _COLUMN_CHUNK)
             rows[modes] = (self.ops.tensor.columns(self._order[modes])
-                           * self._signs[modes]).T
+                           * signs[modes]).T
         return rows.T
 
     def _modes(self, c: np.ndarray) -> np.ndarray:
         # R-coordinates c, (n_R,) or (n_R, r), to each mode's component
         if self._coords is not None:
             return self._coords.T @ c
-        return _times_rows(self._signs, c[self._order])
+        return _times_rows(self._mode_signs(), c[self._order])
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """V c: free-node values from mode coefficients, (m,) or (m, r)."""
@@ -582,7 +612,7 @@ class SpectralBasis:
         if self._coords is not None:
             return self.ops.synthesize(self._coords @ c)
         z = np.zeros((self.ops.n_free,) + c.shape[1:])
-        z[self._order] = _times_rows(self._signs, c)
+        z[self._order] = _times_rows(self._mode_signs(), c)
         return self.ops.synthesize(z)
 
     def dual(self, f: np.ndarray) -> np.ndarray:
@@ -811,20 +841,22 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     ``ops.tensor`` is set) the eigenpairs are sums and Kronecker products of
     the 1-D eigenpairs, for any m at any size, complete bases included.
     The basis then holds no eigenvector matrix, only the stably sorted
-    Kronecker indices and one sign per mode.  The signs come from the
-    per-axis rule of :meth:`TensorEigs.signs`, which never multiplies a
-    column out, yet matches the dense convention exactly; the whole call
-    costs the sort plus O(n) past the 1-D tables.  On partial-facet
-    partitions (some face partly Dirichlet) the number of pairs picks the
-    solver, at any size: at most 32 pairs, fewer than n, come from
-    shift-invert Lanczos with the partition's capacitance kernel as the
-    inverse, so no sparse LU is built; any other request takes one standard
-    dense ``eigh`` in the eigen-coordinates of the face-aligned relaxation,
-    O(n^3) time and O(n^2) memory like any dense complete basis.  Their
-    bases keep the coordinates the solver computed, (n_R, m), each column
-    signed by the dense convention on its synthesized eigenvector.  The
-    critical quotient on such a partition needs none of this: see
-    :func:`quotient_operator`.
+    Kronecker indices, and the call costs the sort plus O(n) past the 1-D
+    tables.  One sign per mode is formed on the first read of a mode, by
+    the per-axis rule of :meth:`TensorEigs.signs`, which never multiplies a
+    column out, yet matches the dense convention exactly; the critical
+    quotient, :func:`~fraclap.fractional.frac_apply` and
+    :func:`~fraclap.fractional.frac_norm` read no mode and never form them.
+    On partial-facet partitions (some face partly Dirichlet) the number of
+    pairs picks the solver, at any size: at most 32 pairs, fewer than n,
+    come from shift-invert Lanczos with the partition's capacitance kernel
+    as the inverse, so no sparse LU is built; any other request takes one
+    standard dense ``eigh`` in the eigen-coordinates of the face-aligned
+    relaxation, O(n^3) time and O(n^2) memory like any dense complete
+    basis.  Their bases keep the coordinates the solver computed, (n_R, m),
+    each column signed by the dense convention on its synthesized
+    eigenvector.  The critical quotient on such a partition needs none of
+    this: see :func:`quotient_operator`.
 
     Parameters
     ----------
@@ -858,8 +890,7 @@ def eigendecompose(ops: OperatorPair, m: int | str = "all") -> SpectralBasis:
     tensor = ops.tensor
     if tensor is not None:
         order = tensor.order(k)
-        return SpectralBasis(lams=tensor.values[order], ops=ops, order=order,
-                             signs=tensor.signs(order))
+        return SpectralBasis(lams=tensor.values[order], ops=ops, order=order)
     if k <= _ITERATIVE_MAX and k < n:
         lams, coords = _lanczos(ops, k)
     else:
@@ -1298,6 +1329,11 @@ class ConstrainedOperator:
 
     def __repr__(self) -> str:
         return f"ConstrainedOperator(lam1={self.lam1!r}, ops={self.ops!r})"
+
+    @property
+    def _unsigned(self) -> ConstrainedOperator:
+        # its coordinates carry no mode signs
+        return self
 
     def eigenfunction(self, k: int) -> np.ndarray:
         """phi_1 scattered to all mesh nodes; only k = 1 is available."""

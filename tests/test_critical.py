@@ -5,7 +5,7 @@ import scipy.linalg
 
 import fraclap as fl
 from fraclap.critical import NONEXISTENCE, _participation
-from fraclap.spectral import _column_signs
+from fraclap.spectral import TensorEigs, _column_signs
 
 from conftest import m_norm
 from sparse_oracle import mass, stiffness
@@ -118,6 +118,65 @@ def test_cube_pipeline_never_builds_vecs(cube6, params3, monkeypatch):
     norm = fl.frac_norm(basis, params3, sol.v)
     assert rep.converged and np.all(np.isfinite(out.values))
     assert norm > 0
+
+
+def test_quotient_and_fractional_consumers_never_form_signs(cube6, params3,
+                                                           monkeypatch):
+    ops, _, _ = cube6
+
+    def refuse(self, flat):
+        raise AssertionError("mode signs were formed")
+
+    monkeypatch.setattr(TensorEigs, "signs", refuse)
+    basis = fl.eigendecompose(ops, m="all")
+    lam = 0.5 * fl.lambda1s(basis, params3)
+    rep = fl.minimize_quotient(basis, params3, lam)
+    sol = fl.rescale_to_solution(rep, basis, params3)
+    out = fl.frac_apply(basis, params3, sol.v)
+    norm = fl.frac_norm(basis, params3, sol.v)
+    assert rep.converged and np.all(np.isfinite(out.values)) and norm > 0
+    sweep = fl.sweep_lambda(basis, params3, [0.0, lam])
+    assert sweep.column("converged") == [True, True]
+    # alpha = 1 is face-aligned, alpha = 1/2 a partial facet
+    moved = fl.move_boundary_experiment(ops.mesh, params3, [1.0, 0.5],
+                                        faces=[(0, 0)])
+    assert moved.column("alpha") == pytest.approx([1.0, 0.5])
+
+
+def test_lazy_signs_equal_given_signs_bit_for_bit(cube6):
+    ops, _, _ = cube6
+    tensor = ops.tensor
+    order = tensor.order(ops.n_free)
+    given = fl.SpectralBasis(lams=tensor.values[order], ops=ops, order=order,
+                             signs=tensor.signs(order))
+    rng = np.random.default_rng(33)
+    c = rng.standard_normal((ops.n_free, 2))
+    f = rng.standard_normal((ops.n_free, 2))
+    reads = (lambda b: b.vecs, lambda b: b.eigenfunction(2),
+             lambda b: b.coefficients(f), lambda b: b.synthesize(c),
+             lambda b: b.dual(f))
+    for read in reads:
+        # a fresh basis each time, so that each map is the first read
+        lazy = fl.eigendecompose(ops, m="all")
+        assert read(lazy).tobytes() == read(given).tobytes()
+
+
+def test_consumer_outputs_do_not_depend_on_a_prior_mode_read(cube6, params3):
+    ops, _, lam = cube6
+
+    def outputs(read_first: bool) -> tuple:
+        basis = fl.eigendecompose(ops, m="all")
+        if read_first:
+            basis.eigenfunction(1)
+        rep = fl.minimize_quotient(basis, params3, lam)
+        sol = fl.rescale_to_solution(rep, basis, params3)
+        return (rep.value, rep.iterations, rep.el_residual, rep.grad_residual,
+                rep.minimizer.values.tobytes(), sol.residual.values.tobytes(),
+                fl.frac_apply(basis, params3, sol.v).values.tobytes(),
+                fl.frac_norm(basis, params3, sol.v),
+                fl.quotient(basis, params3, lam, sol.v).value)
+
+    assert outputs(False) == outputs(True)
 
 
 @pytest.fixture(scope="module")
